@@ -196,8 +196,15 @@ def cmd_bepsilon(args) -> dict:
         max_iterations=args.budget, resolution=args.resolution, seed=_seed(args)
     )
     closed = strict_copositivity_closed_form(matrix)
-    outcome = find_mu(matrix, args.p, budget)
     verdict = classify_solvability(matrix, params, budget)
+    # The decision tree already ran find_mu with this budget when it reached
+    # the weight search; search here only when it stopped before that.
+    if verdict.reason in ("Prop1.2", "Prop4.3"):
+        outcome = verdict.certificate
+    elif verdict.audit is not None:
+        outcome = verdict.audit
+    else:
+        outcome = find_mu(matrix, args.p, budget)
     result = {
         "eps": float(args.eps),
         "closed_form": closed_form_doc(closed),

@@ -77,7 +77,8 @@ class MuSearchFailure:
 
     adversarial_set jointly forces the LP optimum at or below the margin
     tolerance for every admissible mu, which is a rigorous obstruction up to
-    the mu lower bound.
+    the mu lower bound.  final_mu is normalized to max component 1 and
+    best_margin is the least form value over the set at final_mu.
     """
 
     adversarial_set: tuple[ConeVector, ...]
@@ -258,7 +259,13 @@ def _lp_coefficients(B: SymMatrix, point: np.ndarray, p: float) -> np.ndarray:
 
 def _weight_lp(B: SymMatrix, points: list[np.ndarray], p: float,
                lower: float = MU_LOWER_BOUND) -> tuple[np.ndarray, float]:
-    """max t subject to form(c; mu) >= t for c in points, lower <= mu_i <= 1."""
+    """max t subject to form(c; mu) >= t for c in points, lower <= mu_i <= 1.
+
+    Returns the optimal mu scaled to max component 1, as certificates report
+    it, and the margin min over points of form(c; mu) at that scaled mu.  A
+    blocked LP drives every mu_i toward the lower bound, which would shrink an
+    unscaled margin by the same factor.
+    """
     n = B.n
     coef = np.array([_lp_coefficients(B, c, p) for c in points])
     objective = np.zeros(n + 1)
@@ -270,6 +277,7 @@ def _weight_lp(B: SymMatrix, points: list[np.ndarray], p: float,
     if res.status != 0:
         raise InternalConsistencyError(f"weight LP failed with status {res.status}")
     mu = np.asarray(res.x[:n], dtype=float)
+    mu = mu / mu.max()
     margin = float(min(fsum_terms(coef[k] * mu) for k in range(len(points))))
     return mu, margin
 

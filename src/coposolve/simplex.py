@@ -1,7 +1,7 @@
-"""Standard-simplex sampling and projection utilities.
+"""Standard-simplex sampling utilities.
 
 Positivity questions for homogeneous forms reduce to the standard simplex
-{c >= 0, sum c_i = 1}; everything here samples or projects onto it.
+{c >= 0, sum c_i = 1}; everything here samples it.
 """
 
 from __future__ import annotations
@@ -96,14 +96,3 @@ def barycentric_grid(
         return _full_grid(n, resolution)
     return _sampled_grid(n, resolution, cap, seed)
 
-
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the standard simplex."""
-    x = np.asarray(v, dtype=float)
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, x.size + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[int(rho) - 1] / rho
-    return np.maximum(x - theta, 0.0)

@@ -4,13 +4,14 @@ Everything here is deliberately decoupled from the package internals: grids
 are enumerated with itertools, forms are evaluated with plain numpy power,
 and the weight LP is assembled over the complete grid in one shot.
 
-The two exact checkers at the end settle the cubic (p = 4) weight question in
-fractions.Fraction arithmetic.  Every float input is converted exactly, so a
-proof holds for the very matrix, weight and points the package produced.
+The exact checkers at the end work in fractions.Fraction arithmetic: one
+finds the simplex minimum of the quadratic form, two settle the cubic (p = 4)
+weight question.  Every float input is converted exactly, so a proof holds for
+the very matrix, weight and points the package produced.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 from scipy.optimize import linprog
@@ -96,6 +97,56 @@ def _exact(values) -> list:
 def _exact_matrix(A) -> list[list[Fraction]]:
     rows = np.asarray(A, dtype=object)
     return [_exact(row) for row in rows]
+
+
+def exact_quadratic_form(A, point) -> Fraction:
+    """c'Ac at one point, exactly."""
+    c = _exact(point)
+    return sum(ci * sum(b * cj for b, cj in zip(row, c)) for ci, row in zip(c, _exact_matrix(A)))
+
+
+def _exact_solve(M: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Solution of M x = rhs by Gauss-Jordan elimination, or None if M is singular."""
+    k = len(M)
+    rows = [list(row) + [b] for row, b in zip(M, rhs)]
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if rows[r][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for r in range(k):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [row[k] for row in rows]
+
+
+def exact_simplex_min(A) -> Fraction:
+    """Minimum of c'Ac over the standard simplex, exactly.
+
+    Every support S is visited (singletons are the vertices).  The bordered
+    stationarity system 2 A_S c = lam 1, sum c = 1 is solved in Fractions and
+    its strictly positive solutions are the candidates.  Only exactly
+    singular systems are skipped: a null vector (d, nu) has d != 0 and
+    sum d = 0, so c'Ac is constant along d through a stationary point and the
+    face minimum is also reached on a smaller face.
+    """
+    beta = _exact_matrix(A)
+    n = len(beta)
+    values = []
+    for size in range(1, n + 1):
+        for support in combinations(range(n), size):
+            kkt = [[2 * beta[i][j] for j in support] + [Fraction(-1)] for i in support]
+            kkt.append([Fraction(1)] * size + [Fraction(0)])
+            solution = _exact_solve(kkt, [Fraction(0)] * size + [Fraction(1)])
+            if solution is None or any(x <= 0 for x in solution[:size]):
+                continue
+            point = [Fraction(0)] * n
+            for i, x in zip(support, solution):
+                point[i] = x
+            values.append(exact_quadratic_form(beta, point))
+    return min(values)
 
 
 def _cubic_coefficients(A, point: list[Fraction]) -> list[Fraction]:

@@ -21,7 +21,7 @@ from coposolve import (
 )
 from coposolve.mu_search import b_epsilon
 
-from oracles import dense_min_quadratic
+from oracles import dense_min_quadratic, exact_quadratic_form, exact_simplex_min
 
 
 def mat(rows):
@@ -52,10 +52,41 @@ class TestSimplexMinimum:
         assert m.min_value == pytest.approx(0.0, abs=1e-14)
         assert m.argmin.components == pytest.approx([0.5, 0.5], abs=1e-12)
 
-    def test_flat_face_uses_grid_fallback(self):
+    def test_flat_face_exact_minimum(self):
+        # The edge's stationarity system is singular (b is 1 on the whole
+        # simplex); it is skipped and the minimum is read from the vertices,
+        # the tie going to the smaller witness tuple.
         m = simplex_min_quadratic(mat([[1, 1], [1, 1]]))
-        assert m.grid_assisted
-        assert m.min_value == pytest.approx(1.0, abs=1e-12)
+        assert m.min_value == 1.0
+        assert tuple(m.argmin.components) == (0.0, 1.0)
+        assert not m.grid_assisted
+
+    @pytest.mark.parametrize("family", ["flat", "low_rank", "duplicated_rows", "integer", "random"])
+    def test_matches_exact_oracle(self, family):
+        rng = np.random.default_rng(17)
+        if family == "flat":
+            cases = [np.ones((2, 2)), np.ones((4, 4))]
+        elif family == "low_rank":
+            cases = [g @ g.T for g in (rng.normal(size=(n, 3)) for n in (5, 6, 7))]
+            cases += [g @ g.T for g in (rng.uniform(0.2, 1.0, size=(n, 3)) for n in (5, 6))]
+        elif family == "duplicated_rows":
+            cases = []
+            for n in (3, 4, 5, 6):
+                a = random_symmetric(rng, n).entries.copy()
+                a[1], a[:, 1] = a[0], a[:, 0]
+                cases.append(a)
+        elif family == "integer":
+            cases = [np.round(random_symmetric(rng, n).entries * 2) for n in (2, 3, 4, 5, 6) for _ in range(3)]
+        else:
+            cases = [random_symmetric(rng, n, nonneg_diag=False).entries for n in (2, 3, 4, 5, 6, 7)]
+        for a in cases:
+            B = SymMatrix(a)
+            m = simplex_min_quadratic(B)
+            exact_min = exact_simplex_min(a)
+            tol = 1e-10 * (1.0 + float(np.max(np.abs(a))))
+            assert abs(m.min_value - float(exact_min)) <= tol
+            assert quadratic_form(B, m.argmin).value == m.min_value
+            assert abs(float(exact_quadratic_form(a, m.argmin.components)) - m.min_value) <= tol
 
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):

@@ -136,6 +136,18 @@ class TestFindMu:
         ]
         assert min(values) == pytest.approx(out.best_margin, abs=1e-9)
 
+    @pytest.mark.parametrize("eps", [0.007, 0.004])
+    def test_failure_reports_normalized_weight(self, eps):
+        # A blocked LP pushes every weight toward the lower bound; the report
+        # scales it to max component 1, as certificates do, and gives the
+        # margin at that scale.
+        out = find_mu(b_epsilon(eps), 4.0)
+        assert isinstance(out, MuSearchFailure)
+        assert max(out.final_mu.components) == 1.0
+        values = [p_form(b_epsilon(eps), c, out.final_mu, 4.0).value for c in out.adversarial_set]
+        assert min(values) == pytest.approx(out.best_margin, rel=1e-9)
+        assert out.best_margin < -1e-6
+
     def test_certificate_implies_strict_copositivity(self):
         rng = np.random.default_rng(31)
         budget = MuSearchBudget(max_iterations=8, resolution=32)
