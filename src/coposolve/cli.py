@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .copositivity import Tolerance, check_psd, classify_copositivity, strict_copositivity_closed_form
-from .errors import CoposolveError
+from .errors import CapacityError, CoposolveError, ParameterError
 from .forms import ConeVector, SymMatrix
 from .mu_search import MuSearchBudget, appendix_limit_form, b_epsilon, find_mu
 from .neumann import Grid, SolveConfig, mountain_pass_solve, write_solution_csv, NeumannSolution
@@ -164,11 +164,14 @@ def cmd_find_mu(args) -> dict:
 
 def cmd_solve(args) -> dict:
     matrix, matrix_doc = load_matrix(args.file)
+    # Internal and precondition failures reach main's typed handler.
     try:
         grid = Grid(args.dim, args.extent, args.nodes)
         outcome = mountain_pass_solve(matrix, args.p, grid, SolveConfig())
-    except CoposolveError as exc:
+    except ParameterError as exc:
         raise InputError("parameter", str(exc)) from exc
+    except CapacityError as exc:
+        raise InputError("capacity", str(exc)) from exc
     csv_path = None
     if isinstance(outcome, NeumannSolution):
         write_solution_csv(outcome, grid, args.out)

@@ -89,6 +89,26 @@ def central_difference_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndar
     return out
 
 
+def mirror_laplacian(U: np.ndarray, h: float) -> np.ndarray:
+    """Second differences of each field U[i] with ghost nodes mirrored across every face."""
+    U = np.asarray(U, dtype=float)
+    out = np.zeros_like(U)
+    for axis in range(1, U.ndim):
+        pad = [(1, 1) if a == axis else (0, 0) for a in range(U.ndim)]
+        padded = np.pad(U, pad, mode="reflect")
+        m = U.shape[axis]
+        out += np.take(padded, range(m), axis=axis) - 2.0 * U + np.take(padded, range(2, m + 2), axis=axis)
+    return out / h**2
+
+
+def mirror_residual(A, U: np.ndarray, p: float, h: float) -> np.ndarray:
+    """Neumann residual -Lap u_i + u_i^- - (u_i^+)^(p/2-1) sum_j beta_ij (u_j^+)^(p/2)."""
+    U = np.asarray(U, dtype=float)
+    plus = np.maximum(U, 0.0)
+    coupled = np.einsum("ij,j...->i...", np.asarray(A, dtype=float), plus ** (p / 2.0))
+    return -mirror_laplacian(U, h) + np.minimum(U, 0.0) - plus ** (p / 2.0 - 1.0) * coupled
+
+
 def _exact(values) -> list:
     """Exact rationals of a float or rational array (Fraction(float) is exact)."""
     return [Fraction(v) for v in np.asarray(values, dtype=object).ravel().tolist()]

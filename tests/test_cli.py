@@ -4,7 +4,14 @@ import json
 
 import pytest
 
+from coposolve import cli
 from coposolve.cli import main
+from coposolve.errors import (
+    CapacityError,
+    InternalConsistencyError,
+    ParameterError,
+    PreconditionError,
+)
 from coposolve.reports import SCHEMA_VERSION, parse_report, serialize_report
 
 
@@ -135,6 +142,29 @@ class TestSolve:
         result = parse_report(out)["result"]
         assert result["outcome"] == "trivial_only"
         assert not out_csv.exists()
+
+
+    @pytest.mark.parametrize(
+        "error, prefix",
+        [
+            (ParameterError, "error: parameter:"),
+            (CapacityError, "error: capacity:"),
+            (InternalConsistencyError, "error: InternalConsistencyError:"),
+            (PreconditionError, "error: PreconditionError:"),
+        ],
+    )
+    def test_error_categories(self, tmp_path, capsys, monkeypatch, error, prefix):
+        def fail(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "mountain_pass_solve", fail)
+        path = write_matrix(tmp_path, "m.json", 2, [[1, -2], [-2, 1]])
+        code, out, err = run(
+            capsys,
+            ["solve", str(path), "--dim", "1", "--nodes", "33", "--out", str(tmp_path / "s.csv")],
+        )
+        assert code == 1 and out == ""
+        assert err == f"{prefix} boom\n"
 
 
 class TestBEpsilon:

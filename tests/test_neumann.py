@@ -23,13 +23,19 @@ from coposolve import (
     theta_seeds,
     write_solution_csv,
 )
+from coposolve import neumann
 from coposolve.neumann import (
     SolveConfig,
+    _dct_preconditioner,
     _energy_value,
+    _jacobian_product,
+    _nodal_block,
+    _prolong,
     _residual,
     bump_profiles,
     homotopy_mixture,
 )
+from oracles import central_difference_gradient, mirror_laplacian, mirror_residual
 
 BOUNDARY = SymMatrix([[1, -1], [-1, 1]])
 WITNESS = SymMatrix([[1, -2], [-2, 1]])
@@ -202,6 +208,99 @@ class TestMountainPass:
     def test_rejects_negative_diagonal(self):
         with pytest.raises(ParameterError):
             mountain_pass_solve(SymMatrix([[-1, 0], [0, 1]]), 4.0, Grid(1, 1.0, 33))
+
+
+class TestNewtonKrylov:
+    @staticmethod
+    def mixed_sign_field(grid, seed):
+        rng = np.random.default_rng(seed)
+        U = rng.uniform(0.2, 1.5, (2,) + grid.shape)
+        # Bounded away from 0, so the central difference never crosses a kink.
+        U[1] *= np.where(rng.uniform(size=grid.shape) < 0.3, -1.0, 1.0)
+        return U
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("p", [4.0, 5.0])
+    def test_jacobian_product_matches_central_difference(self, dim, p):
+        g = Grid(dim, 1.0, 17)
+        A = WITNESS.entries
+        U = self.mixed_sign_field(g, 13)
+        D = _nodal_block(A, U, p)
+        # Dense Jacobian from matrix-free products with the unit vectors.
+        eye = np.eye(U.size).reshape((U.size,) + U.shape)
+        jac = np.stack([_jacobian_product(D, e, g.h).ravel() for e in eye], axis=1)
+        w = np.random.default_rng(17).standard_normal(U.size)
+        fd = central_difference_gradient(
+            lambda x: float(w @ _residual(A, x.reshape(U.shape), p, g).ravel()), U.ravel(), 1e-6
+        )
+        assert np.max(np.abs(fd - jac.T @ w)) <= 1e-6 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_preconditioner_inverts_shifted_laplacian_on_mean_zero_fields(self, dim):
+        g = Grid(dim, 2.0, 17)
+        W = g.weights()
+        v = np.random.default_rng(19).standard_normal((2,) + g.shape)
+        v -= (np.sum(v * W, axis=tuple(range(1, dim + 1))) / W.sum()).reshape((2,) + (1,) * dim)
+        shifted = -mirror_laplacian(v, g.h) + v
+        # D = 0: the constant-mode block is singular, the mean-zero field never needs it.
+        precondition = _dct_preconditioner(np.zeros((2, 2) + g.shape), g)
+        back = precondition(shifted.ravel()).reshape(v.shape)
+        assert np.max(np.abs(back - v)) <= 1e-11 * np.max(np.abs(v))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_preconditioner_exact_when_every_mode_is_coarse(self, dim, monkeypatch):
+        monkeypatch.setattr(neumann, "COARSE_SIZE", 10**6)
+        g = Grid(dim, 1.0, 17)
+        rng = np.random.default_rng(23)
+        D = 1e5 * rng.standard_normal((2, 2) + g.shape)
+        v = rng.standard_normal((2,) + g.shape)
+        back = _jacobian_product(D, _dct_preconditioner(D, g)(v.ravel()).reshape(v.shape), g.h)
+        assert np.max(np.abs(back - v)) <= 1e-9
+
+    def test_2d_existence_witness(self):
+        g = Grid(2, 1.0, 25)
+        out = mountain_pass_solve(WITNESS, 4.0, g)
+        assert isinstance(out, NeumannSolution)
+        assert out.classification == "Nonconstant"
+        U = out.field.components
+        assert U.min() >= 0.0 and U.max() > 1.0
+        assert np.max(np.abs(mirror_residual(WITNESS.entries, U, 4.0, g.h))) < 1e-8
+
+    def test_accepted_solutions_ranked_by_energy(self):
+        # Two seeds converging to different solutions; their residuals differ
+        # by round-off only (here the higher-energy one has the smaller).
+        B = SymMatrix([[1, -2, -2], [-2, 1, -2], [-2, -2, 1]])
+        g = Grid(1, 1.0, 49)
+        seeds = dict(theta_seeds(B, ConeVector([1.0, 1.0, 1.0]), g, 14))
+        low, high = "mixture ray=d t=0.25", "mixture ray=d t=0.75"
+        alone = {
+            name: mountain_pass_solve(B, 4.0, g, initial_fields=[(name, seeds[name])])
+            for name in (low, high)
+        }
+        assert alone[low].report.energy < alone[high].report.energy - 100.0
+        for order in ((low, high), (high, low)):
+            out = mountain_pass_solve(B, 4.0, g, initial_fields=[(name, seeds[name]) for name in order])
+            assert out.seed_provenance == low
+            assert out.report.energy == alone[low].report.energy
+
+
+class TestRefine:
+    def test_1d_prolongation_is_np_interp(self):
+        rng = np.random.default_rng(29)
+        for coarse, fine in ((129, 257), (33, 129), (20, 47)):
+            g0, g1 = Grid(1, 1.0, coarse), Grid(1, 1.0, fine)
+            U = rng.standard_normal((3, coarse))
+            expected = np.stack([np.interp(g1.axis(), g0.axis(), u) for u in U])
+            assert np.array_equal(_prolong(U, g0, g1), expected)
+
+    def test_2d_prolongation_reproduces_bilinear_field(self):
+        g0, g1 = Grid(2, 2.0, 17), Grid(2, 2.0, 41)
+
+        def bilinear(x):
+            X, Y = x[:, None], x[None, :]
+            return np.stack([1.0 + 2.0 * X - 3.0 * Y + 0.5 * X * Y, 4.0 - X * Y])
+
+        assert np.max(np.abs(_prolong(bilinear(g0.axis()), g0, g1) - bilinear(g1.axis()))) < 1e-14
 
 
 class TestReflectTile:
