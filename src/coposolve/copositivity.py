@@ -1,14 +1,14 @@
 """Exact classification of the quadratic form's sign on the nonnegative cone.
 
-The decision oracle minimizes b over the standard simplex by enumerating the
-face-interior stationary points of every support together with the vertices;
-the minimum of a quadratic over a compact polytope is attained at one of them.
-Supports are swept one size at a time in stacked batches, and faces with a
-singular stationarity system are skipped: their minimum is also attained on a
-smaller face.
-Closed-form strict-copositivity tests exist for n in {2, 3} and are run as a
-redundant cross-check.
-"""
+One face sweep enumerates the vertices of the standard simplex and the
+face-interior stationary points of b, support size by support size in
+stacked batches; faces with a singular stationarity system are skipped, as
+their minimum is also attained on a smaller face.  The minimum of a quadratic
+over a compact polytope is attained at one of the swept points, so the sweep
+decides copositivity, and its minimum over the proper faces decides boundary
+positivity.  The constant solutions of `solvability` are read from the same
+sweep.  Closed-form strict-copositivity tests exist for n in {2, 3} and are
+run as a redundant cross-check."""
 
 from __future__ import annotations
 
@@ -80,51 +80,27 @@ class ClosedFormResult:
     final_expression: float | None = None
 
 
-def _supports(n: int):
-    for size in range(1, n + 1):
-        yield from itertools.combinations(range(n), size)
+def _face_sweep(A: np.ndarray):
+    """Stationary points of b interior to the faces of the simplex, in batches.
 
-
-def simplex_min_quadratic(B: SymMatrix, condition_limit: float = FACE_CONDITION_LIMIT) -> SimplexMinimum:
-    """Global minimum of b over the standard simplex.
-
-    The minimum of a quadratic over the simplex is attained at a vertex or at
-    a stationary point interior to a face: a strictly positive solution of
-    2 B_S c = lambda 1, sum c = 1 on some support S.  The faces are swept one
-    support size at a time, in batches of at most SWEEP_BATCH supports whose
-    bordered systems are stacked and solved together.  Ties are broken by the
-    witness tuple, a total order, so the winner does not depend on the batch
-    order.
+    Yields (supports, points): integer supports of shape (m, k) and the
+    strictly positive stationary points on them, c > 0 with 2 A_S c = lambda 1
+    and sum c = 1, of shape (m, k).  The vertices come first as one batch of
+    singletons, then the larger supports one size at a time in
+    itertools.combinations order, in batches of at most SWEEP_BATCH whose
+    bordered systems are stacked and solved together.
 
     Faces whose system is singular (1-norm condition number above
-    condition_limit, inf or NaN) are skipped.  A singular system has a null
-    vector (d, nu) with d != 0 and 1'd = 0, so 2 B_S d = nu 1 and, through a
-    stationary point c, b(c + t d) = b(c) + t lambda 1'd + t^2 nu 1'd / 2 =
-    b(c).  Moving along d to the boundary of the face keeps the value, so the
-    face minimum is also attained on a proper sub-face, which the sweep visits
-    anyway.  On a nearly singular face b moves by only O(||K|| / cond) along
-    d, about 1e-12 at the default limit.
+    FACE_CONDITION_LIMIT, inf or NaN) are skipped.  A singular system has a
+    null vector (d, nu) with d != 0 and 1'd = 0, so 2 A_S d = nu 1 and,
+    through a stationary point c, b(c + t d) = b(c) + t lambda 1'd +
+    t^2 nu 1'd / 2 = b(c).  Moving along d to the boundary of the face keeps
+    the value, so the face minimum is also attained on a proper sub-face,
+    which the sweep visits anyway.  On a nearly singular face b moves by only
+    O(||K|| / cond) along d, about 1e-12 at FACE_CONDITION_LIMIT.
     """
-    n = B.n
-    if n > MAX_ENUMERATION_N:
-        raise CapacityError(f"face enumeration supports n <= {MAX_ENUMERATION_N}, got {n}")
-    A = B.entries
-    best_val = np.inf
-    best_witness: np.ndarray | None = None
-
-    def consider(value: float, witness: np.ndarray) -> None:
-        nonlocal best_val, best_witness
-        if value < best_val or (
-            value == best_val
-            and best_witness is not None
-            and tuple(witness) < tuple(best_witness)
-        ):
-            best_val = value
-            best_witness = witness
-
-    for i in range(n):
-        consider(float(A[i, i]), np.eye(n)[i])
-
+    n = A.shape[0]
+    yield np.arange(n)[:, None], np.ones((n, 1))
     for k in range(2, n + 1):
         border = np.zeros((k + 1, k + 1))
         border[:k, k] = -1.0
@@ -137,14 +113,37 @@ def simplex_min_quadratic(B: SymMatrix, condition_limit: float = FACE_CONDITION_
             kkt = np.repeat(border[None], len(batch), axis=0)
             kkt[:, :k, :k] = 2.0 * A[idx[:, :, None], idx[:, None, :]]
             # "not above the limit" also drops the inf and NaN of singular faces.
-            regular = np.linalg.cond(kkt, 1) <= condition_limit
+            regular = np.linalg.cond(kkt, 1) <= FACE_CONDITION_LIMIT
             idx, kkt = idx[regular], kkt[regular]
             c = np.linalg.solve(kkt, rhs)[:, :k, 0]
             interior = np.all(c > 0, axis=1)
-            for s, c_s in zip(idx[interior], c[interior]):
-                w = np.zeros(n)
-                w[s] = c_s
-                consider(float(c_s @ A[np.ix_(s, s)] @ c_s), w)
+            yield idx[interior], c[interior]
+
+
+def _face_minimum(B: SymMatrix, max_size: int) -> SimplexMinimum:
+    """Least value of b over the faces of at most max_size components.
+
+    Ties are broken by the witness tuple, a total order, so the winner does
+    not depend on the batch order.
+    """
+    n = B.n
+    A = B.entries
+    best_val = np.inf
+    best_witness: np.ndarray | None = None
+    for idx, points in _face_sweep(A):
+        if idx.shape[1] > max_size:
+            break
+        for s, c_s in zip(idx, points):
+            value = float(c_s @ A[np.ix_(s, s)] @ c_s)
+            w = np.zeros(n)
+            w[s] = c_s
+            if value < best_val or (
+                value == best_val
+                and best_witness is not None
+                and tuple(w) < tuple(best_witness)
+            ):
+                best_val = value
+                best_witness = w
 
     witness = np.maximum(best_witness, 0.0)
     witness = witness / witness.sum()
@@ -153,6 +152,20 @@ def simplex_min_quadratic(B: SymMatrix, condition_limit: float = FACE_CONDITION_
     # reproduces exactly from the witness.
     value = quadratic_form(B, arg).value
     return SimplexMinimum(value, arg, False)
+
+
+def simplex_min_quadratic(B: SymMatrix) -> SimplexMinimum:
+    """Global minimum of b over the standard simplex.
+
+    The minimum of a quadratic over the simplex is attained at a vertex or at
+    a stationary point interior to a face: a strictly positive solution of
+    2 B_S c = lambda 1, sum c = 1 on some support S.  The face sweep visits
+    all of them except on faces with a singular system, whose minimum is also
+    attained on a smaller face.
+    """
+    if B.n > MAX_ENUMERATION_N:
+        raise CapacityError(f"face enumeration supports n <= {MAX_ENUMERATION_N}, got {B.n}")
+    return _face_minimum(B, B.n)
 
 
 def strict_copositivity_closed_form(B: SymMatrix) -> ClosedFormResult:
@@ -228,16 +241,11 @@ def check_psd(B: SymMatrix, tol: Tolerance = Tolerance()) -> Definiteness:
 def boundary_positive(B: SymMatrix, tol: Tolerance = Tolerance()) -> bool:
     """True iff b is positive on the cone boundary minus the origin.
 
-    Equivalent to strict copositivity of every proper principal submatrix.
+    Equivalent to strict copositivity of every proper principal submatrix,
+    decided by one face sweep over the proper faces: the sweep of a proper
+    principal submatrix visits exactly the proper faces inside its support,
+    with the same stationarity systems.
     """
-    n = B.n
-    if n < 2:
+    if B.n < 2:
         raise ParameterError("boundary positivity needs n >= 2")
-    A = B.entries
-    for support in _supports(n):
-        if len(support) == n:
-            continue
-        sub = SymMatrix(A[np.ix_(support, support)])
-        if simplex_min_quadratic(sub).min_value <= tol.tol:
-            return False
-    return True
+    return _face_minimum(B, B.n - 1).min_value > tol.tol

@@ -171,15 +171,14 @@ def p_form(B: SymMatrix, c, mu, p: float) -> FormValue:
 
 
 def p_form_gradient(A: np.ndarray, c: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
-    """Gradient of the weighted form in c.
+    """Gradient of the weighted form in c, row-wise for a stack of points.
 
     For 2 < p < 4 the derivative blows up at the cone boundary; the singular
     term is masked to 0 there (one-sided convention used by the local descent).
     """
     half = p / 2.0
     y = cone_power(c, half - 1.0)
-    x = cone_power(c, half)
-    s = A @ x
+    s = cone_power(c, half) @ A
     e2 = half - 2.0
     if e2 == 0.0:
         z = np.ones_like(c)
@@ -189,7 +188,14 @@ def p_form_gradient(A: np.ndarray, c: np.ndarray, mu: np.ndarray, p: float) -> n
         z = np.zeros_like(c)
         mask = c > 0
         z[mask] = np.exp(e2 * np.log(c[mask]))
-    return half * y * (A @ (mu * y)) + (half - 1.0) * z * mu * s
+    return half * y * ((mu * y) @ A) + (half - 1.0) * z * mu * s
+
+
+def p_form_values(A: np.ndarray, points: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
+    """Weighted form over rows of ``points``, without input validation."""
+    x = cone_power(points, p / 2.0)
+    y = cone_power(points, p / 2.0 - 1.0)
+    return np.sum((y * mu) * (x @ A), axis=1)
 
 
 def p_form_batch(B: SymMatrix, points: np.ndarray, mu, p: float) -> np.ndarray:
@@ -200,9 +206,7 @@ def p_form_batch(B: SymMatrix, points: np.ndarray, mu, p: float) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != B.n:
         raise DimensionError(f"points have shape {pts.shape}, expected (m, {B.n})")
-    x = cone_power(pts, p / 2.0)
-    y = cone_power(pts, p / 2.0 - 1.0)
-    return np.sum((y * mv) * (x @ B.entries), axis=1)
+    return p_form_values(B.entries, pts, mv, p)
 
 
 def principal_submatrix(B: SymMatrix, indices) -> SymMatrix:

@@ -32,6 +32,8 @@ from .forms import (
     negative_part_row_sums,
     p_form,
     p_form_batch,
+    p_form_gradient,
+    p_form_values,
 )
 from .simplex import barycentric_grid
 
@@ -118,28 +120,6 @@ def _project_rows(X: np.ndarray) -> np.ndarray:
     return np.maximum(X - theta[:, None], 0.0)
 
 
-def _batch_values(A: np.ndarray, mu: np.ndarray, p: float, X: np.ndarray) -> np.ndarray:
-    xh = cone_power(X, p / 2.0)
-    yh = cone_power(X, p / 2.0 - 1.0)
-    return np.sum((yh * mu) * (xh @ A), axis=1)
-
-
-def _batch_gradients(A: np.ndarray, mu: np.ndarray, p: float, X: np.ndarray) -> np.ndarray:
-    half = p / 2.0
-    Y = cone_power(X, half - 1.0)
-    S = cone_power(X, half) @ A
-    e2 = half - 2.0
-    if e2 == 0.0:
-        Z = np.ones_like(X)
-    elif e2 > 0:
-        Z = cone_power(X, e2)
-    else:
-        Z = np.zeros_like(X)
-        mask = X > 0
-        Z[mask] = np.exp(e2 * np.log(X[mask]))
-    return half * Y * ((mu * Y) @ A) + (half - 1.0) * Z * mu * S
-
-
 def _descend_batch(A: np.ndarray, mu: np.ndarray, p: float, starts: np.ndarray,
                    max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
     """Projected-gradient descent on the simplex, all starts in lockstep.
@@ -148,16 +128,16 @@ def _descend_batch(A: np.ndarray, mu: np.ndarray, p: float, starts: np.ndarray,
     points whose step has collapsed are frozen.
     """
     X = np.array(starts, dtype=float)
-    F = _batch_values(A, mu, p, X)
+    F = p_form_values(A, X, mu, p)
     steps = np.full(X.shape[0], 0.5)
     active = np.ones(X.shape[0], dtype=bool)
     for _ in range(max_iter):
         rows = np.nonzero(active)[0]
         if rows.size == 0:
             break
-        G = _batch_gradients(A, mu, p, X[rows])
+        G = p_form_gradient(A, X[rows], mu, p)
         cand = _project_rows(X[rows] - steps[rows, None] * G)
-        fc = _batch_values(A, mu, p, cand)
+        fc = p_form_values(A, cand, mu, p)
         improved = fc < F[rows] - DESCENT_TOLERANCE * np.maximum(1.0, np.abs(F[rows]))
         acc = rows[improved]
         X[acc] = cand[improved]

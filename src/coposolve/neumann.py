@@ -22,7 +22,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 # Unused by the solver; the traced benchmark wraps ``neumann.splu`` by name.
 from scipy.sparse.linalg import splu  # noqa: F401
 
-from .copositivity import Tolerance, simplex_min_quadratic
+from .copositivity import simplex_min_quadratic
 from .errors import CapacityError, NotApplicableError, ParameterError
 from .forms import ConeVector, SymMatrix, cone_power, fsum_terms, quadratic_form
 from .solvability import ConstantSolutionCertificate, constant_solution
@@ -222,7 +222,7 @@ def energy(B: SymMatrix, u: FieldTuple, p: float, grid: Grid) -> EnergyReport:
     )
 
 
-def find_direction_d(B: SymMatrix, p: float, tol: Tolerance = Tolerance()) -> ConeVector:
+def find_direction_d(B: SymMatrix, p: float) -> ConeVector:
     """Interior cone direction d with b(d^(p/2)) < 0, normalized to max 1.
 
     Requires the matrix to fail strict copositivity while admitting no exact

@@ -3,9 +3,11 @@
 The decision tree maps a coupling matrix and problem parameters (space
 dimension, nonlinearity degree p) to a verdict with a certificate: an exact
 constant solution, a cone witness of failed strict copositivity, or a
-verifying weight for the degree-(p-1) form.  Inputs strictly copositive but
-without a weight certificate in the applicable p-range land in the open gap.
-"""
+verifying weight for the degree-(p-1) form.  Constant solutions are the
+positive kernel vectors of principal blocks, which the face sweep of
+`copositivity` visits as stationary points with multiplier zero.  Inputs
+strictly copositive but without a weight certificate in the applicable
+p-range land in the open gap."""
 
 from __future__ import annotations
 
@@ -14,10 +16,12 @@ from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog
+# Unused by the package; the traced benchmark wraps ``solvability.null_space``
+# and ``solvability.linprog`` by name.
+from scipy.linalg import null_space  # noqa: F401
+from scipy.optimize import linprog  # noqa: F401
 
-from .copositivity import Copositivity, Tolerance, classify_copositivity
+from .copositivity import Tolerance, _face_sweep, classify_copositivity
 from .errors import ParameterError, PreconditionError
 from .forms import ConeVector, SymMatrix, cone_power, fsum_terms
 from .mu_search import (
@@ -92,32 +96,6 @@ class SolvabilityVerdict:
     audit: object | None = None
 
 
-def _positive_kernel_vector(sub: np.ndarray) -> np.ndarray | None:
-    """Strictly positive vector in ker(sub), scaled to max component 1."""
-    ns = null_space(sub, rcond=1e-12)
-    if ns.size == 0:
-        return None
-    if ns.shape[1] == 1:
-        v = ns[:, 0]
-        if np.all(v > 0) or np.all(v < 0):
-            v = np.abs(v)
-            if v.min() > 1e-9 * v.max():
-                return v / v.max()
-        return None
-    # Higher-dimensional kernel: look for a componentwise >= 1 combination.
-    res = linprog(
-        np.zeros(ns.shape[1]),
-        A_ub=-ns,
-        b_ub=-np.ones(ns.shape[0]),
-        bounds=[(None, None)] * ns.shape[1],
-        method="highs",
-    )
-    if res.status != 0:
-        return None
-    v = ns @ res.x
-    return v / v.max()
-
-
 def _constant_residual(A: np.ndarray, c_full: np.ndarray, p: float) -> np.ndarray:
     """Componentwise residual of the constant field u = c^(2/p)."""
     factors = cone_power(c_full, 1.0 - 2.0 / p)
@@ -127,42 +105,45 @@ def _constant_residual(A: np.ndarray, c_full: np.ndarray, p: float) -> np.ndarra
 def constant_solution(B: SymMatrix, p: float) -> ConstantSolutionCertificate | None:
     """Exact constant solution from a positive support-restricted kernel vector.
 
-    Scans supports by size; a strictly positive c with B_S c = 0 yields the
-    constant field u = c^(2/p) on S (zero off S), which solves the system
-    exactly.  A zero diagonal entry is the singleton case.
+    A strictly positive c with B_S c = 0 yields the constant field
+    u = c^(2/p) on S (zero off S), which solves the system exactly.  A zero
+    diagonal entry is the singleton case.  The face sweep supplies the
+    candidates, by size and then lexicographically: on the smallest support
+    with a positive kernel vector the kernel is the line through it (a
+    second kernel direction would lead to a positive kernel vector on a
+    proper sub-face), so the bordered system is regular there and c is its
+    stationary point with lambda = 0.  Each point is scaled to max 1 and
+    snapped to 12 decimals when that does not hurt the kernel residual; a
+    batched residual picks the candidates and the compensated residual of
+    _constant_residual decides.
     """
     if not p > 2:
         raise ParameterError(f"p must exceed 2, got {p}")
-    from .copositivity import _supports
-
     A = B.entries
     n = B.n
-    for support in _supports(n):
-        idx = list(support)
-        if len(idx) == 1:
-            if A[idx[0], idx[0]] != 0.0:
+    for idx, points in _face_sweep(A):
+        sub = A[idx[:, :, None], idx[:, None, :]]
+        c = points / points.max(axis=1, keepdims=True)
+        # Snap to short decimals when that does not hurt the kernel residual.
+        snapped = np.round(c, 12)
+        kernel = np.max(np.abs(sub @ c[..., None]), axis=(1, 2))
+        snapped_kernel = np.max(np.abs(sub @ snapped[..., None]), axis=(1, 2))
+        snap = np.all(snapped > 0, axis=1) & (snapped_kernel <= kernel)
+        c[snap] = snapped[snap]
+        residual = cone_power(c, 1.0 - 2.0 / p) * (sub @ c[..., None])[..., 0]
+        candidates = np.max(np.abs(residual), axis=1) < CONSTANT_RESIDUAL_TOL
+        for s, c_s in zip(idx[candidates], c[candidates]):
+            if len(s) == 1 and A[s[0], s[0]] != 0.0:
                 continue
-            c_sub = np.array([1.0])
-        else:
-            c_sub = _positive_kernel_vector(A[np.ix_(idx, idx)])
-            if c_sub is None:
-                continue
-            # Snap to short decimals when that does not hurt the kernel residual.
-            snapped = np.round(c_sub, 12)
-            if np.all(snapped > 0):
-                sub = A[np.ix_(idx, idx)]
-                if np.max(np.abs(sub @ snapped)) <= np.max(np.abs(sub @ c_sub)):
-                    c_sub = snapped
-        c_full = np.zeros(n)
-        c_full[idx] = c_sub
-        residuals = _constant_residual(A, c_full, p)
-        if np.max(np.abs(residuals)) < CONSTANT_RESIDUAL_TOL:
-            u = cone_power(c_full, 2.0 / p)
-            return ConstantSolutionCertificate(
-                u=ConeVector(u),
-                support=tuple(support),
-                residual_inf=float(np.max(np.abs(residuals))),
-            )
+            c_full = np.zeros(n)
+            c_full[s] = c_s
+            residuals = _constant_residual(A, c_full, p)
+            if np.max(np.abs(residuals)) < CONSTANT_RESIDUAL_TOL:
+                return ConstantSolutionCertificate(
+                    u=ConeVector(cone_power(c_full, 2.0 / p)),
+                    support=tuple(int(i) for i in s),
+                    residual_inf=float(np.max(np.abs(residuals))),
+                )
     return None
 
 

@@ -4,6 +4,10 @@ Everything here is deliberately decoupled from the package internals: grids
 are enumerated with itertools, forms are evaluated with plain numpy power,
 and the weight LP is assembled over the complete grid in one shot.
 
+kernel_scan_constant_support is a float reference for constant solutions:
+scipy's null_space on every support, plus an LP where a kernel has dimension
+two or more.
+
 The exact checkers at the end work in fractions.Fraction arithmetic: one
 finds the simplex minimum of the quadratic form, two settle the cubic (p = 4)
 weight question.  Every float input is converted exactly, so a proof holds for
@@ -14,6 +18,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 import numpy as np
+from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 # Cell budget of exact_cubic_weight_positive before it gives up undecided.
@@ -87,6 +92,69 @@ def central_difference_gradient(f, x: np.ndarray, step: float = 1e-5) -> np.ndar
         xm[k] -= step
         out[k] = (f(xp) - f(xm)) / (2.0 * step)
     return out
+
+
+def _positive_kernel_vector(sub: np.ndarray) -> np.ndarray | None:
+    """Strictly positive vector in ker(sub), scaled to max component 1."""
+    ns = null_space(sub, rcond=1e-12)
+    if ns.size == 0:
+        return None
+    if ns.shape[1] == 1:
+        v = ns[:, 0]
+        if np.all(v > 0) or np.all(v < 0):
+            v = np.abs(v)
+            if v.min() > 1e-9 * v.max():
+                return v / v.max()
+        return None
+    # Higher-dimensional kernel: look for a componentwise >= 1 combination.
+    res = linprog(
+        np.zeros(ns.shape[1]),
+        A_ub=-ns,
+        b_ub=-np.ones(ns.shape[0]),
+        bounds=[(None, None)] * ns.shape[1],
+        method="highs",
+    )
+    if res.status != 0:
+        return None
+    v = ns @ res.x
+    return v / v.max()
+
+
+def kernel_scan_constant_support(A, p: float, tol: float = 1e-10
+                                 ) -> tuple[tuple[int, ...], np.ndarray] | None:
+    """First support with an exact constant solution, by a kernel scan.
+
+    Float reference: supports are scanned by size, then lexicographically.
+    A singleton needs a zero diagonal entry; a larger support S needs a
+    strictly positive c in ker(A_S), from scipy's null_space, or from an LP
+    over the null-space basis when the kernel has dimension >= 2.  c, scaled
+    to max 1, is snapped to 12 decimals when that does not hurt the kernel
+    residual, and the constant field u = c^(2/p) must leave an equation
+    residual c_i^(1 - 2/p) (A c)_i below tol.  Returns (S, c) or None.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    for size in range(1, n + 1):
+        for support in combinations(range(n), size):
+            idx = list(support)
+            sub = A[np.ix_(idx, idx)]
+            if size == 1:
+                if sub[0, 0] != 0.0:
+                    continue
+                c_sub = np.ones(1)
+            else:
+                c_sub = _positive_kernel_vector(sub)
+                if c_sub is None:
+                    continue
+                snapped = np.round(c_sub, 12)
+                if np.all(snapped > 0) and np.max(np.abs(sub @ snapped)) <= np.max(np.abs(sub @ c_sub)):
+                    c_sub = snapped
+            c = np.zeros(n)
+            c[idx] = c_sub
+            residual = c ** (1.0 - 2.0 / p) * (A @ c)
+            if np.max(np.abs(residual)) < tol:
+                return support, c
+    return None
 
 
 def mirror_laplacian(U: np.ndarray, h: float) -> np.ndarray:

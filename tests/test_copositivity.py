@@ -219,3 +219,25 @@ class TestBoundaryPositive:
     def test_needs_two_components(self):
         with pytest.raises(ParameterError):
             boundary_positive(mat([[1.0]]))
+
+    def test_matches_definition_on_integer_matrices(self):
+        # Strict copositivity of every proper principal submatrix, decided
+        # exactly; planted negative pair faces make single-pair failures.
+        rng = np.random.default_rng(71)
+        failed_on_one_pair = passed = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            A = rng.integers(-1, 4, (n, n))
+            A = A + A.T
+            np.fill_diagonal(A, rng.integers(1, 4, n))
+            if rng.random() < 0.5:
+                i, j = rng.choice(n, size=2, replace=False)
+                A[i, j] = A[j, i] = -int(rng.integers(1, 4)) - int(np.sqrt(A[i, i] * A[j, j]))
+            proper = [s for k in range(1, n) for s in itertools.combinations(range(n), k)]
+            strict = [exact_simplex_min(A[np.ix_(s, s)]) > 0 for s in proper]
+            assert boundary_positive(mat(A)) == all(strict)
+            passed += all(strict)
+            pairs = [ok for s, ok in zip(proper, strict) if len(s) == 2]
+            failed_on_one_pair += n > 2 and pairs.count(False) == 1
+        assert failed_on_one_pair >= 5 and passed >= 5
+

@@ -15,7 +15,7 @@ from coposolve import (
     principal_submatrix,
     quadratic_form,
 )
-from coposolve.forms import p_form_batch
+from coposolve.forms import p_form_batch, p_form_gradient
 
 from oracles import central_difference_gradient
 
@@ -193,9 +193,11 @@ class TestPForm:
         pts = rng.uniform(0.0, 1.0, (50, 3))
         mu = ConeVector([1.0, 0.8, 0.6])
         batch = p_form_batch(B, pts, mu, 4.0)
+        gradients = p_form_gradient(B.entries, pts, mu.components, 4.0)
         for k in range(0, 50, 7):
-            scalar = p_form(B, ConeVector(pts[k]), mu, 4.0).value
-            assert batch[k] == pytest.approx(scalar, rel=1e-12, abs=1e-14)
+            scalar = p_form(B, ConeVector(pts[k]), mu, 4.0)
+            assert batch[k] == pytest.approx(scalar.value, rel=1e-12, abs=1e-14)
+            assert gradients[k] == pytest.approx(scalar.gradient, rel=1e-12, abs=1e-14)
 
 
 class TestPrincipalSubmatrix:

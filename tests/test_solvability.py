@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from coposolve import (
     Copositivity,
@@ -17,6 +18,8 @@ from coposolve import (
     classify_solvability,
     constant_solution,
 )
+
+from oracles import kernel_scan_constant_support, mirror_residual
 
 
 def mat(rows):
@@ -71,6 +74,92 @@ class TestConstantSolution:
         assert cert is not None
         # kernel direction (1,1): u_i = c_i^(2/p) stays equal across components
         assert cert.u.components[0] == pytest.approx(cert.u.components[1])
+
+
+def _kernel_block(rng, k, kernel):
+    """Random k x k PSD block whose kernel contains the given vectors."""
+    basis = np.linalg.qr(np.column_stack(kernel))[0]
+    Q = rng.normal(size=(k, k - len(kernel)))
+    Q -= basis @ (basis.T @ Q)
+    return Q @ Q.T
+
+
+def _planted_nested(rng):
+    # Positive kernel vectors on S1 and on S2 > S1: A_S2 has a kernel of
+    # dimension 2, whose positive vectors reach sub-faces of S2.
+    n = int(rng.integers(3, 7))
+    s2 = np.sort(rng.choice(n, size=int(rng.integers(3, n + 1)), replace=False))
+    s1 = np.sort(rng.choice(s2, size=int(rng.integers(2, len(s2))), replace=False))
+    A = rng.uniform(-1.0, 2.0, (n, n))
+    A = (A + A.T) / 2.0
+    v1 = np.where(np.isin(s2, s1), rng.uniform(0.2, 1.0, len(s2)), 0.0)
+    kernel = [v1, rng.uniform(0.2, 1.0, len(s2))] if rng.random() < 0.7 else [v1]
+    A[np.ix_(s2, s2)] = _kernel_block(rng, len(s2), kernel)
+    return A
+
+
+def _integer_zero_blocks(rng):
+    # Integer blocks on the diagonal, zero between them: Laplacian-like
+    # blocks with kernel (1, ..., 1) make kernels of dimension >= 2.
+    blocks = []
+    while sum(len(b) for b in blocks) < 4:
+        k = int(rng.integers(1, 4))
+        if rng.random() < 0.5:
+            a = int(rng.integers(1, 4))
+            b = a * (k * np.eye(k) - np.ones((k, k)))
+        else:
+            b = rng.integers(-2, 4, (k, k))
+            b = b + b.T
+        blocks.append(b)
+    A = block_diag(*blocks).astype(float)
+    perm = rng.permutation(len(A))
+    return A[np.ix_(perm, perm)]
+
+
+def _duplicated_rows(rng):
+    # A = D M D' repeats variables of M, so rows and columns of A repeat.
+    m = int(rng.integers(2, 5))
+    if rng.random() < 0.5:
+        M = _kernel_block(rng, m, [rng.uniform(0.2, 1.0, m)])
+    else:
+        M = rng.integers(-3, 4, (m, m)).astype(float)
+        M = M + M.T
+    D = np.eye(m)[np.concatenate([np.arange(m), rng.integers(0, m, int(rng.integers(1, 3)))])]
+    return D @ M @ D.T
+
+
+def _zero_diagonal(rng):
+    n = int(rng.integers(2, 6))
+    A = rng.integers(-3, 4, (n, n)).astype(float)
+    A = A + A.T
+    np.fill_diagonal(A, np.abs(np.diag(A)))
+    A[np.diag_indices(n)] *= rng.random(n) < 0.7
+    return A
+
+
+CONSTANT_FAMILIES = (_planted_nested, _integer_zero_blocks, _duplicated_rows, _zero_diagonal)
+
+
+class TestConstantSolutionAgainstKernelScan:
+    @pytest.mark.parametrize("family", CONSTANT_FAMILIES, ids=lambda f: f.__name__.strip("_"))
+    @pytest.mark.parametrize("p", [3.0, 4.0, 5.0])
+    def test_same_support_as_kernel_scan(self, family, p):
+        rng = np.random.default_rng([67, CONSTANT_FAMILIES.index(family), int(p)])
+        found = 0
+        for _ in range(40):
+            A = family(rng)
+            cert = constant_solution(mat(A), p)
+            reference = kernel_scan_constant_support(A, p)
+            assert (cert is None) == (reference is None)
+            if cert is None:
+                continue
+            found += 1
+            assert cert.support == reference[0]
+            u = cert.u.components
+            assert tuple(np.nonzero(u)[0]) == cert.support
+            # A constant field has no Laplacian: what is left is the equation.
+            assert np.max(np.abs(mirror_residual(A, u, p, 1.0))) < 1e-10
+        assert found >= 10
 
 
 class TestClassifySolvability:
