@@ -15,7 +15,7 @@ import argparse
 import numpy as np
 from scipy.optimize import linprog
 
-from coposolve import MuCertificate, MuSearchFailure, b_epsilon, find_mu, verify_mu
+from coposolve import MuCertificate, MuViolation, b_epsilon, find_mu, verify_mu
 from coposolve.forms import cone_power
 from coposolve.simplex import barycentric_grid
 
@@ -57,15 +57,16 @@ def main() -> int:
         mu_n = mu / mu[0]
         outcome = find_mu(B, 4.0)
         label = type(outcome).__name__.replace("MuSearch", "").replace("Mu", "")
-        uniform = verify_mu(B, np.ones(3), 4.0, 64)
-        uniform_min = (
-            uniform.min_on_simplex
-            if isinstance(uniform, MuCertificate)
-            else uniform.value
-        )
+        uniform = verify_mu(B, np.ones(3), 4.0)
+        if isinstance(uniform, MuCertificate):
+            uniform_min = f"{uniform.min_on_simplex:>+12.4e}"
+        elif isinstance(uniform, MuViolation):
+            uniform_min = f"{uniform.value:>+12.4e}"
+        else:
+            uniform_min = f"{'undecided':>12}"
         print(
             f"{eps:>7} | {margin:>+12.4e} | ({mu_n[0]:.3f}, {mu_n[1]:.3f}, {mu_n[2]:.3f})"
-            f" | {label:>14} | {uniform_min:>+12.4e}"
+            f" | {label:>14} | {uniform_min}"
         )
     return 0
 

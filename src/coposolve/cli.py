@@ -2,17 +2,17 @@
 
 Matrix files are JSON documents {"n": <int>, "beta": [[...], ...],
 "name": <optional>}.  Every subcommand prints one report document (schema
-coposolve-report/1) to standard output; identical invocations with the same
-seed produce byte-identical reports.  Any verdict, including Unknown, exits 0;
-only input and validation failures exit nonzero, with a one-line error on
-standard error.
+coposolve-report/2) to standard output, holding the defaults and the
+parameter values the run actually used.  Nothing is random, so identical
+invocations produce byte-identical reports.  Any verdict, including Unknown,
+exits 0; only input and validation failures exit nonzero, with a one-line
+error on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -40,10 +40,8 @@ MAX_CLI_N = 16
 DEFAULTS = {
     "tol": 1e-9,
     "p": 4.0,
-    "resolution": 64,
     "budget": 50,
     "nodes": 129,
-    "seed": 0,
 }
 
 
@@ -90,16 +88,6 @@ def load_matrix(path: str | Path) -> tuple[SymMatrix, dict]:
     return matrix, matrix_doc
 
 
-def _seed(args) -> int:
-    env = os.environ.get("COPOSOLVE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError("env", f"COPOSOLVE_SEED must be an integer, got {env!r}") from exc
-    return args.seed
-
-
 def _tolerance(args) -> Tolerance:
     try:
         return Tolerance(args.tol)
@@ -116,7 +104,7 @@ def _classify_one(matrix: SymMatrix, tol: Tolerance) -> dict:
     return doc
 
 
-def cmd_classify(args) -> dict:
+def cmd_classify(args) -> tuple[dict, dict]:
     tol = _tolerance(args)
     path = Path(args.file)
     if path.is_dir():
@@ -129,40 +117,33 @@ def cmd_classify(args) -> dict:
             entries.append(entry)
         if not entries:
             raise InputError("io", f"no .json matrix files in directory {path}")
-        return build_report("classify", {"directory": str(path)}, _defaults(args), {"batch": entries})
+        return {"directory": str(path)}, {"batch": entries}
     matrix, matrix_doc = load_matrix(path)
-    return build_report("classify", matrix_doc, _defaults(args), _classify_one(matrix, tol))
+    return matrix_doc, _classify_one(matrix, tol)
 
 
-def cmd_liouville(args) -> dict:
+def cmd_liouville(args) -> tuple[dict, dict]:
     matrix, matrix_doc = load_matrix(args.file)
     tol = _tolerance(args)
     try:
         params = ProblemParams(args.dim, args.p)
     except CoposolveError as exc:
         raise InputError("parameter", str(exc)) from exc
-    budget = MuSearchBudget(
-        max_iterations=args.budget, resolution=args.resolution, seed=_seed(args)
-    )
     try:
-        verdict = classify_solvability(matrix, params, budget, tol)
+        verdict = classify_solvability(matrix, params, MuSearchBudget(args.budget), tol)
     except CoposolveError as exc:
         raise InputError("precondition", str(exc)) from exc
-    return build_report("liouville", matrix_doc, _defaults(args), solvability_doc(verdict))
+    return matrix_doc, solvability_doc(verdict)
 
 
-def cmd_find_mu(args) -> dict:
+def cmd_find_mu(args) -> tuple[dict, dict]:
     matrix, matrix_doc = load_matrix(args.file)
     if not args.p > 2:
         raise InputError("parameter", f"p must exceed 2, got {args.p}")
-    budget = MuSearchBudget(
-        max_iterations=args.budget, resolution=args.resolution, seed=_seed(args)
-    )
-    outcome = find_mu(matrix, args.p, budget)
-    return build_report("find-mu", matrix_doc, _defaults(args), mu_outcome_doc(outcome))
+    return matrix_doc, mu_outcome_doc(find_mu(matrix, args.p, MuSearchBudget(args.budget)))
 
 
-def cmd_solve(args) -> dict:
+def cmd_solve(args) -> tuple[dict, dict]:
     matrix, matrix_doc = load_matrix(args.file)
     # Internal and precondition failures reach main's typed handler.
     try:
@@ -176,12 +157,10 @@ def cmd_solve(args) -> dict:
     if isinstance(outcome, NeumannSolution):
         write_solution_csv(outcome, grid, args.out)
         csv_path = str(args.out)
-    return build_report(
-        "solve", matrix_doc, _defaults(args), solve_outcome_doc(outcome, csv_path)
-    )
+    return matrix_doc, solve_outcome_doc(outcome, csv_path)
 
 
-def cmd_bepsilon(args) -> dict:
+def cmd_bepsilon(args) -> tuple[dict, dict]:
     if not args.eps > 0:
         raise InputError("parameter", f"eps must be positive, got {args.eps}")
     matrix = b_epsilon(args.eps)
@@ -195,9 +174,7 @@ def cmd_bepsilon(args) -> dict:
         params = ProblemParams(args.dim, args.p)
     except CoposolveError as exc:
         raise InputError("parameter", str(exc)) from exc
-    budget = MuSearchBudget(
-        max_iterations=args.budget, resolution=args.resolution, seed=_seed(args)
-    )
+    budget = MuSearchBudget(args.budget)
     closed = strict_copositivity_closed_form(matrix)
     verdict = classify_solvability(matrix, params, budget)
     # The decision tree already ran find_mu with this budget when it reached
@@ -215,13 +192,7 @@ def cmd_bepsilon(args) -> dict:
         "find_mu": mu_outcome_doc(outcome),
         "solvability": solvability_doc(verdict),
     }
-    return build_report("bepsilon", matrix_doc, _defaults(args), result)
-
-
-def _defaults(args) -> dict:
-    doc = dict(DEFAULTS)
-    doc["seed"] = _seed(args) if hasattr(args, "seed") else DEFAULTS["seed"]
-    return doc
+    return matrix_doc, result
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -234,7 +205,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", help="copositivity trichotomy plus PSD check")
     p_classify.add_argument("file", help="matrix JSON file or a directory of them")
     p_classify.add_argument("--tol", type=float, default=DEFAULTS["tol"])
-    p_classify.set_defaults(func=cmd_classify, seed=DEFAULTS["seed"])
+    p_classify.set_defaults(func=cmd_classify)
 
     p_liouville = sub.add_parser("liouville", help="existence/nonexistence verdict")
     p_liouville.add_argument("file")
@@ -242,16 +213,12 @@ def make_parser() -> argparse.ArgumentParser:
     p_liouville.add_argument("--p", type=float, default=DEFAULTS["p"])
     p_liouville.add_argument("--budget", type=int, default=DEFAULTS["budget"])
     p_liouville.add_argument("--tol", type=float, default=DEFAULTS["tol"])
-    p_liouville.add_argument("--resolution", type=int, default=DEFAULTS["resolution"])
-    p_liouville.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     p_liouville.set_defaults(func=cmd_liouville)
 
     p_findmu = sub.add_parser("find-mu", help="search for a verifying weight vector")
     p_findmu.add_argument("file")
     p_findmu.add_argument("--p", type=float, default=DEFAULTS["p"])
-    p_findmu.add_argument("--resolution", type=int, default=DEFAULTS["resolution"])
     p_findmu.add_argument("--budget", type=int, default=DEFAULTS["budget"])
-    p_findmu.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     p_findmu.set_defaults(func=cmd_find_mu)
 
     p_solve = sub.add_parser("solve", help="Neumann solve on the unit box")
@@ -261,15 +228,13 @@ def make_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--nodes", type=int, default=DEFAULTS["nodes"])
     p_solve.add_argument("--out", required=True, help="CSV path for the field dump")
     p_solve.add_argument("--extent", type=float, default=1.0)
-    p_solve.set_defaults(func=cmd_solve, seed=DEFAULTS["seed"])
+    p_solve.set_defaults(func=cmd_solve)
 
     p_beps = sub.add_parser("bepsilon", help="full pipeline on the b_epsilon family")
     p_beps.add_argument("--eps", type=float, required=True)
     p_beps.add_argument("--dim", type=int, required=True)
     p_beps.add_argument("--p", type=float, default=DEFAULTS["p"])
     p_beps.add_argument("--budget", type=int, default=DEFAULTS["budget"])
-    p_beps.add_argument("--resolution", type=int, default=DEFAULTS["resolution"])
-    p_beps.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     p_beps.set_defaults(func=cmd_bepsilon)
 
     return parser
@@ -279,13 +244,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.func(args)
+        matrix_doc, result = args.func(args)
     except InputError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return 1
     except CoposolveError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    # The parameter values this run used: every option except paths.
+    effective = {k: v for k, v in vars(args).items() if k not in ("command", "func", "file", "out")}
+    report = build_report(args.command, matrix_doc, dict(DEFAULTS), effective, result)
     sys.stdout.write(serialize_report(report))
     return 0
 

@@ -58,7 +58,7 @@ class SimplexMinimum(NamedTuple):
     min_value: float
     argmin: ConeVector
     # Always False now that singular faces are skipped rather than sampled;
-    # kept while the coposolve-report/1 schema reports it.
+    # kept because the traced benchmark reads it from simplex_min_quadratic.
     grid_assisted: bool
 
 
@@ -68,7 +68,6 @@ class CopositivityVerdict:
     witness: ConeVector
     min_value: float
     method: str
-    grid_assisted: bool = False
     boundary_case: bool = False
 
 
@@ -223,7 +222,6 @@ def classify_copositivity(B: SymMatrix, tol: Tolerance = Tolerance()) -> Coposit
         witness=minimum.argmin,
         min_value=minimum.min_value,
         method=method,
-        grid_assisted=minimum.grid_assisted,
         boundary_case=boundary,
     )
 

@@ -174,7 +174,7 @@ def p_form_gradient(A: np.ndarray, c: np.ndarray, mu: np.ndarray, p: float) -> n
     """Gradient of the weighted form in c, row-wise for a stack of points.
 
     For 2 < p < 4 the derivative blows up at the cone boundary; the singular
-    term is masked to 0 there (one-sided convention used by the local descent).
+    term is masked to 0 there (one-sided convention).
     """
     half = p / 2.0
     y = cone_power(c, half - 1.0)

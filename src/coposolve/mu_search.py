@@ -1,17 +1,22 @@
 """Search and verification of positive weights for the degree-(p-1) form.
 
 A matrix passes the weighted-positivity test when some strictly positive
-weight vector mu makes sum_ij beta_ij c_j^(p/2) c_i^(p/2-1) mu_i positive on
-the whole cone minus the origin.  Existence is decided by a cutting-plane
-loop: the form is linear in mu, so finitely many adversarial cone points give
-a linear program over mu, and a global minimization of the form supplies new
-adversarial points until either a weight verifies or the relaxation itself is
-blocked.
+weight vector mu makes g(c) = sum_ij beta_ij c_j^(p/2) c_i^(p/2-1) mu_i
+positive on the whole cone minus the origin.  Existence is decided by a
+cutting-plane loop: the form is linear in mu, so finitely many adversarial
+cone points give a linear program over mu.  For each candidate weight,
+verify_mu bounds g on the standard simplex by branch and bound over
+simplicial cells: it either proves g > 0 with bounds checked against their
+own rounding error, or returns a cone point where g <= 0, which becomes the
+next adversarial point.  Nothing here is random.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import combinations
+from math import comb
 
 import numpy as np
 from scipy.optimize import linprog
@@ -31,30 +36,55 @@ from .forms import (
     fsum_terms,
     negative_part_row_sums,
     p_form,
-    p_form_batch,
-    p_form_gradient,
     p_form_values,
 )
-from .simplex import barycentric_grid
+from .forms import p_form_batch  # noqa: F401  (bench/spans.py wraps this attribute)
+from .simplex import barycentric_grid  # noqa: F401  (bench/spans.py wraps this attribute)
 
 MAX_N = 16
 MU_LOWER_BOUND = 1e-6
-DESCENT_TOLERANCE = 1e-12
+# The LP relaxation counts as blocked when its margin is at most this.
+LP_MARGIN_TOL = 1e-7
+# verify_mu: relative accuracy of the reported minimum, cells split per step,
+# bytes the open cells may hold (which caps their count at any n), and the
+# largest n^(p-1) Bernstein tensor (p = 4 up to n = 16).
+GAP = 1e-9
+BATCH = 256
+MAX_CELL_BYTES = 1 << 26
+BERNSTEIN_MAX_TERMS = 4096
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), the relative error of k roundings."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+
+
+def power_error(p: float) -> float:
+    """Relative error bound of cone_power(v, e) for 0 < e <= p/2 and results in
+    the normal range: pow and sqrt for (half-)integer e, else exp(e log v),
+    with log and exp within 4 ulp and |e log v| < 745 p/2 for every double v."""
+    return 8.0 * UNIT_ROUNDOFF * (1.0 + 745.0 * p / 2.0)
 
 
 @dataclass(frozen=True)
 class VerificationInfo:
-    grid_resolution: int
-    multistart_count: int
-    local_tolerance: float
+    """Size of the subdivision: leaf cells and the deepest split chain."""
+
+    cells: int
+    max_depth: int
 
 
 @dataclass(frozen=True)
 class MuCertificate:
-    """Verified weight: the form stays positive on the sampled simplex.
+    """Proven weight: the form is positive on the whole simplex.
 
-    mu is normalized to max component 1; kappa estimates the homogeneity
-    constant min over the simplex of form / (sum mu_i c_i)^(p-1).
+    mu is normalized to max component 1.  kappa is the least cell lower bound,
+    already net of rounding error, so the form is at least kappa on the
+    simplex and, as mu . c <= 1 there, kappa <= form / (mu . c)^(p-1).
+    min_on_simplex is the form at worst_point, the least value seen at a cell
+    vertex; when p/2 is an integer it is within GAP of the simplex minimum,
+    unless the cell cap ended the search first.
     """
 
     mu: ConeVector
@@ -91,7 +121,8 @@ class MuSearchFailure:
 
 @dataclass(frozen=True)
 class MuSearchInconclusive:
-    """Budget exhausted with the relaxation still open."""
+    """The relaxation is still open: the budget ran out, or the verifier
+    reached its cell cap on final_mu with neither a proof nor a violation."""
 
     final_mu: ConeVector
     lp_margin: float
@@ -102,132 +133,139 @@ class MuSearchInconclusive:
 @dataclass(frozen=True)
 class MuSearchBudget:
     max_iterations: int = 50
-    lp_margin_tol: float = 1e-7
-    resolution: int = 64
-    seed: int = 0
-    multistarts: int = 32
 
 
-def _project_rows(X: np.ndarray) -> np.ndarray:
-    """Row-wise Euclidean projection onto the standard simplex."""
-    m, n = X.shape
-    u = -np.sort(-X, axis=1)
-    css = np.cumsum(u, axis=1) - 1.0
-    idx = np.arange(1, n + 1)
-    cond = u - css / idx > 0
-    rho = n - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = css[np.arange(m), rho] / (rho + 1)
-    return np.maximum(X - theta[:, None], 0.0)
+def _coefficient_tensor(A: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
+    """Symmetric tensor C of order d = p - 1 with C(c, ..., c) = g(c), p/2 integer.
 
-
-def _descend_batch(A: np.ndarray, mu: np.ndarray, p: float, starts: np.ndarray,
-                   max_iter: int = 200) -> tuple[np.ndarray, np.ndarray]:
-    """Projected-gradient descent on the simplex, all starts in lockstep.
-
-    One trial step per point per sweep with per-point adaptive step sizes;
-    points whose step has collapsed are frozen.
+    mu_i beta_ij sits at (i, ..., i, j, ..., j), i in the first p/2 - 1 slots;
+    averaging over the placements of those slots symmetrizes it.
     """
-    X = np.array(starts, dtype=float)
-    F = p_form_values(A, X, mu, p)
-    steps = np.full(X.shape[0], 0.5)
-    active = np.ones(X.shape[0], dtype=bool)
-    for _ in range(max_iter):
-        rows = np.nonzero(active)[0]
-        if rows.size == 0:
-            break
-        G = p_form_gradient(A, X[rows], mu, p)
-        cand = _project_rows(X[rows] - steps[rows, None] * G)
-        fc = p_form_values(A, cand, mu, p)
-        improved = fc < F[rows] - DESCENT_TOLERANCE * np.maximum(1.0, np.abs(F[rows]))
-        acc = rows[improved]
-        X[acc] = cand[improved]
-        F[acc] = fc[improved]
-        steps[acc] *= 1.5
-        rej = rows[~improved]
-        steps[rej] *= 0.5
-        active[rej[steps[rej] < 1e-16]] = False
-    return X, F
+    n, d, a = A.shape[0], int(p) - 1, int(p) // 2 - 1
+    T = np.zeros((n,) * d)
+    i, j = np.indices((n, n))
+    T[(i,) * a + (j,) * (d - a)] = mu[:, None] * A
+    return sum(np.moveaxis(T, range(a), s) for s in combinations(range(d), a)) / comb(d, a)
 
 
-def _candidate_starts(n: int, grid: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
-    order = np.argsort(values, kind="stable")[: min(count, values.size)]
-    starts = [grid[order]]
-    starts.append(np.eye(n))
-    mids = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros(n)
-            m[i] = m[j] = 0.5
-            mids.append(m)
-    if mids:
-        starts.append(np.array(mids))
-    return np.vstack(starts)
+def _bernstein_bounds(C: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Least simplicial Bernstein coefficient of g on each cell.
+
+    With c = sum_k t_k v_k on a cell, g(c) is the sum of C(v_k1, ..., v_kd)
+    t_k1 ... t_kd over vertex tuples, and these t-products sum to 1, so the
+    least polar value at the vertices bounds g below.
+    """
+    m, n, _ = cells.shape
+    X = C.reshape(1, 1, C.size)
+    for _ in range(C.ndim):
+        # Contract the next tensor axis with the vertex matrix of each cell.
+        X = cells[:, None] @ X.reshape(X.shape[0], -1, n, X.shape[-1] // n)
+        X = X.reshape(m, -1, X.shape[-1])
+    return X.min(axis=(1, 2))
 
 
-def _min_search(B: SymMatrix, mu: np.ndarray, p: float, resolution: int,
-                multistarts: int, seed: int) -> tuple[np.ndarray, float]:
-    grid = barycentric_grid(B.n, resolution, seed=seed)
-    vals = p_form_batch(B, grid, mu, p)
-    j = int(np.argmin(vals))
-    best_x, best_f = grid[j], float(vals[j])
-    starts = _candidate_starts(B.n, grid, vals, multistarts)
-    ends, fends = _descend_batch(B.entries, mu, p, starts)
-    k = int(np.argmin(fends))
-    if fends[k] < best_f:
-        best_x, best_f = ends[k], float(fends[k])
-    return best_x, best_f
+def _corner_bounds(A: np.ndarray, mu: np.ndarray, p: float, cells: np.ndarray) -> np.ndarray:
+    """Monotone-corner lower bound of g on each cell.
+
+    Every term beta_ij mu_i c_i^(p/2-1) c_j^(p/2) is monotone in c >= 0, so it
+    is least at the low corner of the cell's bounding box when beta_ij >= 0
+    and at the high corner otherwise.
+    """
+    lo, hi = cells.min(axis=1), cells.max(axis=1)
+    pos = (mu * cone_power(lo, p / 2.0 - 1.0)) * (cone_power(lo, p / 2.0) @ np.maximum(A, 0.0))
+    neg = (mu * cone_power(hi, p / 2.0 - 1.0)) * (cone_power(hi, p / 2.0) @ np.minimum(A, 0.0))
+    return (pos + neg).sum(axis=1)
 
 
-def _kappa_estimate(B: SymMatrix, mu: np.ndarray, p: float, resolution: int,
-                    seed: int, extra_points: list[np.ndarray]) -> float:
-    grid = barycentric_grid(B.n, resolution, seed=seed)
-    pts = np.vstack([grid] + [x[None, :] for x in extra_points])
-    vals = p_form_batch(B, pts, mu, p)
-    weights = np.power(pts @ mu, p - 1.0)
-    return float(np.min(vals / weights))
+def verify_mu(B: SymMatrix, mu, p: float) -> MuCertificate | MuViolation | None:
+    """Prove the weighted form positive on the simplex, or find where it is not.
 
-
-def verify_mu(B: SymMatrix, mu, p: float, resolution: int = 64,
-              multistarts: int = 32, seed: int = 0) -> MuCertificate | MuViolation:
-    """Estimate the global simplex minimum of the weighted form for a fixed mu.
-
-    Barycentric grid scan at the given resolution plus projected-gradient
-    descents from the best grid points and from all vertices and edge
-    midpoints; a positive minimum is re-checked at four times the resolution
-    before a certificate is issued.  mu is normalized to max component 1.
+    Branch and bound over simplicial cells: from the simplex, the BATCH cells
+    with the lowest bounds are split at the midpoints of their longest edges,
+    so dyadic vertices stay exact (a midpoint that would round ends the
+    search).  U is the least form value at a cell vertex.  If p/2 is an
+    integer and n^(p-1) <= BERNSTEIN_MAX_TERMS, a cell's bound is its least
+    Bernstein coefficient and the search runs until every bound is within
+    GAP * |U| of U; otherwise the monotone-corner bound, first order, only
+    settles the sign.  Bounds are net of an a priori rounding bound.  Returns
+    a MuViolation at the worst vertex if U <= 0, a MuCertificate if every
+    bound is positive, None if the cell cap is reached first.  mu is
+    normalized to max component 1.
     """
     if not p > 2:
         raise ParameterError(f"p must exceed 2, got {p}")
-    if resolution < 16:
-        raise ParameterError(f"resolution must be at least 16, got {resolution}")
     mv = np.asarray(mu.components if isinstance(mu, ConeVector) else mu, dtype=float)
     if mv.ndim != 1 or mv.size != B.n:
         raise DimensionError(f"mu has length {mv.size}, expected {B.n}")
     if np.any(mv <= 0):
         raise ParameterError("mu must have strictly positive components")
     mv = mv / mv.max()
+    A, n = B.entries, B.n
 
-    info = VerificationInfo(resolution, multistarts, DESCENT_TOLERANCE)
-    x, f = _min_search(B, mv, p, resolution, multistarts, seed)
-    if f <= 0:
-        point = ConeVector(np.maximum(x, 0.0)).to_simplex()
+    bernstein = float(p / 2.0).is_integer() and n ** (int(p) - 1) <= BERNSTEIN_MAX_TERMS
+    if bernstein:
+        C = _coefficient_tensor(A, mv, p)
+        bound = partial(_bernstein_bounds, C)
+        # On simplex points |C| contracts to at most max |C|.  Roundings: the
+        # tensor build, d contractions of n terms, and the bound itself.
+        d = C.ndim
+        margin = _gamma(2 * (d * (n + 1) + comb(d, d // 2) + 2)) * np.abs(C).max()
+    else:
+        bound = partial(_corner_bounds, A, mv, p)
+        # On the simplex each term is at most |beta_ij| mu_i; two powers, then
+        # fewer than 4n + 16 roundings.
+        margin = (2.5 * power_error(p) + _gamma(4 * n + 16)) * np.abs(mv[:, None] * A).sum()
+
+    cap = MAX_CELL_BYTES // (8 * (n * n + 2))
+    verts, low, depth = np.empty((cap, n, n)), np.empty(cap), np.zeros(cap, dtype=int)
+    verts[0] = np.eye(n)
+    low[0] = bound(verts[:1])[0] - margin
+    count = 1
+    values = p_form_values(A, np.eye(n), mv, p)
+    U, worst = float(values.min()), np.eye(n)[int(np.argmin(values))]
+    pairs = np.triu_indices(n, 1)
+    # A nonpositive vertex settles the sign; only Bernstein bounds go on to the minimum.
+    while n > 1 and (bernstein or U > 0):
+        live = low[:count]
+        floor = U - GAP * abs(U) - margin if bernstein else -np.inf
+        rows = np.flatnonzero((live < floor) | ((live <= 0) & (U > 0)))
+        take = min(rows.size, BATCH, cap - count)
+        if take == 0:
+            break
+        if rows.size > take:
+            rows = rows[np.argpartition(live[rows], take - 1)[:take]]
+        cells = verts[rows]
+        edges = cells[:, pairs[0]] - cells[:, pairs[1]]
+        longest = np.argmax(np.einsum("mek,mek->me", edges, edges), axis=1)
+        i, j, r = pairs[0][longest], pairs[1][longest], np.arange(take)
+        ends_i, ends_j = cells[r, i], cells[r, j]
+        total = ends_i + ends_j
+        if np.any(total - np.maximum(ends_i, ends_j) != np.minimum(ends_i, ends_j)):
+            break
+        mid = 0.5 * total
+        vals = p_form_values(A, mid, mv, p)
+        k = int(np.argmin(vals))
+        if vals[k] < U:
+            U, worst = float(vals[k]), mid[k]
+        left = cells.copy()
+        left[r, i] = mid
+        cells[r, j] = mid
+        new = slice(count, count + take)
+        verts[rows], verts[new] = left, cells
+        depth[rows] += 1
+        depth[new] = depth[rows]
+        bounds = bound(np.concatenate([left, cells])) - margin
+        low[rows], low[new] = bounds[:take], bounds[take:]
+        count += take
+
+    info = VerificationInfo(count, int(depth[:count].max()))
+    point = ConeVector(worst)
+    if U <= 0:
         return MuViolation(point, p_form(B, point, mv, p).value, info)
-
-    fine = resolution * 4
-    info = VerificationInfo(fine, multistarts, DESCENT_TOLERANCE)
-    x2, f2 = _min_search(B, mv, p, fine, multistarts, seed)
-    if f2 < f:
-        x, f = x2, f2
-    if f <= 0:
-        point = ConeVector(np.maximum(x, 0.0)).to_simplex()
-        return MuViolation(point, p_form(B, point, mv, p).value, info)
-
-    worst = ConeVector(np.maximum(x, 0.0)).to_simplex()
-    min_val = p_form(B, worst, mv, p).value
-    if min_val <= 0:
-        return MuViolation(worst, min_val, info)
-    kappa = _kappa_estimate(B, mv, p, resolution, seed, [x, x2])
-    return MuCertificate(ConeVector(mv), kappa, min_val, worst, info)
+    kappa = float(low[:count].min())
+    if kappa > 0:
+        return MuCertificate(ConeVector(mv), kappa, p_form(B, point, mv, p).value, point, info)
+    return None
 
 
 def _lp_coefficients(B: SymMatrix, point: np.ndarray, p: float) -> np.ndarray:
@@ -267,8 +305,9 @@ def find_mu(B: SymMatrix, p: float, budget: MuSearchBudget = MuSearchBudget()
     """Cutting-plane search for a verifying weight.
 
     A Failure is declared only when the linear relaxation over the recorded
-    adversarial set is itself blocked (margin at or below the tolerance);
-    otherwise an exhausted budget yields Inconclusive.
+    adversarial set is itself blocked (margin at or below LP_MARGIN_TOL);
+    an exhausted budget, or a weight verify_mu leaves undecided, yields
+    Inconclusive.
     """
     if not p > 2:
         raise ParameterError(f"p must exceed 2, got {p}")
@@ -283,21 +322,18 @@ def find_mu(B: SymMatrix, p: float, budget: MuSearchBudget = MuSearchBudget()
     iterations = 0
     for iterations in range(1, budget.max_iterations + 1):
         mu, margin = _weight_lp(B, adversaries, p)
-        if margin <= budget.lp_margin_tol:
+        if margin <= LP_MARGIN_TOL:
             return MuSearchFailure(
                 adversarial_set=tuple(ConeVector(c) for c in adversaries),
                 best_margin=margin,
                 iterations=iterations,
                 final_mu=ConeVector(mu),
             )
-        outcome = verify_mu(
-            B, mu, p,
-            resolution=budget.resolution,
-            multistarts=budget.multistarts,
-            seed=budget.seed,
-        )
+        outcome = verify_mu(B, mu, p)
         if isinstance(outcome, MuCertificate):
             return outcome
+        if outcome is None:
+            break
         last_violation = outcome
         adversaries.append(outcome.point.components.copy())
     return MuSearchInconclusive(

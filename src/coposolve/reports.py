@@ -1,13 +1,14 @@
 """Structured report documents: versioned, JSON-round-trippable, deterministic.
 
 Every CLI invocation emits a single document that embeds the schema version,
-the full input matrix and the effective defaults, so a report is auditable
-and reproducible on its own.
+the full input matrix, the defaults and the parameter values the run used,
+so a report is auditable and reproducible on its own.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .solvability import (
     SufficientConditionCertificate,
 )
 
-SCHEMA_VERSION = "coposolve-report/1"
+SCHEMA_VERSION = "coposolve-report/2"
 
 
 def _floats(values) -> list[float]:
@@ -43,7 +44,6 @@ def copositivity_doc(verdict: CopositivityVerdict) -> dict:
         "min_value": float(verdict.min_value),
         "witness": cone_vector_doc(verdict.witness),
         "method": verdict.method,
-        "grid_assisted": bool(verdict.grid_assisted),
         "boundary_case": bool(verdict.boundary_case),
     }
 
@@ -65,22 +65,14 @@ def mu_outcome_doc(outcome) -> dict:
             "kappa": float(outcome.kappa),
             "min_on_simplex": float(outcome.min_on_simplex),
             "worst_point": cone_vector_doc(outcome.worst_point),
-            "verification": {
-                "grid_resolution": int(outcome.verification.grid_resolution),
-                "multistart_count": int(outcome.verification.multistart_count),
-                "local_tolerance": float(outcome.verification.local_tolerance),
-            },
+            "verification": asdict(outcome.verification),
         }
     if isinstance(outcome, MuViolation):
         return {
             "type": "violation",
             "point": cone_vector_doc(outcome.point),
             "value": float(outcome.value),
-            "verification": {
-                "grid_resolution": int(outcome.verification.grid_resolution),
-                "multistart_count": int(outcome.verification.multistart_count),
-                "local_tolerance": float(outcome.verification.local_tolerance),
-            },
+            "verification": asdict(outcome.verification),
         }
     if isinstance(outcome, MuSearchFailure):
         return {
@@ -174,12 +166,14 @@ def psd_doc(kind: Definiteness) -> str:
     return kind.value
 
 
-def build_report(command: str, matrix_doc: dict | None, defaults: dict, result: dict) -> dict:
+def build_report(command: str, matrix_doc: dict | None, defaults: dict, effective: dict,
+                 result: dict) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "input": matrix_doc,
         "defaults": defaults,
+        "effective": effective,
         "result": result,
     }
 

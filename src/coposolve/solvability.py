@@ -201,7 +201,7 @@ def classify_solvability(
 
     if B.n == 2 and weighted_ok:
         mu = constructive_mu_n2(B, params.p)
-        cert = verify_mu(B, mu, params.p, resolution=budget.resolution, seed=budget.seed)
+        cert = verify_mu(B, mu, params.p)
         if isinstance(cert, MuCertificate):
             return SolvabilityVerdict(
                 SolvabilityKind.NO_NONTRIVIAL,

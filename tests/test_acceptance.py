@@ -201,7 +201,7 @@ def test_criterion_3_two_component_equivalence():
             continue
         count += 1
         for p in (3.0, 4.0, 6.0):
-            outcome = verify_mu(B, constructive_mu_n2(B, p), p, 64)
+            outcome = verify_mu(B, constructive_mu_n2(B, p), p)
             if not (isinstance(outcome, MuCertificate) and outcome.min_on_simplex > 0):
                 failures += 1
     elapsed = time.perf_counter() - t0
