@@ -21,8 +21,8 @@ import numpy as np
 from .copositivity import Tolerance, check_psd, classify_copositivity, strict_copositivity_closed_form
 from .errors import CapacityError, CoposolveError, ParameterError
 from .forms import ConeVector, SymMatrix
-from .mu_search import MuSearchBudget, appendix_limit_form, b_epsilon, find_mu
-from .neumann import Grid, SolveConfig, mountain_pass_solve, write_solution_csv, NeumannSolution
+from .mu_search import MAX_ITERATIONS, appendix_limit_form, b_epsilon, find_mu
+from .neumann import Grid, mountain_pass_solve, write_solution_csv, NeumannSolution
 from .reports import (
     build_report,
     closed_form_doc,
@@ -40,7 +40,7 @@ MAX_CLI_N = 16
 DEFAULTS = {
     "tol": 1e-9,
     "p": 4.0,
-    "budget": 50,
+    "budget": MAX_ITERATIONS,
     "nodes": 129,
 }
 
@@ -95,6 +95,12 @@ def _tolerance(args) -> Tolerance:
         raise InputError("parameter", str(exc)) from exc
 
 
+def _budget(args) -> int:
+    if args.budget < 1:
+        raise InputError("parameter", f"budget must be at least 1, got {args.budget}")
+    return args.budget
+
+
 def _classify_one(matrix: SymMatrix, tol: Tolerance) -> dict:
     verdict = classify_copositivity(matrix, tol)
     doc = copositivity_doc(verdict)
@@ -125,12 +131,13 @@ def cmd_classify(args) -> tuple[dict, dict]:
 def cmd_liouville(args) -> tuple[dict, dict]:
     matrix, matrix_doc = load_matrix(args.file)
     tol = _tolerance(args)
+    budget = _budget(args)
     try:
         params = ProblemParams(args.dim, args.p)
     except CoposolveError as exc:
         raise InputError("parameter", str(exc)) from exc
     try:
-        verdict = classify_solvability(matrix, params, MuSearchBudget(args.budget), tol)
+        verdict = classify_solvability(matrix, params, budget, tol)
     except CoposolveError as exc:
         raise InputError("precondition", str(exc)) from exc
     return matrix_doc, solvability_doc(verdict)
@@ -140,7 +147,7 @@ def cmd_find_mu(args) -> tuple[dict, dict]:
     matrix, matrix_doc = load_matrix(args.file)
     if not args.p > 2:
         raise InputError("parameter", f"p must exceed 2, got {args.p}")
-    return matrix_doc, mu_outcome_doc(find_mu(matrix, args.p, MuSearchBudget(args.budget)))
+    return matrix_doc, mu_outcome_doc(find_mu(matrix, args.p, _budget(args)))
 
 
 def cmd_solve(args) -> tuple[dict, dict]:
@@ -148,7 +155,7 @@ def cmd_solve(args) -> tuple[dict, dict]:
     # Internal and precondition failures reach main's typed handler.
     try:
         grid = Grid(args.dim, args.extent, args.nodes)
-        outcome = mountain_pass_solve(matrix, args.p, grid, SolveConfig())
+        outcome = mountain_pass_solve(matrix, args.p, grid)
     except ParameterError as exc:
         raise InputError("parameter", str(exc)) from exc
     except CapacityError as exc:
@@ -163,6 +170,7 @@ def cmd_solve(args) -> tuple[dict, dict]:
 def cmd_bepsilon(args) -> tuple[dict, dict]:
     if not args.eps > 0:
         raise InputError("parameter", f"eps must be positive, got {args.eps}")
+    budget = _budget(args)
     matrix = b_epsilon(args.eps)
     matrix_doc = {
         "n": 3,
@@ -174,7 +182,6 @@ def cmd_bepsilon(args) -> tuple[dict, dict]:
         params = ProblemParams(args.dim, args.p)
     except CoposolveError as exc:
         raise InputError("parameter", str(exc)) from exc
-    budget = MuSearchBudget(args.budget)
     closed = strict_copositivity_closed_form(matrix)
     verdict = classify_solvability(matrix, params, budget)
     # The decision tree already ran find_mu with this budget when it reached

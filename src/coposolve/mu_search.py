@@ -42,6 +42,8 @@ from .forms import p_form_batch  # noqa: F401  (bench/spans.py wraps this attrib
 from .simplex import barycentric_grid  # noqa: F401  (bench/spans.py wraps this attribute)
 
 MAX_N = 16
+# Cutting-plane iterations of find_mu unless the caller gives a budget.
+MAX_ITERATIONS = 50
 MU_LOWER_BOUND = 1e-6
 # The LP relaxation counts as blocked when its margin is at most this.
 LP_MARGIN_TOL = 1e-7
@@ -128,11 +130,6 @@ class MuSearchInconclusive:
     lp_margin: float
     iterations: int
     last_violation: MuViolation | None
-
-
-@dataclass(frozen=True)
-class MuSearchBudget:
-    max_iterations: int = 50
 
 
 def _coefficient_tensor(A: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
@@ -275,9 +272,8 @@ def _lp_coefficients(B: SymMatrix, point: np.ndarray, p: float) -> np.ndarray:
     return y * (B.entries @ x)
 
 
-def _weight_lp(B: SymMatrix, points: list[np.ndarray], p: float,
-               lower: float = MU_LOWER_BOUND) -> tuple[np.ndarray, float]:
-    """max t subject to form(c; mu) >= t for c in points, lower <= mu_i <= 1.
+def _weight_lp(B: SymMatrix, points: list[np.ndarray], p: float) -> tuple[np.ndarray, float]:
+    """max t subject to form(c; mu) >= t for c in points, MU_LOWER_BOUND <= mu_i <= 1.
 
     Returns the optimal mu scaled to max component 1, as certificates report
     it, and the margin min over points of form(c; mu) at that scaled mu.  A
@@ -290,7 +286,7 @@ def _weight_lp(B: SymMatrix, points: list[np.ndarray], p: float,
     objective[-1] = -1.0
     a_ub = np.hstack([-coef, np.ones((len(points), 1))])
     b_ub = np.zeros(len(points))
-    bounds = [(lower, 1.0)] * n + [(None, None)]
+    bounds = [(MU_LOWER_BOUND, 1.0)] * n + [(None, None)]
     res = linprog(objective, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if res.status != 0:
         raise InternalConsistencyError(f"weight LP failed with status {res.status}")
@@ -300,17 +296,19 @@ def _weight_lp(B: SymMatrix, points: list[np.ndarray], p: float,
     return mu, margin
 
 
-def find_mu(B: SymMatrix, p: float, budget: MuSearchBudget = MuSearchBudget()
+def find_mu(B: SymMatrix, p: float, max_iterations: int = MAX_ITERATIONS
             ) -> MuCertificate | MuSearchFailure | MuSearchInconclusive:
     """Cutting-plane search for a verifying weight.
 
     A Failure is declared only when the linear relaxation over the recorded
     adversarial set is itself blocked (margin at or below LP_MARGIN_TOL);
-    an exhausted budget, or a weight verify_mu leaves undecided, yields
-    Inconclusive.
+    an exhausted budget of max_iterations (at least 1) LP rounds, or a
+    weight verify_mu leaves undecided, yields Inconclusive.
     """
     if not p > 2:
         raise ParameterError(f"p must exceed 2, got {p}")
+    if max_iterations < 1:
+        raise ParameterError(f"max_iterations must be at least 1, got {max_iterations}")
     if B.n > MAX_N:
         raise CapacityError(f"weight search supports n <= {MAX_N}, got {B.n}")
     n = B.n
@@ -320,7 +318,7 @@ def find_mu(B: SymMatrix, p: float, budget: MuSearchBudget = MuSearchBudget()
     margin = np.inf
     last_violation: MuViolation | None = None
     iterations = 0
-    for iterations in range(1, budget.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         mu, margin = _weight_lp(B, adversaries, p)
         if margin <= LP_MARGIN_TOL:
             return MuSearchFailure(

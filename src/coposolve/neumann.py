@@ -118,20 +118,21 @@ class TrivialOnly:
 class SolveInconclusive:
     """No seed was accepted and at least one did not collapse cleanly."""
 
-    best_field: FieldTuple
     best_residual: float
     seed_outcomes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SolveConfig:
-    residual_tol: float = 1e-8
-    negativity_tol: float = 1e-10
-    nontriviality_threshold: float = 1e-4
-    seed_count: int = 12
-    max_descent_steps: int = 1200
-    max_newton_steps: int = 60
-
+# Acceptance of a polished field: residual (sup norm), most negative nodal
+# value, and amplitude below which it counts as trivial (relative to the
+# seed's amplitude, at least 1).
+RESIDUAL_TOL = 1e-8
+NEGATIVITY_TOL = 1e-10
+NONTRIVIALITY_THRESHOLD = 1e-4
+# Seeds drawn from the competitor family (at least n + 2), and the step caps
+# of the Armijo descent and of the Newton polish.
+SEED_COUNT = 12
+MAX_DESCENT_STEPS = 1200
+MAX_NEWTON_STEPS = 60
 
 # GMRES per Newton step: relative tolerance and iteration cap (one restart
 # cycle); in the round-off tail the line search decides whether a step is taken.
@@ -176,8 +177,11 @@ def _nonlinear_term(A: np.ndarray, U: np.ndarray, p: float) -> np.ndarray:
     return lowered * coupled
 
 
-def _residual(A: np.ndarray, U: np.ndarray, p: float, grid: Grid) -> np.ndarray:
-    return -_laplacian(U, grid.h) + np.minimum(U, 0.0) - _nonlinear_term(A, U, p)
+def _residual(A: np.ndarray, U: np.ndarray, p: float, grid: Grid,
+              nonlinear: np.ndarray | None = None) -> np.ndarray:
+    """Euler-Lagrange residual, from _nonlinear_term(A, U, p) when the caller has it."""
+    nonlinear = _nonlinear_term(A, U, p) if nonlinear is None else nonlinear
+    return -_laplacian(U, grid.h) + np.minimum(U, 0.0) - nonlinear
 
 
 def _energy_parts(A: np.ndarray, U: np.ndarray, p: float, grid: Grid) -> tuple[float, float]:
@@ -208,8 +212,8 @@ def energy(B: SymMatrix, u: FieldTuple, p: float, grid: Grid) -> EnergyReport:
     A = B.entries
     W = grid.weights()
     dirichlet, phi = _energy_parts(A, U, p, grid)
-    residual = _residual(A, U, p, grid)
     nonlinear = _nonlinear_term(A, U, p)
+    residual = _residual(A, U, p, grid, nonlinear)
     defects = tuple(
         float(np.sum(W * nonlinear[i])) for i in range(B.n)
     )
@@ -297,17 +301,17 @@ def _ridge_scale(A: np.ndarray, V: np.ndarray, p: float, grid: Grid) -> float:
 
 def theta_seeds(B: SymMatrix, d: ConeVector, grid: Grid, count: int,
                 p: float = 4.0) -> list[tuple[str, FieldTuple]]:
-    """Seed fields sampling the competitor family, with provenance labels.
+    """The first ``count`` seed fields of the competitor family, with provenance labels.
 
     Constants along d, per-component and combined separated bumps at their
     ridge amplitude, and homotopy mixtures between boundary rays and bump
-    images at t in {1/4, 1/2, 3/4}.
+    images at t in {1/4, 1/2, 3/4}: 4n + 8 fields in all.
     """
     n = B.n
     if not d.strictly_positive:
         raise ParameterError("direction d must be interior to the cone")
-    if count < n + 2:
-        raise ParameterError(f"count must be at least n + 2 = {n + 2}")
+    if not n + 2 <= count <= 4 * n + 8:
+        raise ParameterError(f"count must be between n + 2 = {n + 2} and 4n + 8 = {4 * n + 8}")
     A = B.entries
     profiles = bump_profiles(B, grid)
     dv = d.components / d.components.max()
@@ -346,11 +350,6 @@ def theta_seeds(B: SymMatrix, d: ConeVector, grid: Grid, count: int,
             seeds.append(
                 (f"mixture ray={name} t={t}", FieldTuple(homotopy_mixture(c, t, profiles)))
             )
-
-    extra = 3.0
-    while len(seeds) < count:
-        seeds.append((f"constant lambda={extra}", FieldTuple(constant_field(extra))))
-        extra += 1.0
     return seeds[:count]
 
 
@@ -427,8 +426,8 @@ def _krylov_step(D: np.ndarray, r: np.ndarray, grid: Grid) -> np.ndarray:
     return delta.reshape(r.shape)
 
 
-def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float, grid: Grid,
-                   config: SolveConfig) -> tuple[np.ndarray, float, bool]:
+def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float,
+                   grid: Grid) -> tuple[np.ndarray, float, bool]:
     """Damped Newton-Krylov on the discrete Euler-Lagrange system.
 
     Returns (field, residual_inf, converged).
@@ -436,7 +435,7 @@ def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float, grid: Grid,
     U = U0.copy()
     r = _residual(A, U, p, grid)
     rnorm = float(np.max(np.abs(r)))
-    for _ in range(config.max_newton_steps):
+    for _ in range(MAX_NEWTON_STEPS):
         # Iterate to the improvement floor: degenerate descents to zero must
         # shrink well below the nontriviality threshold, not stop at it.
         if rnorm == 0.0 or not np.isfinite(rnorm):
@@ -462,11 +461,11 @@ def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float, grid: Grid,
             break
         if np.max(np.abs(U)) > 1e8:
             return U, rnorm, False
-    return U, rnorm, rnorm < config.residual_tol
+    return U, rnorm, rnorm < RESIDUAL_TOL
 
 
-def _descend_energy(A: np.ndarray, U0: np.ndarray, p: float, grid: Grid,
-                    config: SolveConfig) -> tuple[np.ndarray, float, float, bool]:
+def _descend_energy(A: np.ndarray, U0: np.ndarray, p: float,
+                    grid: Grid) -> tuple[np.ndarray, float, float, bool]:
     """Armijo gradient descent on the energy.
 
     Returns (best iterate, its gradient norm, initial gradient norm, escaped).
@@ -487,7 +486,7 @@ def _descend_energy(A: np.ndarray, U0: np.ndarray, p: float, grid: Grid,
     energy_floor = -30.0 * (1.0 + abs(E))
     amp_ceiling = 8.0 * (1.0 + float(np.max(np.abs(U0))))
     escaped = False
-    for _ in range(config.max_descent_steps):
+    for _ in range(MAX_DESCENT_STEPS):
         if gnorm < floor:
             break
         cand = U - step * grad
@@ -526,17 +525,20 @@ def mountain_pass_solve(
     B: SymMatrix,
     p: float,
     grid: Grid,
-    config: SolveConfig = SolveConfig(),
     initial_fields: list[tuple[str, FieldTuple]] | None = None,
 ) -> NeumannSolution | TrivialOnly | SolveInconclusive:
     """Locate a nontrivial nonnegative critical point of the discrete energy.
 
     Pipeline: exact constant shortcut; otherwise descend from each seed field
-    and Newton-polish the iterate where the gradient was smallest.  A field is
-    accepted when its residual, negativity and nontriviality pass the
-    configured thresholds; the accepted field with the least energy wins (ties
-    by residual, then lexicographic comparison).  Residuals of accepted fields
-    differ by round-off only, so ranking by them would pick by noise.
+    (``initial_fields``, or the first SEED_COUNT of theta_seeds) and
+    Newton-polish the iterate where the gradient was smallest.  A field is
+    accepted when its residual, negativity and nontriviality pass
+    RESIDUAL_TOL, NEGATIVITY_TOL and NONTRIVIALITY_THRESHOLD; the accepted
+    field with the least energy wins (ties by residual, then lexicographic
+    comparison).  Residuals of accepted fields differ by round-off only, so
+    ranking by them would pick by noise.  With no accepted field the outcome
+    is TrivialOnly when every seed collapsed cleanly, otherwise
+    SolveInconclusive with the least finite residual reached.
     """
     if np.any(np.diag(B.entries) < 0):
         raise ParameterError("diagonal entries must be nonnegative")
@@ -555,7 +557,7 @@ def mountain_pass_solve(
             # No negative direction (e.g. strictly copositive input): the seed
             # family is still well defined and every run should collapse.
             d = ConeVector(np.ones(B.n))
-        seeds = theta_seeds(B, d, grid, max(config.seed_count, B.n + 2), p)
+        seeds = theta_seeds(B, d, grid, max(SEED_COUNT, B.n + 2), p)
     else:
         seeds = initial_fields
 
@@ -563,14 +565,13 @@ def mountain_pass_solve(
     outcomes: list[str] = []
     pending = False
     best_residual = np.inf
-    best_field: np.ndarray | None = None
     for provenance, seed in seeds:
         seed_amp = max(1.0, seed.amplitude)
-        threshold = config.nontriviality_threshold * seed_amp
-        start, dip_g, g0, escaped = _descend_energy(A, seed.components, p, grid, config)
-        U, rnorm, converged = _newton_polish(A, start, p, grid, config)
+        threshold = NONTRIVIALITY_THRESHOLD * seed_amp
+        start, dip_g, g0, escaped = _descend_energy(A, seed.components, p, grid)
+        U, rnorm, converged = _newton_polish(A, start, p, grid)
         if rnorm < best_residual and np.all(np.isfinite(U)):
-            best_residual, best_field = rnorm, U.copy()
+            best_residual = rnorm
         amp = float(np.max(np.abs(U))) if np.all(np.isfinite(U)) else 0.0
         if converged and amp <= threshold:
             outcomes.append(f"{provenance}: collapsed to trivial")
@@ -582,14 +583,14 @@ def mountain_pass_solve(
                 outcomes.append(f"{provenance}: newton stalled at residual {rnorm:.2e}")
                 pending = True
             continue
-        if U.min() < -config.negativity_tol:
+        if U.min() < -NEGATIVITY_TOL:
             outcomes.append(f"{provenance}: negative part {U.min():.2e}")
             pending = True
             continue
         clamped = np.maximum(U, 0.0)
         field = FieldTuple(clamped)
         report = energy(B, field, p, grid)
-        if report.residual_inf >= config.residual_tol:
+        if report.residual_inf >= RESIDUAL_TOL:
             outcomes.append(f"{provenance}: clamped residual {report.residual_inf:.2e}")
             pending = True
             continue
@@ -605,11 +606,7 @@ def mountain_pass_solve(
         return min(accepted, key=lambda a: (a[0], a[1], tuple(a[2].field.components.ravel())))[2]
     if not pending:
         return TrivialOnly(tuple(outcomes))
-    return SolveInconclusive(
-        best_field=FieldTuple(best_field if best_field is not None else np.zeros((B.n,) + grid.shape)),
-        best_residual=float(best_residual),
-        seed_outcomes=tuple(outcomes),
-    )
+    return SolveInconclusive(best_residual=float(best_residual), seed_outcomes=tuple(outcomes))
 
 
 def _prolong(U: np.ndarray, grid_from: Grid, grid_to: Grid) -> np.ndarray:
@@ -625,11 +622,10 @@ def _prolong(U: np.ndarray, grid_from: Grid, grid_to: Grid) -> np.ndarray:
 
 
 def refine_solution(B: SymMatrix, solution: NeumannSolution, p: float,
-                    grid_from: Grid, grid_to: Grid,
-                    config: SolveConfig = SolveConfig()) -> NeumannSolution:
+                    grid_from: Grid, grid_to: Grid) -> NeumannSolution:
     """Prolong a solution to a finer grid and Newton-polish it there."""
     fine = _prolong(solution.field.components, grid_from, grid_to)
-    polished, rnorm, converged = _newton_polish(B.entries, fine, p, grid_to, config)
+    polished, rnorm, converged = _newton_polish(B.entries, fine, p, grid_to)
     if not converged:
         raise ParameterError(f"refinement failed to converge, residual {rnorm:.2e}")
     field = FieldTuple(np.maximum(polished, 0.0))

@@ -53,9 +53,9 @@ def _structured_points(n: int, resolution: int) -> np.ndarray:
     return np.array(pts)
 
 
-def _sampled_grid(n: int, resolution: int, cap: int, seed: int) -> np.ndarray:
+def _sampled_grid(n: int, resolution: int, seed: int) -> np.ndarray:
     structured = _structured_points(n, resolution)
-    remaining = max(cap - structured.shape[0], 0)
+    remaining = max(DEFAULT_GRID_CAP - structured.shape[0], 0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, n, resolution]))
     # Dirichlet(1) interior samples snapped to the barycentric lattice.
     raw = rng.standard_exponential((remaining, n))
@@ -77,14 +77,13 @@ def _sampled_grid(n: int, resolution: int, cap: int, seed: int) -> np.ndarray:
     return grid
 
 
-def barycentric_grid(
-    n: int, resolution: int, cap: int = DEFAULT_GRID_CAP, seed: int = 0
-) -> np.ndarray:
+def barycentric_grid(n: int, resolution: int, seed: int = 0) -> np.ndarray:
     """Points of the standard simplex with components on the k/resolution lattice.
 
-    Returns the complete barycentric grid when its size is at most ``cap``,
-    otherwise a deterministic (seeded) lattice sample of ``cap`` points that
-    always contains all vertices, full edge lattices and the barycenter.
+    Returns the complete barycentric grid when its size is at most
+    DEFAULT_GRID_CAP, otherwise a deterministic (seeded) lattice sample of
+    that many points that always contains all vertices, full edge lattices
+    and the barycenter.
     """
     if n < 1:
         raise ParameterError("dimension must be at least 1")
@@ -92,7 +91,7 @@ def barycentric_grid(
         raise ParameterError("resolution must be at least 1")
     if n == 1:
         return np.array([[1.0]])
-    if grid_size(n, resolution) <= cap:
+    if grid_size(n, resolution) <= DEFAULT_GRID_CAP:
         return _full_grid(n, resolution)
-    return _sampled_grid(n, resolution, cap, seed)
+    return _sampled_grid(n, resolution, seed)
 

@@ -25,8 +25,8 @@ from .copositivity import Tolerance, _face_sweep, classify_copositivity
 from .errors import ParameterError, PreconditionError
 from .forms import ConeVector, SymMatrix, cone_power, fsum_terms
 from .mu_search import (
+    MAX_ITERATIONS,
     MuCertificate,
-    MuSearchBudget,
     constructive_mu_n2,
     find_mu,
     sufficient_condition,
@@ -157,7 +157,7 @@ def _within_weighted_range(params: ProblemParams) -> bool:
 def classify_solvability(
     B: SymMatrix,
     params: ProblemParams,
-    budget: MuSearchBudget = MuSearchBudget(),
+    max_iterations: int = MAX_ITERATIONS,
     tol: Tolerance = Tolerance(),
 ) -> SolvabilityVerdict:
     """Decision tree for existence of nontrivial nonnegative entire solutions.
@@ -219,7 +219,7 @@ def classify_solvability(
                 certificate=SufficientConditionCertificate(kappa0),
                 boundary_case=boundary,
             )
-        outcome = find_mu(B, params.p, budget)
+        outcome = find_mu(B, params.p, max_iterations)
         if isinstance(outcome, MuCertificate):
             return SolvabilityVerdict(
                 SolvabilityKind.NO_NONTRIVIAL,

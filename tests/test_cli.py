@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from coposolve import cli
+from coposolve import cli, neumann
 from coposolve.cli import main
 from coposolve.errors import (
     CapacityError,
@@ -12,6 +12,7 @@ from coposolve.errors import (
     ParameterError,
     PreconditionError,
 )
+from coposolve.mu_search import b_epsilon
 from coposolve.reports import SCHEMA_VERSION, parse_report, serialize_report
 
 
@@ -137,6 +138,21 @@ class TestSolve:
         assert result["outcome"] == "trivial_only"
         assert not out_csv.exists()
 
+    def test_inconclusive_report(self, tmp_path, capsys, monkeypatch):
+        # A Newton polish that stalls at a finite residual leaves no seed
+        # accepted and some not collapsed.
+        monkeypatch.setattr(neumann, "_newton_polish", lambda A, U, p, grid: (U, 0.5, False))
+        path = write_matrix(tmp_path, "m.json", 2, [[1, -2], [-2, 1]])
+        out_csv = tmp_path / "s.csv"
+        code, out, _ = run(
+            capsys,
+            ["solve", str(path), "--dim", "1", "--nodes", "17", "--out", str(out_csv)],
+        )
+        assert code == 0
+        result = parse_report(out)["result"]
+        assert result["outcome"] == "inconclusive"
+        assert result["best_residual"] == 0.5
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize(
         "error, prefix",
@@ -177,6 +193,23 @@ class TestBEpsilon:
         code, out, err = run(capsys, ["bepsilon", "--eps", "0", "--dim", "3", "--p", "4"])
         assert code == 1
         assert err.startswith("error:")
+
+
+class TestBudget:
+    # b_epsilon(0.1) is strictly copositive and not row-dominant, so the
+    # decision tree reaches the weight search.
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["liouville", "find-mu", "bepsilon"])
+    def test_budget_below_one_rejected(self, tmp_path, capsys, command, budget):
+        path = write_matrix(tmp_path, "m.json", 3, b_epsilon(0.1).entries.tolist())
+        argv = {
+            "liouville": ["liouville", str(path), "--dim", "3"],
+            "find-mu": ["find-mu", str(path)],
+            "bepsilon": ["bepsilon", "--eps", "0.1", "--dim", "3"],
+        }[command]
+        code, out, err = run(capsys, argv + ["--budget", budget])
+        assert code == 1 and out == ""
+        assert err.startswith("error: parameter: budget must be at least 1")
 
 
 class TestErrors:

@@ -12,7 +12,6 @@ from coposolve import (
     ConeVector,
     Copositivity,
     MuCertificate,
-    MuSearchBudget,
     MuSearchFailure,
     MuSearchInconclusive,
     MuViolation,
@@ -245,7 +244,7 @@ class TestFindMu:
 
     def test_certificate_implies_strict_copositivity(self):
         rng = np.random.default_rng(31)
-        budget = MuSearchBudget(max_iterations=8)
+        budget = 8
         certified = 0
         for _ in range(30):
             raw = rng.uniform(-1.5, 1.5, (3, 3))
@@ -278,6 +277,11 @@ class TestFindMu:
         scaled = SymMatrix(np.outer(mu**2, mu**2) * np.array([[1, -1.9], [-1.9, 4.0]]))
         transported = verify_mu(scaled, ConeVector(np.ones(2)), 4.0)
         assert isinstance(transported, MuCertificate)
+
+    @pytest.mark.parametrize("max_iterations", [0, -3])
+    def test_rejects_budget_below_one(self, max_iterations):
+        with pytest.raises(ParameterError):
+            find_mu(b_epsilon(0.1), 4.0, max_iterations)
 
     def test_capacity(self):
         with pytest.raises(CapacityError):

@@ -13,6 +13,7 @@ from coposolve import (
     NeumannSolution,
     NotApplicableError,
     ParameterError,
+    SolveInconclusive,
     SymMatrix,
     TrivialOnly,
     energy,
@@ -25,7 +26,6 @@ from coposolve import (
 )
 from coposolve import neumann
 from coposolve.neumann import (
-    SolveConfig,
     _dct_preconditioner,
     _energy_value,
     _jacobian_product,
@@ -172,6 +172,13 @@ class TestThetaSeeds:
         with pytest.raises(ParameterError):
             theta_seeds(WITNESS, ConeVector([1.0, 1.0]), g, 3)
 
+    def test_count_at_most_family_size(self):
+        g = Grid(1, 1.0, 129)
+        d = ConeVector([1.0, 1.0])
+        assert len(theta_seeds(WITNESS, d, g, 16)) == 16
+        with pytest.raises(ParameterError):
+            theta_seeds(WITNESS, d, g, 17)
+
 
 class TestMountainPass:
     def test_identity_collapses(self):
@@ -204,6 +211,13 @@ class TestMountainPass:
     def test_2d_identity_collapses(self):
         out = mountain_pass_solve(SymMatrix(np.eye(2)), 4.0, Grid(2, 1.0, 25))
         assert isinstance(out, TrivialOnly)
+
+    def test_stalled_newton_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(neumann, "_newton_polish", lambda A, U, p, grid: (U, 0.5, False))
+        out = mountain_pass_solve(WITNESS, 4.0, Grid(1, 1.0, 17))
+        assert isinstance(out, SolveInconclusive)
+        assert out.best_residual == 0.5
+        assert any("newton stalled at residual 5.00e-01" in s for s in out.seed_outcomes)
 
     def test_rejects_negative_diagonal(self):
         with pytest.raises(ParameterError):

@@ -7,7 +7,6 @@ from scipy.linalg import block_diag
 from coposolve import (
     Copositivity,
     MuCertificate,
-    MuSearchBudget,
     ParameterError,
     PreconditionError,
     ProblemParams,
@@ -252,7 +251,7 @@ class TestClassifySolvability:
 
     def test_two_component_never_unknown(self):
         rng = np.random.default_rng(59)
-        budget = MuSearchBudget(max_iterations=10)
+        budget = 10
         for _ in range(60):
             raw = rng.uniform(-2.0, 2.0, (2, 2))
             raw = (raw + raw.T) / 2.0
@@ -263,7 +262,7 @@ class TestClassifySolvability:
 
     def test_low_dimension_never_unknown(self):
         rng = np.random.default_rng(61)
-        budget = MuSearchBudget(max_iterations=10)
+        budget = 10
         for _ in range(40):
             n = int(rng.integers(2, 7))
             raw = rng.uniform(-2.0, 2.0, (n, n))
