@@ -3,12 +3,12 @@
 One face sweep enumerates the vertices of the standard simplex and the
 face-interior stationary points of b, support size by support size in
 stacked batches; faces with a singular stationarity system are skipped, as
-their minimum is also attained on a smaller face.  The minimum of a quadratic
-over a compact polytope is attained at one of the swept points, so the sweep
-decides copositivity, and its minimum over the proper faces decides boundary
-positivity.  The constant solutions of `solvability` are read from the same
-sweep.  Closed-form strict-copositivity tests exist for n in {2, 3} and are
-run as a redundant cross-check."""
+their minimum is also attained on a smaller face.  One pass over it finds the
+exact constant solutions (stationary points with multiplier zero) and else
+the minimum of b, which decides copositivity, since a quadratic attains its
+minimum over a compact polytope at a swept point; the minimum over the proper
+faces decides boundary positivity.  Closed-form strict-copositivity tests
+exist for n in {2, 3} and are run as a redundant cross-check."""
 
 from __future__ import annotations
 
@@ -20,11 +20,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, InternalConsistencyError, ParameterError
-from .forms import ConeVector, SymMatrix, quadratic_form
+from .forms import ConeVector, SymMatrix, cone_power, fsum_terms, quadratic_form
 from .simplex import barycentric_grid  # noqa: F401  (bench/spans.py wraps this attribute)
 
 MAX_ENUMERATION_N = 16
 FACE_CONDITION_LIMIT = 1e12
+CONSTANT_RESIDUAL_TOL = 1e-10
 # Supports per stacked solve.  The batch's temporaries (about 0.8 MB at 128
 # for n = 16) set the sweep's peak memory, while the gain in speed of larger
 # batches flattens out.
@@ -63,6 +64,20 @@ class SimplexMinimum(NamedTuple):
 
 
 @dataclass(frozen=True)
+class ConstantSolutionCertificate:
+    """Exact constant field u with componentwise equation residual below tol."""
+
+    u: ConeVector
+    support: tuple[int, ...]
+    residual_inf: float
+
+
+class FaceScan(NamedTuple):
+    constant: ConstantSolutionCertificate | None
+    minimum: SimplexMinimum | None
+
+
+@dataclass(frozen=True)
 class CopositivityVerdict:
     kind: Copositivity
     witness: ConeVector
@@ -82,10 +97,10 @@ class ClosedFormResult:
 def _face_sweep(A: np.ndarray):
     """Stationary points of b interior to the faces of the simplex, in batches.
 
-    Yields (supports, points): integer supports of shape (m, k) and the
-    strictly positive stationary points on them, c > 0 with 2 A_S c = lambda 1
-    and sum c = 1, of shape (m, k).  The vertices come first as one batch of
-    singletons, then the larger supports one size at a time in
+    Yields (supports, points, blocks): supports of shape (m, k), the strictly
+    positive stationary points on them, c > 0 with 2 A_S c = lambda 1 and
+    sum c = 1, and the principal blocks A_S.  The vertices come first as one
+    batch of singletons, then the larger supports one size at a time in
     itertools.combinations order, in batches of at most SWEEP_BATCH whose
     bordered systems are stacked and solved together.
 
@@ -99,7 +114,7 @@ def _face_sweep(A: np.ndarray):
     O(||K|| / cond) along d, about 1e-12 at FACE_CONDITION_LIMIT.
     """
     n = A.shape[0]
-    yield np.arange(n)[:, None], np.ones((n, 1))
+    yield np.arange(n)[:, None], np.ones((n, 1)), np.diag(A)[:, None, None]
     for k in range(2, n + 1):
         border = np.zeros((k + 1, k + 1))
         border[:k, k] = -1.0
@@ -109,62 +124,94 @@ def _face_sweep(A: np.ndarray):
         supports = itertools.combinations(range(n), k)
         while batch := list(itertools.islice(supports, SWEEP_BATCH)):
             idx = np.array(batch)
+            blocks = A[idx[:, :, None], idx[:, None, :]]
             kkt = np.repeat(border[None], len(batch), axis=0)
-            kkt[:, :k, :k] = 2.0 * A[idx[:, :, None], idx[:, None, :]]
+            kkt[:, :k, :k] = 2.0 * blocks
             # "not above the limit" also drops the inf and NaN of singular faces.
             regular = np.linalg.cond(kkt, 1) <= FACE_CONDITION_LIMIT
-            idx, kkt = idx[regular], kkt[regular]
+            idx, blocks, kkt = idx[regular], blocks[regular], kkt[regular]
             c = np.linalg.solve(kkt, rhs)[:, :k, 0]
             interior = np.all(c > 0, axis=1)
-            yield idx[interior], c[interior]
+            yield idx[interior], c[interior], blocks[interior]
 
 
-def _face_minimum(B: SymMatrix, max_size: int) -> SimplexMinimum:
-    """Least value of b over the faces of at most max_size components.
+def _batch_constant(A: np.ndarray, idx: np.ndarray, points: np.ndarray,
+                    blocks: np.ndarray, p: float) -> ConstantSolutionCertificate | None:
+    """First exact constant solution among one batch of swept faces."""
+    c = points / points.max(axis=1, keepdims=True)
+    # Snap to short decimals when that does not hurt the kernel residual.
+    snapped = np.round(c, 12)
+    kernel = np.max(np.abs(blocks @ c[..., None]), axis=(1, 2))
+    snapped_kernel = np.max(np.abs(blocks @ snapped[..., None]), axis=(1, 2))
+    snap = np.all(snapped > 0, axis=1) & (snapped_kernel <= kernel)
+    c[snap] = snapped[snap]
+    residual = cone_power(c, 1.0 - 2.0 / p) * (blocks @ c[..., None])[..., 0]
+    candidates = np.max(np.abs(residual), axis=1) < CONSTANT_RESIDUAL_TOL
+    for s, c_s in zip(idx[candidates], c[candidates]):
+        if len(s) == 1 and A[s[0], s[0]] != 0.0:
+            continue
+        c_full = np.zeros(A.shape[0])
+        c_full[s] = c_s
+        # Compensated componentwise residual of the constant field u = c^(2/p).
+        factors = cone_power(c_full, 1.0 - 2.0 / p)
+        residuals = np.array([factors[i] * fsum_terms(A[i] * c_full) for i in range(len(c_full))])
+        if np.max(np.abs(residuals)) < CONSTANT_RESIDUAL_TOL:
+            return ConstantSolutionCertificate(
+                u=ConeVector(cone_power(c_full, 2.0 / p)),
+                support=tuple(int(i) for i in s),
+                residual_inf=float(np.max(np.abs(residuals))),
+            )
+    return None
 
-    Ties are broken by the witness tuple, a total order, so the winner does
-    not depend on the batch order.
+
+def scan_faces(B: SymMatrix, p: float | None = None, max_size: int | None = None) -> FaceScan:
+    """One face sweep: the first exact constant solution, else the minimum of b.
+
+    With p given (p > 2), each batch is first searched for a constant
+    solution.  A strictly positive c with B_S c = 0 yields the constant field
+    u = c^(2/p) on S (zero off S), which solves the system exactly; a zero
+    diagonal entry is the singleton case.  The candidates come by size and
+    then lexicographically: on the smallest support with a positive kernel
+    vector the kernel is the line through it (a second kernel direction would
+    lead to a positive kernel vector on a proper sub-face), so the bordered
+    system is regular there and c is its stationary point with lambda = 0.
+    Each point is scaled to max 1 and snapped to 12 decimals when that does
+    not hurt the kernel residual; a batched residual picks the candidates and
+    a compensated residual decides.  The first certificate ends the pass.
+
+    Otherwise every batch is folded into the least value of b over the faces
+    of at most max_size components (default n), ties going to the smaller
+    witness tuple, a total order, so the winner does not depend on the
+    batches.  The reported minimum is recomputed through the compensated
+    scalar path, so it reproduces exactly from the witness.
     """
+    if p is not None and not p > 2:
+        raise ParameterError(f"p must exceed 2, got {p}")
     n = B.n
+    if n > MAX_ENUMERATION_N:
+        raise CapacityError(f"face enumeration supports n <= {MAX_ENUMERATION_N}, got {n}")
     A = B.entries
-    best_val = np.inf
-    best_witness: np.ndarray | None = None
-    for idx, points in _face_sweep(A):
-        if idx.shape[1] > max_size:
+    best = (np.inf, ())
+    for idx, points, blocks in _face_sweep(A):
+        if max_size is not None and idx.shape[1] > max_size:
             break
-        for s, c_s in zip(idx, points):
-            value = float(c_s @ A[np.ix_(s, s)] @ c_s)
-            w = np.zeros(n)
-            w[s] = c_s
-            if value < best_val or (
-                value == best_val
-                and best_witness is not None
-                and tuple(w) < tuple(best_witness)
-            ):
-                best_val = value
-                best_witness = w
+        if p is not None and (cert := _batch_constant(A, idx, points, blocks, p)):
+            return FaceScan(cert, None)
+        if len(idx):
+            values = np.einsum("mi,mij,mj->m", points, blocks, points)
+            witnesses = np.zeros((len(idx), n))
+            np.put_along_axis(witnesses, idx, points, axis=1)
+            first = np.lexsort((*witnesses.T[::-1], values))[0]
+            best = min(best, (float(values[first]), tuple(witnesses[first])))
 
-    witness = np.maximum(best_witness, 0.0)
-    witness = witness / witness.sum()
-    arg = ConeVector(witness)
-    # Recompute through the compensated scalar path so the reported minimum
-    # reproduces exactly from the witness.
-    value = quadratic_form(B, arg).value
-    return SimplexMinimum(value, arg, False)
+    witness = np.maximum(best[1], 0.0)
+    arg = ConeVector(witness / witness.sum())
+    return FaceScan(None, SimplexMinimum(quadratic_form(B, arg).value, arg, False))
 
 
 def simplex_min_quadratic(B: SymMatrix) -> SimplexMinimum:
-    """Global minimum of b over the standard simplex.
-
-    The minimum of a quadratic over the simplex is attained at a vertex or at
-    a stationary point interior to a face: a strictly positive solution of
-    2 B_S c = lambda 1, sum c = 1 on some support S.  The face sweep visits
-    all of them except on faces with a singular system, whose minimum is also
-    attained on a smaller face.
-    """
-    if B.n > MAX_ENUMERATION_N:
-        raise CapacityError(f"face enumeration supports n <= {MAX_ENUMERATION_N}, got {B.n}")
-    return _face_minimum(B, B.n)
+    """Global minimum of b over the standard simplex, from one face pass."""
+    return scan_faces(B).minimum
 
 
 def strict_copositivity_closed_form(B: SymMatrix) -> ClosedFormResult:
@@ -193,12 +240,13 @@ def strict_copositivity_closed_form(B: SymMatrix) -> ClosedFormResult:
 
 
 def classify_copositivity(B: SymMatrix, tol: Tolerance = Tolerance()) -> CopositivityVerdict:
-    """Trichotomy verdict with witness; dead-band cases flagged as boundary.
+    """Trichotomy verdict with witness; dead-band cases flagged as boundary."""
+    return copositivity_verdict(B, simplex_min_quadratic(B), tol)
 
-    For n in {2, 3} the closed form is evaluated as well and any disagreement
-    with the oracle outside the dead-band raises InternalConsistencyError.
-    """
-    minimum = simplex_min_quadratic(B)
+
+def copositivity_verdict(B: SymMatrix, minimum: SimplexMinimum, tol: Tolerance) -> CopositivityVerdict:
+    """Trichotomy verdict read from the simplex minimum of B; for n in {2, 3} a
+    closed-form disagreement outside the dead-band is an internal error."""
     if minimum.min_value < -tol.tol:
         kind = Copositivity.NOT_COPOSITIVE
         boundary = False
@@ -246,4 +294,4 @@ def boundary_positive(B: SymMatrix, tol: Tolerance = Tolerance()) -> bool:
     """
     if B.n < 2:
         raise ParameterError("boundary positivity needs n >= 2")
-    return _face_minimum(B, B.n - 1).min_value > tol.tol
+    return scan_faces(B, max_size=B.n - 1).minimum.min_value > tol.tol

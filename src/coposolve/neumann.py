@@ -22,10 +22,11 @@ from scipy.sparse.linalg import LinearOperator, gmres
 # Unused by the solver; the traced benchmark wraps ``neumann.splu`` by name.
 from scipy.sparse.linalg import splu  # noqa: F401
 
-from .copositivity import simplex_min_quadratic
+from .copositivity import ConstantSolutionCertificate, SimplexMinimum, scan_faces
+from .copositivity import simplex_min_quadratic  # noqa: F401  (bench/spans.py wraps this attribute)
 from .errors import CapacityError, NotApplicableError, ParameterError
 from .forms import ConeVector, SymMatrix, cone_power, fsum_terms, quadratic_form
-from .solvability import ConstantSolutionCertificate, constant_solution
+from .solvability import constant_solution  # noqa: F401  (bench/spans.py wraps this attribute)
 
 
 @dataclass(frozen=True)
@@ -230,13 +231,17 @@ def find_direction_d(B: SymMatrix, p: float) -> ConeVector:
     """Interior cone direction d with b(d^(p/2)) < 0, normalized to max 1.
 
     Requires the matrix to fail strict copositivity while admitting no exact
-    constant solution; the simplex minimizer of b is pushed to the interior
-    (components at least 1e-4 of the largest) and mapped through the inverse
-    power.
+    constant solution, both read from one face pass; the simplex minimizer of
+    b is pushed to the interior (components at least 1e-4 of the largest) and
+    mapped through the inverse power.
     """
-    if constant_solution(B, p) is not None:
+    cert, minimum = scan_faces(B, p)
+    if cert is not None:
         raise NotApplicableError("ConstantSolutionExists")
-    minimum = simplex_min_quadratic(B)
+    return _interior_direction(B, p, minimum)
+
+
+def _interior_direction(B: SymMatrix, p: float, minimum: SimplexMinimum) -> ConeVector:
     if minimum.min_value > 0:
         raise NotApplicableError("StrictlyCopositive")
     c_star = minimum.argmin.components
@@ -529,9 +534,9 @@ def mountain_pass_solve(
 ) -> NeumannSolution | TrivialOnly | SolveInconclusive:
     """Locate a nontrivial nonnegative critical point of the discrete energy.
 
-    Pipeline: exact constant shortcut; otherwise descend from each seed field
-    (``initial_fields``, or the first SEED_COUNT of theta_seeds) and
-    Newton-polish the iterate where the gradient was smallest.  A field is
+    Pipeline: constant shortcut from one face pass; otherwise descend from
+    each seed field (``initial_fields``, or the first SEED_COUNT of theta_seeds)
+    and Newton-polish the iterate where the gradient was smallest.  A field is
     accepted when its residual, negativity and nontriviality pass
     RESIDUAL_TOL, NEGATIVITY_TOL and NONTRIVIALITY_THRESHOLD; the accepted
     field with the least energy wins (ties by residual, then lexicographic
@@ -542,17 +547,15 @@ def mountain_pass_solve(
     """
     if np.any(np.diag(B.entries) < 0):
         raise ParameterError("diagonal entries must be nonnegative")
-    if not p > 2:
-        raise ParameterError(f"p must exceed 2, got {p}")
     A = B.entries
 
-    cert = constant_solution(B, p)
+    cert, minimum = scan_faces(B, p)  # also rejects p <= 2
     if cert is not None:
         return _constant_shortcut(B, cert, p, grid)
 
     if initial_fields is None:
         try:
-            d = find_direction_d(B, p)
+            d = _interior_direction(B, p, minimum)
         except NotApplicableError:
             # No negative direction (e.g. strictly copositive input): the seed
             # family is still well defined and every run should collapse.

@@ -12,7 +12,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .copositivity import ClosedFormResult, CopositivityVerdict, Definiteness
+from .copositivity import ClosedFormResult, ConstantSolutionCertificate, CopositivityVerdict, Definiteness
 from .forms import ConeVector
 from .mu_search import (
     MuCertificate,
@@ -21,11 +21,7 @@ from .mu_search import (
     MuViolation,
 )
 from .neumann import EnergyReport, NeumannSolution, SolveInconclusive, TrivialOnly
-from .solvability import (
-    ConstantSolutionCertificate,
-    SolvabilityVerdict,
-    SufficientConditionCertificate,
-)
+from .solvability import SolvabilityVerdict, SufficientConditionCertificate
 
 SCHEMA_VERSION = "coposolve-report/2"
 

@@ -3,10 +3,10 @@
 The decision tree maps a coupling matrix and problem parameters (space
 dimension, nonlinearity degree p) to a verdict with a certificate: an exact
 constant solution, a cone witness of failed strict copositivity, or a
-verifying weight for the degree-(p-1) form.  Constant solutions are the
-positive kernel vectors of principal blocks, which the face sweep of
-`copositivity` visits as stationary points with multiplier zero.  Inputs
-strictly copositive but without a weight certificate in the applicable
+verifying weight for the degree-(p-1) form.  The first two tests read one
+face pass of `copositivity`: the constant solutions are its stationary points
+with multiplier zero, and its simplex minimum gives the copositivity verdict.
+Inputs strictly copositive but without a weight certificate in the applicable
 p-range land in the open gap."""
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ import numpy as np
 from scipy.linalg import null_space  # noqa: F401
 from scipy.optimize import linprog  # noqa: F401
 
-from .copositivity import Tolerance, _face_sweep, classify_copositivity
+from .copositivity import ConstantSolutionCertificate, Tolerance, copositivity_verdict, scan_faces
+from .copositivity import classify_copositivity  # noqa: F401  (bench/spans.py wraps this attribute)
 from .errors import ParameterError, PreconditionError
-from .forms import ConeVector, SymMatrix, cone_power, fsum_terms
+from .forms import SymMatrix
 from .mu_search import (
     MAX_ITERATIONS,
     MuCertificate,
@@ -32,8 +33,6 @@ from .mu_search import (
     sufficient_condition,
     verify_mu,
 )
-
-CONSTANT_RESIDUAL_TOL = 1e-10
 
 OPEN_GAP_NOTE = (
     "undecided: the matrix is strictly copositive but no verifying weight for "
@@ -71,15 +70,6 @@ class ProblemParams:
 
 
 @dataclass(frozen=True)
-class ConstantSolutionCertificate:
-    """Exact constant field u with componentwise equation residual below tol."""
-
-    u: ConeVector
-    support: tuple[int, ...]
-    residual_inf: float
-
-
-@dataclass(frozen=True)
 class SufficientConditionCertificate:
     """Row-dominance constant kappa_0 certifying mu = (1, ..., 1)."""
 
@@ -96,55 +86,13 @@ class SolvabilityVerdict:
     audit: object | None = None
 
 
-def _constant_residual(A: np.ndarray, c_full: np.ndarray, p: float) -> np.ndarray:
-    """Componentwise residual of the constant field u = c^(2/p)."""
-    factors = cone_power(c_full, 1.0 - 2.0 / p)
-    return np.array([factors[i] * fsum_terms(A[i] * c_full) for i in range(len(c_full))])
-
-
 def constant_solution(B: SymMatrix, p: float) -> ConstantSolutionCertificate | None:
     """Exact constant solution from a positive support-restricted kernel vector.
 
-    A strictly positive c with B_S c = 0 yields the constant field
-    u = c^(2/p) on S (zero off S), which solves the system exactly.  A zero
-    diagonal entry is the singleton case.  The face sweep supplies the
-    candidates, by size and then lexicographically: on the smallest support
-    with a positive kernel vector the kernel is the line through it (a
-    second kernel direction would lead to a positive kernel vector on a
-    proper sub-face), so the bordered system is regular there and c is its
-    stationary point with lambda = 0.  Each point is scaled to max 1 and
-    snapped to 12 decimals when that does not hurt the kernel residual; a
-    batched residual picks the candidates and the compensated residual of
-    _constant_residual decides.
+    The first certificate, by support size and then lexicographically, of
+    one face pass (copositivity.scan_faces, where the argument is given).
     """
-    if not p > 2:
-        raise ParameterError(f"p must exceed 2, got {p}")
-    A = B.entries
-    n = B.n
-    for idx, points in _face_sweep(A):
-        sub = A[idx[:, :, None], idx[:, None, :]]
-        c = points / points.max(axis=1, keepdims=True)
-        # Snap to short decimals when that does not hurt the kernel residual.
-        snapped = np.round(c, 12)
-        kernel = np.max(np.abs(sub @ c[..., None]), axis=(1, 2))
-        snapped_kernel = np.max(np.abs(sub @ snapped[..., None]), axis=(1, 2))
-        snap = np.all(snapped > 0, axis=1) & (snapped_kernel <= kernel)
-        c[snap] = snapped[snap]
-        residual = cone_power(c, 1.0 - 2.0 / p) * (sub @ c[..., None])[..., 0]
-        candidates = np.max(np.abs(residual), axis=1) < CONSTANT_RESIDUAL_TOL
-        for s, c_s in zip(idx[candidates], c[candidates]):
-            if len(s) == 1 and A[s[0], s[0]] != 0.0:
-                continue
-            c_full = np.zeros(n)
-            c_full[s] = c_s
-            residuals = _constant_residual(A, c_full, p)
-            if np.max(np.abs(residuals)) < CONSTANT_RESIDUAL_TOL:
-                return ConstantSolutionCertificate(
-                    u=ConeVector(cone_power(c_full, 2.0 / p)),
-                    support=tuple(int(i) for i in s),
-                    residual_inf=float(np.max(np.abs(residuals))),
-                )
-    return None
+    return scan_faces(B, p).constant
 
 
 def _within_weighted_range(params: ProblemParams) -> bool:
@@ -162,24 +110,24 @@ def classify_solvability(
 ) -> SolvabilityVerdict:
     """Decision tree for existence of nontrivial nonnegative entire solutions.
 
-    Order: exact constant solutions, failed strict copositivity (existence),
-    the low-dimension strict-copositivity route, the two-component
-    constructive weight, the row-dominance bound, and finally the cutting
-    plane weight search; anything left is the open gap.
+    Order: exact constant solutions and failed strict copositivity (existence,
+    both from one face pass), the low-dimension strict-copositivity route, the
+    two-component constructive weight, the row-dominance bound, and finally
+    the cutting plane weight search; anything left is the open gap.
     """
     diag = np.diag(B.entries)
     if np.any(diag < 0):
         raise PreconditionError("negative diagonal entries are outside scope")
     cubic = params.p == 4.0
 
-    cs = constant_solution(B, params.p)
+    cs, minimum = scan_faces(B, params.p)
     if cs is not None:
         reason = "ConstantSolution"
         if len(cs.support) == 1 and diag[cs.support[0]] == 0.0:
             reason = "ZeroDiagonal"
         return SolvabilityVerdict(SolvabilityKind.EXISTS, reason, cs)
 
-    verdict = classify_copositivity(B, tol)
+    verdict = copositivity_verdict(B, minimum, tol)
     strictly_copositive = verdict.min_value > 0
     if not strictly_copositive:
         return SolvabilityVerdict(

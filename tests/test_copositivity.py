@@ -1,6 +1,7 @@
 """Copositivity classification: frozen examples, oracle cross-checks, invariants."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -9,16 +10,24 @@ from coposolve import (
     CapacityError,
     Copositivity,
     Definiteness,
+    Grid,
     ParameterError,
+    ProblemParams,
     SymMatrix,
     Tolerance,
+    TrivialOnly,
     boundary_positive,
     check_psd,
     classify_copositivity,
+    classify_solvability,
+    constant_solution,
+    find_direction_d,
+    mountain_pass_solve,
     quadratic_form,
     simplex_min_quadratic,
     strict_copositivity_closed_form,
 )
+from coposolve import copositivity, neumann
 from coposolve.mu_search import b_epsilon
 
 from oracles import dense_min_quadratic, exact_quadratic_form, exact_simplex_min
@@ -241,3 +250,94 @@ class TestBoundaryPositive:
             failed_on_one_pair += n > 2 and pairs.count(False) == 1
         assert failed_on_one_pair >= 5 and passed >= 5
 
+
+def count_sweeps(monkeypatch) -> list:
+    """Record one entry per face sweep started through any coposolve module."""
+    calls = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("coposolve.") and hasattr(module, "_face_sweep"):
+            def counted(A, sweep=module._face_sweep, name=name):
+                calls.append(name)
+                return sweep(A)
+            monkeypatch.setattr(module, "_face_sweep", counted)
+    return calls
+
+
+PLANTED_SUPPORT = (3, 5, 6, 8, 9)
+
+
+def sweep_cases() -> list[np.ndarray]:
+    """The exact-oracle families, random and duplicated-row matrices at
+    n = 8-10, and a positive kernel planted on a late size-5 support at
+    n = 10.  At n = 10 the 252 size-5 supports span two default batches, and
+    a duplicated row ties every face holding one of the twin indices with
+    its mirror face, whose witness tuple is smaller but comes later."""
+    rng = np.random.default_rng(29)
+    cases = [np.ones((2, 2)), np.ones((4, 4))]
+    cases += [g @ g.T for g in (rng.normal(size=(n, 3)) for n in (5, 6, 7))]
+    cases += [np.round(random_symmetric(rng, n).entries * 2) for n in (2, 4, 6)]
+    for n in (3, 5, 8, 9, 10):
+        for nonneg_diag in (True, False):
+            a = random_symmetric(rng, n, nonneg_diag).entries.copy()
+            cases.append(a.copy())
+            a[1], a[:, 1] = a[0], a[:, 0]
+            cases.append(a)
+    v = rng.uniform(0.5, 1.5, 5)
+    planted = 2.0 * np.eye(10) + 0.3
+    planted[np.ix_(PLANTED_SUPPORT, PLANTED_SUPPORT)] = np.eye(5) - np.outer(v, v) / (v @ v)
+    cases.append(planted)
+    return cases
+
+
+def sweep_reads(a: np.ndarray) -> tuple:
+    B = SymMatrix(a)
+    m = simplex_min_quadratic(B)
+    cert = constant_solution(B, 4.0)
+    constant = None if cert is None else (tuple(cert.u.components), cert.support, cert.residual_inf)
+    return m.min_value, tuple(m.argmin.components), boundary_positive(B), constant
+
+
+class TestFacePass:
+    WITNESS = SymMatrix([[1, -2], [-2, 1]])
+
+    def test_one_sweep_per_decision(self, monkeypatch):
+        calls = count_sweeps(monkeypatch)
+        monkeypatch.setattr(neumann, "theta_seeds", lambda *args: [])
+        runs = {
+            "Thm1.1": lambda: classify_solvability(self.WITNESS, ProblemParams(dim=3)),
+            "Prop1.7": lambda: classify_solvability(SymMatrix(np.eye(3)), ProblemParams(dim=3)),
+            "find_direction_d": lambda: find_direction_d(self.WITNESS, 4.0),
+            "mountain_pass_solve": lambda: mountain_pass_solve(self.WITNESS, 4.0, Grid(1, 1.0, 17)),
+        }
+        sweeps, results = {}, {}
+        for label, run in runs.items():
+            calls.clear()
+            results[label] = run()
+            sweeps[label] = len(calls)
+        assert sweeps == dict.fromkeys(runs, 1)
+        assert results["Thm1.1"].reason == "Thm1.1"
+        assert results["Prop1.7"].reason == "Prop1.7"
+        assert isinstance(results["mountain_pass_solve"], TrivialOnly)
+
+    def test_capacity_checked_before_sweeping(self, monkeypatch):
+        calls = count_sweeps(monkeypatch)
+        B = SymMatrix(np.eye(17))
+        for run in (
+            lambda: classify_solvability(B, ProblemParams(dim=3)),
+            lambda: constant_solution(B, 4.0),
+            lambda: boundary_positive(B),
+            lambda: find_direction_d(B, 4.0),
+            lambda: mountain_pass_solve(B, 4.0, Grid(1, 1.0, 17)),
+        ):
+            with pytest.raises(CapacityError):
+                run()
+        assert calls == []
+
+    @pytest.mark.parametrize("batch", [1, 7])
+    def test_batch_size_invariance(self, monkeypatch, batch):
+        cases = sweep_cases()
+        default = [sweep_reads(a) for a in cases]
+        assert default[-1][3][1] == PLANTED_SUPPORT
+        monkeypatch.setattr(copositivity, "SWEEP_BATCH", batch)
+        for a, expected in zip(cases, default):
+            assert sweep_reads(a) == expected
