@@ -134,6 +134,15 @@ NONTRIVIALITY_THRESHOLD = 1e-4
 SEED_COUNT = 12
 MAX_DESCENT_STEPS = 1200
 MAX_NEWTON_STEPS = 60
+# Early exits of the Newton polish.  Collapse: a converged field at most
+# NONTRIVIALITY_THRESHOLD in amplitude whose amplitude shrank by COLLAPSE_RATIO
+# or more in each of the last COLLAPSE_STEPS accepted steps.  Stall: a residual
+# still at or above RESIDUAL_TOL and above STALL_RATIO times its value
+# STALL_WINDOW accepted steps earlier.
+COLLAPSE_RATIO = 0.75
+COLLAPSE_STEPS = 3
+STALL_RATIO = 0.95
+STALL_WINDOW = 5
 
 # GMRES per Newton step: relative tolerance and iteration cap (one restart
 # cycle); in the round-off tail the line search decides whether a step is taken.
@@ -435,14 +444,17 @@ def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float,
                    grid: Grid) -> tuple[np.ndarray, float, bool]:
     """Damped Newton-Krylov on the discrete Euler-Lagrange system.
 
+    Runs at most MAX_NEWTON_STEPS steps, each a GMRES solve and a residual
+    line search, and stops early at the improvement floor, on a collapse to
+    zero or on a stall (see COLLAPSE_RATIO and STALL_RATIO).
     Returns (field, residual_inf, converged).
     """
     U = U0.copy()
     r = _residual(A, U, p, grid)
     rnorm = float(np.max(np.abs(r)))
+    residuals = [rnorm]
+    amplitudes = [float(np.max(np.abs(U)))]
     for _ in range(MAX_NEWTON_STEPS):
-        # Iterate to the improvement floor: degenerate descents to zero must
-        # shrink well below the nontriviality threshold, not stop at it.
         if rnorm == 0.0 or not np.isfinite(rnorm):
             break
         try:
@@ -464,8 +476,27 @@ def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float,
             step *= 0.5
         if not improved:
             break
-        if np.max(np.abs(U)) > 1e8:
+        amp = float(np.max(np.abs(U)))
+        if amp > 1e8:
             return U, rnorm, False
+        residuals.append(rnorm)
+        amplitudes.append(amp)
+        # Newton contracts a cubic zero only by 2/3 per step.  Once the field
+        # is converged, no larger than NONTRIVIALITY_THRESHOLD (never above the
+        # per-seed threshold of mountain_pass_solve) and shrinking
+        # geometrically, it is classed as collapsed however far it goes on.
+        recent = amplitudes[-COLLAPSE_STEPS - 1:]
+        if (rnorm < RESIDUAL_TOL and amp <= NONTRIVIALITY_THRESHOLD
+                and len(recent) > COLLAPSE_STEPS
+                and all(b <= COLLAPSE_RATIO * a for a, b in zip(recent, recent[1:]))):
+            break
+        # A converging seed gains far more than 1 - STALL_RATIO over the
+        # window; short damped steps that do not are a stall.  Below
+        # RESIDUAL_TOL the round-off tail runs on to the improvement floor,
+        # so no converged field depends on this exit.
+        if (rnorm >= RESIDUAL_TOL and len(residuals) > STALL_WINDOW
+                and rnorm > STALL_RATIO * residuals[-STALL_WINDOW - 1]):
+            break
     return U, rnorm, rnorm < RESIDUAL_TOL
 
 
@@ -543,7 +574,8 @@ def mountain_pass_solve(
     comparison).  Residuals of accepted fields differ by round-off only, so
     ranking by them would pick by noise.  With no accepted field the outcome
     is TrivialOnly when every seed collapsed cleanly, otherwise
-    SolveInconclusive with the least finite residual reached.
+    SolveInconclusive with the least finite residual among the seeds that
+    stalled, kept a negative part or failed after clamping.
     """
     if np.any(np.diag(B.entries) < 0):
         raise ParameterError("diagonal entries must be nonnegative")
@@ -566,15 +598,13 @@ def mountain_pass_solve(
 
     accepted: list[tuple[float, float, NeumannSolution]] = []
     outcomes: list[str] = []
-    pending = False
-    best_residual = np.inf
+    # Residuals of the seeds that leave the outcome undecided.
+    pending: list[float] = []
     for provenance, seed in seeds:
         seed_amp = max(1.0, seed.amplitude)
         threshold = NONTRIVIALITY_THRESHOLD * seed_amp
         start, dip_g, g0, escaped = _descend_energy(A, seed.components, p, grid)
         U, rnorm, converged = _newton_polish(A, start, p, grid)
-        if rnorm < best_residual and np.all(np.isfinite(U)):
-            best_residual = rnorm
         amp = float(np.max(np.abs(U))) if np.all(np.isfinite(U)) else 0.0
         if converged and amp <= threshold:
             outcomes.append(f"{provenance}: collapsed to trivial")
@@ -584,18 +614,18 @@ def mountain_pass_solve(
                 outcomes.append(f"{provenance}: escaped (dip not polishable)")
             else:
                 outcomes.append(f"{provenance}: newton stalled at residual {rnorm:.2e}")
-                pending = True
+                pending.append(rnorm)
             continue
         if U.min() < -NEGATIVITY_TOL:
             outcomes.append(f"{provenance}: negative part {U.min():.2e}")
-            pending = True
+            pending.append(rnorm)
             continue
         clamped = np.maximum(U, 0.0)
         field = FieldTuple(clamped)
         report = energy(B, field, p, grid)
         if report.residual_inf >= RESIDUAL_TOL:
             outcomes.append(f"{provenance}: clamped residual {report.residual_inf:.2e}")
-            pending = True
+            pending.append(report.residual_inf)
             continue
         variation = max(
             float(clamped[i].max() - clamped[i].min()) for i in range(B.n)
@@ -609,6 +639,7 @@ def mountain_pass_solve(
         return min(accepted, key=lambda a: (a[0], a[1], tuple(a[2].field.components.ravel())))[2]
     if not pending:
         return TrivialOnly(tuple(outcomes))
+    best_residual = min((r for r in pending if np.isfinite(r)), default=np.inf)
     return SolveInconclusive(best_residual=float(best_residual), seed_outcomes=tuple(outcomes))
 
 

@@ -20,6 +20,7 @@ from coposolve import (
     find_direction_d,
     mountain_pass_solve,
     quadratic_form,
+    refine_solution,
     reflect_tile,
     theta_seeds,
     write_solution_csv,
@@ -219,6 +220,24 @@ class TestMountainPass:
         assert out.best_residual == 0.5
         assert any("newton stalled at residual 5.00e-01" in s for s in out.seed_outcomes)
 
+    def test_best_residual_ignores_collapsed_seeds(self, monkeypatch):
+        # Alternate seeds collapse to zero (residual far below 0.5) and stall
+        # at 0.5; only the stalled ones leave the outcome undecided.
+        polished = []
+
+        def polish(A, U, p, grid):
+            polished.append(None)
+            if len(polished) % 2:
+                return np.zeros_like(U), 1e-33, True
+            return U, 0.5, False
+
+        monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: (U, 0.0, 0.0, False))
+        monkeypatch.setattr(neumann, "_newton_polish", polish)
+        out = mountain_pass_solve(WITNESS, 4.0, Grid(1, 1.0, 17))
+        assert isinstance(out, SolveInconclusive)
+        assert any(s.endswith("collapsed to trivial") for s in out.seed_outcomes)
+        assert out.best_residual == 0.5
+
     def test_rejects_negative_diagonal(self):
         with pytest.raises(ParameterError):
             mountain_pass_solve(SymMatrix([[-1, 0], [0, 1]]), 4.0, Grid(1, 1.0, 33))
@@ -296,6 +315,72 @@ class TestNewtonKrylov:
             out = mountain_pass_solve(B, 4.0, g, initial_fields=[(name, seeds[name]) for name in order])
             assert out.seed_provenance == low
             assert out.report.energy == alone[low].report.energy
+
+
+@pytest.fixture
+def krylov_calls(monkeypatch):
+    """List that grows by one entry per Newton step (one GMRES solve each)."""
+    calls = []
+    solve = neumann._krylov_step
+
+    def counted(D, r, grid):
+        calls.append(None)
+        return solve(D, r, grid)
+
+    monkeypatch.setattr(neumann, "_krylov_step", counted)
+    return calls
+
+
+def without_exits(monkeypatch):
+    """Histories never fill the collapse or stall window: every seed runs to the cap."""
+    monkeypatch.setattr(neumann, "COLLAPSE_STEPS", neumann.MAX_NEWTON_STEPS + 1)
+    monkeypatch.setattr(neumann, "STALL_WINDOW", neumann.MAX_NEWTON_STEPS + 1)
+
+
+class TestNewtonExits:
+    def test_collapsing_seed_exits_early(self, krylov_calls, monkeypatch):
+        g = Grid(1, 1.0, 33)
+        d = find_direction_d(WITNESS, 4.0).components
+        seed = 0.5 * d[:, None] * np.ones(g.shape)
+        U, rnorm, converged = neumann._newton_polish(WITNESS.entries, seed, 4.0, g)
+        steps = len(krylov_calls)
+        assert converged and rnorm < neumann.RESIDUAL_TOL
+        assert np.max(np.abs(U)) <= neumann.NONTRIVIALITY_THRESHOLD
+        assert steps <= neumann.MAX_NEWTON_STEPS // 2
+        # Without the exit the cubic zero is approached at 2/3 per step to the cap.
+        without_exits(monkeypatch)
+        krylov_calls.clear()
+        _, _, converged = neumann._newton_polish(WITNESS.entries, seed, 4.0, g)
+        assert converged and len(krylov_calls) == neumann.MAX_NEWTON_STEPS
+
+    def test_stalled_seed_exits_early(self, krylov_calls, monkeypatch):
+        g = Grid(1, 1.0, 513)
+        seeds = dict(theta_seeds(WITNESS, find_direction_d(WITNESS, 4.0), g, 12))
+        start, _, _, escaped = neumann._descend_energy(
+            WITNESS.entries, seeds["mixture ray=e0 t=0.5"].components, 4.0, g
+        )
+        assert not escaped
+        _, rnorm, converged = neumann._newton_polish(WITNESS.entries, start, 4.0, g)
+        assert not converged and rnorm > 1.0
+        assert len(krylov_calls) <= 3 * neumann.STALL_WINDOW
+        without_exits(monkeypatch)
+        krylov_calls.clear()
+        _, rnorm, converged = neumann._newton_polish(WITNESS.entries, start, 4.0, g)
+        assert not converged and rnorm > 1.0
+        assert len(krylov_calls) == neumann.MAX_NEWTON_STEPS
+
+    def test_converging_refinement_takes_neither_exit(self, krylov_calls, monkeypatch):
+        coarse, fine = Grid(1, 1.0, 33), Grid(1, 1.0, 65)
+        solution = mountain_pass_solve(WITNESS, 4.0, coarse)
+        krylov_calls.clear()
+        refined = refine_solution(WITNESS, solution, 4.0, coarse, fine)
+        steps = len(krylov_calls)
+        without_exits(monkeypatch)
+        krylov_calls.clear()
+        reference = refine_solution(WITNESS, solution, 4.0, coarse, fine)
+        assert len(krylov_calls) == steps
+        assert np.array_equal(refined.field.components, reference.field.components)
+        assert refined.report == reference.report
 
 
 class TestRefine:
