@@ -3,10 +3,11 @@
 Matrix files are JSON documents {"n": <int>, "beta": [[...], ...],
 "name": <optional>}.  Every subcommand prints one report document (schema
 coposolve-report/2) to standard output, holding the defaults and the
-parameter values the run actually used.  Nothing is random, so identical
+parameter values the run actually used; its result block is the library's
+result passed through `reports.to_doc`.  Nothing is random, so identical
 invocations produce byte-identical reports.  Any verdict, including Unknown,
 exits 0; only input and validation failures exit nonzero, with a one-line
-error on standard error.
+`error: <category>: <message>` on standard error.
 """
 
 from __future__ import annotations
@@ -14,25 +15,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .copositivity import Tolerance, check_psd, classify_copositivity, strict_copositivity_closed_form
 from .errors import CapacityError, CoposolveError, ParameterError
-from .forms import ConeVector, SymMatrix
+from .forms import ConeVector, SymMatrix, require_p
 from .mu_search import MAX_ITERATIONS, appendix_limit_form, b_epsilon, find_mu
 from .neumann import Grid, mountain_pass_solve, write_solution_csv, NeumannSolution
-from .reports import (
-    build_report,
-    closed_form_doc,
-    copositivity_doc,
-    mu_outcome_doc,
-    psd_doc,
-    serialize_report,
-    solvability_doc,
-    solve_outcome_doc,
-)
+from .reports import build_report, serialize_report, to_doc
 from .solvability import ProblemParams, classify_solvability
 
 MAX_CLI_N = 16
@@ -51,6 +44,21 @@ class InputError(Exception):
     def __init__(self, category: str, message: str):
         super().__init__(message)
         self.category = category
+
+
+@contextmanager
+def _category(category: str, errors=CoposolveError):
+    """Report library errors raised in the block as InputError(category)."""
+    try:
+        yield
+    except errors as exc:
+        raise InputError(category, str(exc)) from exc
+
+
+def _input_doc(beta, name: str | None, path: str | None) -> dict:
+    """The input block of a report: the matrix as given, its name and file."""
+    beta = np.asarray(beta, dtype=float)
+    return {"n": len(beta), "beta": beta.tolist(), "name": name, "path": path}
 
 
 def load_matrix(path: str | Path) -> tuple[SymMatrix, dict]:
@@ -79,20 +87,12 @@ def load_matrix(path: str | Path) -> tuple[SymMatrix, dict]:
     except CoposolveError as exc:
         raise InputError("matrix", f"{p}: {exc}") from exc
     name = doc.get("name")
-    matrix_doc = {
-        "n": n,
-        "beta": [[float(x) for x in row] for row in arr],
-        "name": name if isinstance(name, str) else None,
-        "path": str(path),
-    }
-    return matrix, matrix_doc
+    return matrix, _input_doc(arr, name if isinstance(name, str) else None, str(path))
 
 
 def _tolerance(args) -> Tolerance:
-    try:
+    with _category("parameter"):
         return Tolerance(args.tol)
-    except CoposolveError as exc:
-        raise InputError("parameter", str(exc)) from exc
 
 
 def _budget(args) -> int:
@@ -102,11 +102,10 @@ def _budget(args) -> int:
 
 
 def _classify_one(matrix: SymMatrix, tol: Tolerance) -> dict:
-    verdict = classify_copositivity(matrix, tol)
-    doc = copositivity_doc(verdict)
-    doc["psd"] = psd_doc(check_psd(matrix, tol))
+    doc = to_doc(classify_copositivity(matrix, tol))
+    doc["psd"] = to_doc(check_psd(matrix, tol))
     if matrix.n in (2, 3):
-        doc["closed_form"] = closed_form_doc(strict_copositivity_closed_form(matrix))
+        doc["closed_form"] = to_doc(strict_copositivity_closed_form(matrix))
     return doc
 
 
@@ -132,57 +131,39 @@ def cmd_liouville(args) -> tuple[dict, dict]:
     matrix, matrix_doc = load_matrix(args.file)
     tol = _tolerance(args)
     budget = _budget(args)
-    try:
+    with _category("parameter"):
         params = ProblemParams(args.dim, args.p)
-    except CoposolveError as exc:
-        raise InputError("parameter", str(exc)) from exc
-    try:
+    with _category("precondition"):
         verdict = classify_solvability(matrix, params, budget, tol)
-    except CoposolveError as exc:
-        raise InputError("precondition", str(exc)) from exc
-    return matrix_doc, solvability_doc(verdict)
+    return matrix_doc, to_doc(verdict)
 
 
 def cmd_find_mu(args) -> tuple[dict, dict]:
     matrix, matrix_doc = load_matrix(args.file)
-    if not args.p > 2:
-        raise InputError("parameter", f"p must exceed 2, got {args.p}")
-    return matrix_doc, mu_outcome_doc(find_mu(matrix, args.p, _budget(args)))
+    with _category("parameter"):
+        require_p(args.p)
+    return matrix_doc, to_doc(find_mu(matrix, args.p, _budget(args)))
 
 
 def cmd_solve(args) -> tuple[dict, dict]:
     matrix, matrix_doc = load_matrix(args.file)
     # Internal and precondition failures reach main's typed handler.
-    try:
+    with _category("parameter", ParameterError), _category("capacity", CapacityError):
         grid = Grid(args.dim, args.extent, args.nodes)
         outcome = mountain_pass_solve(matrix, args.p, grid)
-    except ParameterError as exc:
-        raise InputError("parameter", str(exc)) from exc
-    except CapacityError as exc:
-        raise InputError("capacity", str(exc)) from exc
-    csv_path = None
+    doc = to_doc(outcome)
     if isinstance(outcome, NeumannSolution):
         write_solution_csv(outcome, grid, args.out)
-        csv_path = str(args.out)
-    return matrix_doc, solve_outcome_doc(outcome, csv_path)
+        doc["csv_path"] = str(args.out)
+    return matrix_doc, doc
 
 
 def cmd_bepsilon(args) -> tuple[dict, dict]:
-    if not args.eps > 0:
-        raise InputError("parameter", f"eps must be positive, got {args.eps}")
+    with _category("parameter"):
+        matrix = b_epsilon(args.eps)
     budget = _budget(args)
-    matrix = b_epsilon(args.eps)
-    matrix_doc = {
-        "n": 3,
-        "beta": [[float(x) for x in row] for row in matrix.entries],
-        "name": f"b_epsilon({args.eps})",
-        "path": None,
-    }
-    try:
+    with _category("parameter"):
         params = ProblemParams(args.dim, args.p)
-    except CoposolveError as exc:
-        raise InputError("parameter", str(exc)) from exc
-    closed = strict_copositivity_closed_form(matrix)
     verdict = classify_solvability(matrix, params, budget)
     # The decision tree already ran find_mu with this budget when it reached
     # the weight search; search here only when it stopped before that.
@@ -193,13 +174,13 @@ def cmd_bepsilon(args) -> tuple[dict, dict]:
     else:
         outcome = find_mu(matrix, args.p, budget)
     result = {
-        "eps": float(args.eps),
-        "closed_form": closed_form_doc(closed),
+        "eps": args.eps,
+        "closed_form": strict_copositivity_closed_form(matrix),
         "appendix_form_at_322": appendix_limit_form(ConeVector([3.0, 2.0, 2.0])),
-        "find_mu": mu_outcome_doc(outcome),
-        "solvability": solvability_doc(verdict),
+        "find_mu": outcome,
+        "solvability": verdict,
     }
-    return matrix_doc, result
+    return _input_doc(matrix.entries, f"b_epsilon({args.eps})", None), to_doc(result)
 
 
 def make_parser() -> argparse.ArgumentParser:

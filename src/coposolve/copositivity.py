@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, InternalConsistencyError, ParameterError
-from .forms import ConeVector, SymMatrix, cone_power, fsum_terms, quadratic_form
+from .forms import ConeVector, SymMatrix, cone_power, fsum_terms, quadratic_form, require_p
 from .simplex import barycentric_grid  # noqa: F401  (bench/spans.py wraps this attribute)
 
 MAX_ENUMERATION_N = 16
@@ -185,8 +185,8 @@ def scan_faces(B: SymMatrix, p: float | None = None, max_size: int | None = None
     batches.  The reported minimum is recomputed through the compensated
     scalar path, so it reproduces exactly from the witness.
     """
-    if p is not None and not p > 2:
-        raise ParameterError(f"p must exceed 2, got {p}")
+    if p is not None:
+        require_p(p)
     n = B.n
     if n > MAX_ENUMERATION_N:
         raise CapacityError(f"face enumeration supports n <= {MAX_ENUMERATION_N}, got {n}")

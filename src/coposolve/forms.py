@@ -139,6 +139,12 @@ def cone_power(values, exponent: float) -> np.ndarray:
     return out
 
 
+def require_p(p: float) -> None:
+    """The one rule for the nonlinearity degree: finite and above 2."""
+    if not 2 < p < math.inf:
+        raise ParameterError(f"p must exceed 2 and be finite, got {p}")
+
+
 def quadratic_form(B: SymMatrix, c) -> FormValue:
     """b(c) = sum_ij beta_ij c_i c_j with gradient 2 B c.
 
@@ -157,8 +163,7 @@ def p_form(B: SymMatrix, c, mu, p: float) -> FormValue:
     The gradient is attached when it exists everywhere on the evaluation point
     (always for p >= 4, and for p < 4 only at strictly positive c).
     """
-    if not p > 2:
-        raise ParameterError(f"p must exceed 2, got {p}")
+    require_p(p)
     cv = _cone_vector(c, B.n, "c")
     mv = _cone_vector(mu, B.n, "mu")
     x = cone_power(cv, p / 2.0)
@@ -200,8 +205,7 @@ def p_form_values(A: np.ndarray, points: np.ndarray, mu: np.ndarray, p: float) -
 
 def p_form_batch(B: SymMatrix, points: np.ndarray, mu, p: float) -> np.ndarray:
     """Vectorized weighted form over rows of ``points`` (shape (m, n))."""
-    if not p > 2:
-        raise ParameterError(f"p must exceed 2, got {p}")
+    require_p(p)
     mv = _cone_vector(mu, B.n, "mu")
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != B.n:

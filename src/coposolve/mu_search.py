@@ -37,6 +37,7 @@ from .forms import (
     negative_part_row_sums,
     p_form,
     p_form_values,
+    require_p,
 )
 from .forms import p_form_batch  # noqa: F401  (bench/spans.py wraps this attribute)
 from .simplex import barycentric_grid  # noqa: F401  (bench/spans.py wraps this attribute)
@@ -189,8 +190,7 @@ def verify_mu(B: SymMatrix, mu, p: float) -> MuCertificate | MuViolation | None:
     bound is positive, None if the cell cap is reached first.  mu is
     normalized to max component 1.
     """
-    if not p > 2:
-        raise ParameterError(f"p must exceed 2, got {p}")
+    require_p(p)
     mv = np.asarray(mu.components if isinstance(mu, ConeVector) else mu, dtype=float)
     if mv.ndim != 1 or mv.size != B.n:
         raise DimensionError(f"mu has length {mv.size}, expected {B.n}")
@@ -305,8 +305,7 @@ def find_mu(B: SymMatrix, p: float, max_iterations: int = MAX_ITERATIONS
     an exhausted budget of max_iterations (at least 1) LP rounds, or a
     weight verify_mu leaves undecided, yields Inconclusive.
     """
-    if not p > 2:
-        raise ParameterError(f"p must exceed 2, got {p}")
+    require_p(p)
     if max_iterations < 1:
         raise ParameterError(f"max_iterations must be at least 1, got {max_iterations}")
     if B.n > MAX_N:
@@ -349,8 +348,7 @@ def constructive_mu_n2(B: SymMatrix, p: float) -> ConeVector:
     """
     if B.n != 2:
         raise CapacityError(f"constructive weight exists only for n=2, got {B.n}")
-    if not p > 2:
-        raise ParameterError(f"p must exceed 2, got {p}")
+    require_p(p)
     if not strict_copositivity_closed_form(B).strict:
         raise PreconditionError("matrix is not strictly copositive")
     a = B.entries
@@ -372,8 +370,8 @@ def sufficient_condition(B: SymMatrix) -> float | None:
 
 def b_epsilon(eps: float) -> SymMatrix:
     """The 3x3 family with unit diagonal, off-diagonal -1+eps to the first row."""
-    if not eps > 0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ParameterError(f"eps must be positive and finite, got {eps}")
     off = -1.0 + eps
     return SymMatrix([[1.0, off, off], [off, 1.0, 1.0], [off, 1.0, 1.0]])
 

@@ -13,7 +13,8 @@ mirror Laplacian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from scipy.sparse.linalg import splu  # noqa: F401
 from .copositivity import ConstantSolutionCertificate, SimplexMinimum, scan_faces
 from .copositivity import simplex_min_quadratic  # noqa: F401  (bench/spans.py wraps this attribute)
 from .errors import CapacityError, NotApplicableError, ParameterError
-from .forms import ConeVector, SymMatrix, cone_power, fsum_terms, quadratic_form
+from .forms import ConeVector, SymMatrix, cone_power, fsum_terms, quadratic_form, require_p
 from .solvability import constant_solution  # noqa: F401  (bench/spans.py wraps this attribute)
 
 
@@ -40,8 +41,8 @@ class Grid:
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
             raise ParameterError(f"grid dimension must be 1 or 2, got {self.dim}")
-        if not self.extent > 0:
-            raise ParameterError(f"box side must be positive, got {self.extent}")
+        if not 0 < self.extent < np.inf:
+            raise ParameterError(f"box side must be positive and finite, got {self.extent}")
         if self.points_per_side < 17:
             raise ParameterError(
                 f"need at least 17 points per side, got {self.points_per_side}"
@@ -212,8 +213,7 @@ def _energy_value(A: np.ndarray, U: np.ndarray, p: float, grid: Grid) -> float:
 
 def energy(B: SymMatrix, u: FieldTuple, p: float, grid: Grid) -> EnergyReport:
     """Energy, Euler-Lagrange residual and per-component integral identities."""
-    if not p > 2:
-        raise ParameterError(f"p must exceed 2, got {p}")
+    require_p(p)
     U = u.components
     if U.shape[0] != B.n or U.shape[1:] != grid.shape:
         raise ParameterError(
@@ -687,9 +687,8 @@ def reflect_tile(u: FieldTuple, grid: Grid, copies: int) -> tuple[FieldTuple, Gr
 
 
 def write_solution_csv(solution: NeumannSolution, grid: Grid, path: str | Path) -> Path:
-    """Node-ordered CSV dump `x[,y],u1,...,un` plus a JSON sidecar report."""
-    import json
-
+    """Node-ordered CSV dump `x[,y],u1,...,un` plus a JSON sidecar holding the
+    energy report's fields, the classification and the seed provenance."""
     path = Path(path)
     U = solution.field.components
     n = U.shape[0]
@@ -702,21 +701,10 @@ def write_solution_csv(solution: NeumannSolution, grid: Grid, path: str | Path) 
         lines.append(",".join(repr(float(v)) for v in np.concatenate(row)))
     path.write_text("\n".join(lines) + "\n")
     sidecar = path.with_suffix(path.suffix + ".json")
-    report = solution.report
-    sidecar.write_text(
-        json.dumps(
-            {
-                "energy": report.energy,
-                "dirichlet": report.dirichlet,
-                "phi": report.phi,
-                "residual_inf": report.residual_inf,
-                "identity_defects": list(report.identity_defects),
-                "classification": solution.classification,
-                "seed_provenance": solution.seed_provenance,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    doc = {
+        **asdict(solution.report),
+        "classification": solution.classification,
+        "seed_provenance": solution.seed_provenance,
+    }
+    sidecar.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return sidecar

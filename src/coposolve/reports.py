@@ -3,163 +3,81 @@
 Every CLI invocation emits a single document that embeds the schema version,
 the full input matrix, the defaults and the parameter values the run used,
 so a report is auditable and reproducible on its own.
+
+The result types own the schema: `to_doc` turns a result dataclass into the
+dict of its fields, recursively, so a new report field is a new field of the
+result type.  Outcome types carry a tag from TAGS; the only other departures
+from the fields are in `_fields`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import asdict
+from enum import Enum
 
 import numpy as np
 
-from .copositivity import ClosedFormResult, ConstantSolutionCertificate, CopositivityVerdict, Definiteness
+from .copositivity import ConstantSolutionCertificate
 from .forms import ConeVector
-from .mu_search import (
-    MuCertificate,
-    MuSearchFailure,
-    MuSearchInconclusive,
-    MuViolation,
-)
-from .neumann import EnergyReport, NeumannSolution, SolveInconclusive, TrivialOnly
+from .mu_search import MuCertificate, MuSearchFailure, MuSearchInconclusive, MuViolation
+from .neumann import NeumannSolution, SolveInconclusive, TrivialOnly
 from .solvability import SolvabilityVerdict, SufficientConditionCertificate
 
 SCHEMA_VERSION = "coposolve-report/2"
 
-
-def _floats(values) -> list[float]:
-    return [float(v) for v in np.asarray(values, dtype=float).ravel()]
-
-
-def cone_vector_doc(v: ConeVector) -> list[float]:
-    return _floats(v.components)
-
-
-def copositivity_doc(verdict: CopositivityVerdict) -> dict:
-    return {
-        "kind": verdict.kind.value,
-        "min_value": float(verdict.min_value),
-        "witness": cone_vector_doc(verdict.witness),
-        "method": verdict.method,
-        "boundary_case": bool(verdict.boundary_case),
-    }
+# (key, tag) that names each outcome type in its document.
+TAGS = {
+    MuCertificate: ("type", "certificate"),
+    MuViolation: ("type", "violation"),
+    MuSearchFailure: ("type", "failure"),
+    MuSearchInconclusive: ("type", "inconclusive"),
+    ConstantSolutionCertificate: ("type", "constant_solution"),
+    SufficientConditionCertificate: ("type", "row_dominance"),
+    NeumannSolution: ("outcome", "solution"),
+    TrivialOnly: ("outcome", "trivial_only"),
+    SolveInconclusive: ("outcome", "inconclusive"),
+}
 
 
-def closed_form_doc(result: ClosedFormResult) -> dict:
-    return {
-        "strict": bool(result.strict),
-        "final_expression": None
-        if result.final_expression is None
-        else float(result.final_expression),
-    }
+def _fields(value) -> dict:
+    fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, SolvabilityVerdict):
+        if value.audit is None:
+            del fields["audit"]
+        if isinstance(value.certificate, ConeVector):
+            fields["certificate"] = {"type": "cone_witness", "point": value.certificate}
+    elif isinstance(value, NeumannSolution):
+        # The field goes to the CSV dump, not into the report.
+        del fields["field"]
+        fields["energy_report"] = fields.pop("report")
+    return fields
 
 
-def mu_outcome_doc(outcome) -> dict:
-    if isinstance(outcome, MuCertificate):
-        return {
-            "type": "certificate",
-            "mu": cone_vector_doc(outcome.mu),
-            "kappa": float(outcome.kappa),
-            "min_on_simplex": float(outcome.min_on_simplex),
-            "worst_point": cone_vector_doc(outcome.worst_point),
-            "verification": asdict(outcome.verification),
-        }
-    if isinstance(outcome, MuViolation):
-        return {
-            "type": "violation",
-            "point": cone_vector_doc(outcome.point),
-            "value": float(outcome.value),
-            "verification": asdict(outcome.verification),
-        }
-    if isinstance(outcome, MuSearchFailure):
-        return {
-            "type": "failure",
-            "adversarial_set": [cone_vector_doc(c) for c in outcome.adversarial_set],
-            "best_margin": float(outcome.best_margin),
-            "iterations": int(outcome.iterations),
-            "final_mu": cone_vector_doc(outcome.final_mu),
-        }
-    if isinstance(outcome, MuSearchInconclusive):
-        return {
-            "type": "inconclusive",
-            "final_mu": cone_vector_doc(outcome.final_mu),
-            "lp_margin": float(outcome.lp_margin),
-            "iterations": int(outcome.iterations),
-            "last_violation": None
-            if outcome.last_violation is None
-            else mu_outcome_doc(outcome.last_violation),
-        }
-    raise TypeError(f"unknown mu outcome {type(outcome)}")
-
-
-def certificate_doc(cert) -> dict | None:
-    if cert is None:
-        return None
-    if isinstance(cert, ConstantSolutionCertificate):
-        return {
-            "type": "constant_solution",
-            "u": cone_vector_doc(cert.u),
-            "support": [int(i) for i in cert.support],
-            "residual_inf": float(cert.residual_inf),
-        }
-    if isinstance(cert, SufficientConditionCertificate):
-        return {"type": "row_dominance", "kappa0": float(cert.kappa0)}
-    if isinstance(cert, (MuCertificate, MuViolation, MuSearchFailure, MuSearchInconclusive)):
-        return mu_outcome_doc(cert)
-    if isinstance(cert, ConeVector):
-        return {"type": "cone_witness", "point": cone_vector_doc(cert)}
-    raise TypeError(f"unknown certificate {type(cert)}")
-
-
-def solvability_doc(verdict: SolvabilityVerdict) -> dict:
-    doc = {
-        "kind": verdict.kind.value,
-        "reason": verdict.reason,
-        "certificate": certificate_doc(verdict.certificate),
-        "boundary_case": bool(verdict.boundary_case),
-        "note": verdict.note,
-    }
-    if verdict.audit is not None:
-        doc["audit"] = mu_outcome_doc(verdict.audit)
-    return doc
-
-
-def energy_report_doc(report: EnergyReport) -> dict:
-    return {
-        "energy": float(report.energy),
-        "dirichlet": float(report.dirichlet),
-        "phi": float(report.phi),
-        "residual_inf": float(report.residual_inf),
-        "identity_defects": _floats(report.identity_defects),
-    }
-
-
-def solve_outcome_doc(outcome, csv_path: str | None = None) -> dict:
-    if isinstance(outcome, NeumannSolution):
-        doc = {
-            "outcome": "solution",
-            "classification": outcome.classification,
-            "seed_provenance": outcome.seed_provenance,
-            "energy_report": energy_report_doc(outcome.report),
-        }
-        if csv_path is not None:
-            doc["csv_path"] = csv_path
-        return doc
-    if isinstance(outcome, TrivialOnly):
-        return {
-            "outcome": "trivial_only",
-            "seed_outcomes": list(outcome.seed_outcomes),
-        }
-    if isinstance(outcome, SolveInconclusive):
-        return {
-            "outcome": "inconclusive",
-            "best_residual": float(outcome.best_residual),
-            "seed_outcomes": list(outcome.seed_outcomes),
-        }
-    raise TypeError(f"unknown solve outcome {type(outcome)}")
-
-
-def psd_doc(kind: Definiteness) -> str:
-    return kind.value
+def to_doc(value):
+    """JSON document of a result: dataclasses by field, cone vectors as lists,
+    enums by value, tuples as lists, numpy scalars as Python scalars."""
+    if value is None or isinstance(value, str):
+        return value
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    if isinstance(value, ConeVector):
+        return value.components.tolist()
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        key, tag = TAGS.get(type(value), (None, None))
+        doc = {key: tag} if key else {}
+        return doc | {k: to_doc(v) for k, v in _fields(value).items()}
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, tuple):
+        return [to_doc(v) for v in value]
+    if isinstance(value, dict):
+        return {k: to_doc(v) for k, v in value.items()}
+    if isinstance(value, Enum):
+        return value.value
+    raise TypeError(f"no report document for {type(value).__name__}")
 
 
 def build_report(command: str, matrix_doc: dict | None, defaults: dict, effective: dict,

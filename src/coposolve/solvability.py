@@ -24,7 +24,7 @@ from scipy.optimize import linprog  # noqa: F401
 from .copositivity import ConstantSolutionCertificate, Tolerance, copositivity_verdict, scan_faces
 from .copositivity import classify_copositivity  # noqa: F401  (bench/spans.py wraps this attribute)
 from .errors import ParameterError, PreconditionError
-from .forms import SymMatrix
+from .forms import SymMatrix, require_p
 from .mu_search import (
     MAX_ITERATIONS,
     MuCertificate,
@@ -51,8 +51,9 @@ class SolvabilityKind(Enum):
 class ProblemParams:
     """Space dimension and nonlinearity degree of the system.
 
-    p must exceed 2 and, for dim >= 3, stay below the critical exponent
-    2*dim/(dim-2); the comparison is exact (floats are compared as rationals).
+    p must be finite, exceed 2 and, for dim >= 3, stay below the critical
+    exponent 2*dim/(dim-2); the comparison is exact (floats are compared as
+    rationals).
     """
 
     dim: int
@@ -61,8 +62,7 @@ class ProblemParams:
     def __post_init__(self) -> None:
         if int(self.dim) != self.dim or self.dim < 1:
             raise ParameterError(f"dimension must be a positive integer, got {self.dim}")
-        if not self.p > 2:
-            raise ParameterError(f"p must exceed 2, got {self.p}")
+        require_p(self.p)
         if self.dim >= 3 and not Fraction(self.p) < Fraction(2 * self.dim, self.dim - 2):
             raise ParameterError(
                 f"p={self.p} is not subcritical for dimension {self.dim}"

@@ -191,8 +191,13 @@ class TestBEpsilon:
 
     def test_rejects_nonpositive_eps(self, capsys):
         code, out, err = run(capsys, ["bepsilon", "--eps", "0", "--dim", "3", "--p", "4"])
-        assert code == 1
-        assert err.startswith("error:")
+        assert code == 1 and out == ""
+        assert err.startswith("error: parameter: eps must be positive")
+
+    def test_rejects_infinite_eps(self, capsys):
+        code, out, err = run(capsys, ["bepsilon", "--eps", "inf", "--dim", "3", "--p", "4"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: parameter: eps must be positive and finite")
 
 
 class TestBudget:
@@ -210,6 +215,30 @@ class TestBudget:
         code, out, err = run(capsys, argv + ["--budget", budget])
         assert code == 1 and out == ""
         assert err.startswith("error: parameter: budget must be at least 1")
+
+
+class TestParameters:
+    @pytest.mark.parametrize("command", ["liouville", "find-mu", "solve", "bepsilon"])
+    def test_infinite_p_rejected(self, tmp_path, capsys, command):
+        path = write_matrix(tmp_path, "m.json", 2, [[1, -2], [-2, 1]])
+        argv = {
+            "liouville": ["liouville", str(path), "--dim", "3"],
+            "find-mu": ["find-mu", str(path)],
+            "solve": ["solve", str(path), "--dim", "1", "--out", str(tmp_path / "s.csv")],
+            "bepsilon": ["bepsilon", "--eps", "0.1", "--dim", "3"],
+        }[command]
+        code, out, err = run(capsys, argv + ["--p", "inf"])
+        assert code == 1 and out == ""
+        assert err == "error: parameter: p must exceed 2 and be finite, got inf\n"
+
+    def test_infinite_extent_rejected(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "m.json", 2, [[1, -2], [-2, 1]])
+        code, out, err = run(
+            capsys,
+            ["solve", str(path), "--dim", "1", "--extent", "inf", "--out", str(tmp_path / "s.csv")],
+        )
+        assert code == 1 and out == ""
+        assert err == "error: parameter: box side must be positive and finite, got inf\n"
 
 
 class TestErrors:
