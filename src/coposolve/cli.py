@@ -75,7 +75,7 @@ def load_matrix(path: str | Path) -> tuple[SymMatrix, dict]:
         raise InputError("schema", f'{p}: expected {{"n": int, "beta": [[...]]}}')
     n = doc["n"]
     beta = doc["beta"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InputError("schema", f"{p}: n must be a positive integer")
     if n > MAX_CLI_N:
         raise InputError("schema", f"{p}: n={n} exceeds the supported maximum {MAX_CLI_N}")

@@ -116,17 +116,20 @@ def _face_sweep(A: np.ndarray):
     n = A.shape[0]
     yield np.arange(n)[:, None], np.ones((n, 1)), np.diag(A)[:, None, None]
     for k in range(2, n + 1):
+        # The bordered system halved throughout, so A_S itself fills the block
+        # (no overflow near the float maximum); a power-of-two scaling leaves
+        # the solution and the condition number bit-identical.
         border = np.zeros((k + 1, k + 1))
-        border[:k, k] = -1.0
-        border[k, :k] = 1.0
+        border[:k, k] = -0.5
+        border[k, :k] = 0.5
         rhs = np.zeros((k + 1, 1))
-        rhs[k] = 1.0
+        rhs[k] = 0.5
         supports = itertools.combinations(range(n), k)
         while batch := list(itertools.islice(supports, SWEEP_BATCH)):
             idx = np.array(batch)
             blocks = A[idx[:, :, None], idx[:, None, :]]
             kkt = np.repeat(border[None], len(batch), axis=0)
-            kkt[:, :k, :k] = 2.0 * blocks
+            kkt[:, :k, :k] = blocks
             # "not above the limit" also drops the inf and NaN of singular faces.
             regular = np.linalg.cond(kkt, 1) <= FACE_CONDITION_LIMIT
             idx, blocks, kkt = idx[regular], blocks[regular], kkt[regular]

@@ -49,7 +49,7 @@ class SymMatrix:
             raise ParameterError(
                 f"input asymmetry {asym:.3e} exceeds the {MAX_ASYMMETRY:.0e} bound"
             )
-        object.__setattr__(self, "entries", _readonly((arr + arr.T) / 2.0))
+        object.__setattr__(self, "entries", _readonly(arr / 2.0 + arr.T / 2.0))
         object.__setattr__(self, "max_asymmetry", asym)
 
     @property

@@ -8,7 +8,8 @@ points are located by Armijo gradient descent from a family of seed fields
 (constants along a negative direction, separated bumps, and homotopy
 mixtures), followed by a Newton-Krylov polish: GMRES on the matrix-free
 Jacobian, preconditioned mode by mode in the DCT-I basis that diagonalises the
-mirror Laplacian.
+mirror Laplacian.  Seeds that cannot lead to an accepted field (constant
+fields, fields with at most one nonzero component) are skipped.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ class NeumannSolution:
 
 @dataclass(frozen=True)
 class TrivialOnly:
-    """Every seed collapsed below the nontriviality threshold."""
+    """Every seed was skipped, collapsed below the nontriviality threshold or escaped."""
 
     seed_outcomes: tuple[str, ...]
 
@@ -130,9 +131,7 @@ class SolveInconclusive:
 RESIDUAL_TOL = 1e-8
 NEGATIVITY_TOL = 1e-10
 NONTRIVIALITY_THRESHOLD = 1e-4
-# Seeds drawn from the competitor family (at least n + 2), and the step caps
-# of the Armijo descent and of the Newton polish.
-SEED_COUNT = 12
+# Step caps of the Armijo descent and of the Newton polish.
 MAX_DESCENT_STEPS = 1200
 MAX_NEWTON_STEPS = 60
 # Early exits of the Newton polish.  Collapse: a converged field at most
@@ -557,6 +556,29 @@ def _constant_shortcut(B: SymMatrix, cert: ConstantSolutionCertificate,
     )
 
 
+def _skip_reason(U: np.ndarray) -> str | None:
+    """Why the seed field U cannot lead to an accepted field, or None if it may.
+
+    One component: past scan_faces every beta_ii is positive (a zero diagonal
+    is a singleton constant solution), and a zero component stays exactly
+    zero under descent and Newton (p > 2), so the run can only end at a
+    critical point of -Lu + u^- = beta_ii (u^+)^(p-1).  Summed with the
+    trapezoid weights W, sum W Lu = 0 leaves sum W u^- = beta_ii sum W (u^+)^(p-1),
+    whose sides have opposite signs, so u = 0.
+
+    Constant: measured, not proven.  The descent steps along W r, and W is
+    smaller on the box faces, so a 2-d constant seed drifts (spread 6.1e-4,
+    4.0e-3 and 1.8e-2 after descent for lambda = 0.5, 1, 2 on [[1,-2],[-2,1]]
+    at 49^2 nodes); Newton still collapses each one below 1e-4.
+    """
+    flat = U.reshape(U.shape[0], -1)
+    if np.all(flat == flat[:, :1]):
+        return "constant field"
+    if np.count_nonzero(np.any(flat != 0.0, axis=1)) <= 1:
+        return "one component"
+    return None
+
+
 def mountain_pass_solve(
     B: SymMatrix,
     p: float,
@@ -566,14 +588,17 @@ def mountain_pass_solve(
     """Locate a nontrivial nonnegative critical point of the discrete energy.
 
     Pipeline: constant shortcut from one face pass; otherwise descend from
-    each seed field (``initial_fields``, or the first SEED_COUNT of theta_seeds)
-    and Newton-polish the iterate where the gradient was smallest.  A field is
+    each seed field (``initial_fields``, or the whole theta_seeds family) and
+    Newton-polish the iterate where the gradient was smallest.  Seeds that are
+    constant in every component or have at most one nonzero component are
+    skipped with their reason (see _skip_reason); for the theta_seeds family
+    that leaves the two combined-bump seeds and the three d-mixtures.  A field is
     accepted when its residual, negativity and nontriviality pass
     RESIDUAL_TOL, NEGATIVITY_TOL and NONTRIVIALITY_THRESHOLD; the accepted
     field with the least energy wins (ties by residual, then lexicographic
     comparison).  Residuals of accepted fields differ by round-off only, so
     ranking by them would pick by noise.  With no accepted field the outcome
-    is TrivialOnly when every seed collapsed cleanly, otherwise
+    is TrivialOnly when every seed was skipped, collapsed or escaped, otherwise
     SolveInconclusive with the least finite residual among the seeds that
     stalled, kept a negative part or failed after clamping.
     """
@@ -592,7 +617,7 @@ def mountain_pass_solve(
             # No negative direction (e.g. strictly copositive input): the seed
             # family is still well defined and every run should collapse.
             d = ConeVector(np.ones(B.n))
-        seeds = theta_seeds(B, d, grid, max(SEED_COUNT, B.n + 2), p)
+        seeds = theta_seeds(B, d, grid, 4 * B.n + 8, p)
     else:
         seeds = initial_fields
 
@@ -601,6 +626,10 @@ def mountain_pass_solve(
     # Residuals of the seeds that leave the outcome undecided.
     pending: list[float] = []
     for provenance, seed in seeds:
+        skip = _skip_reason(seed.components)
+        if skip is not None:
+            outcomes.append(f"{provenance}: skipped ({skip})")
+            continue
         seed_amp = max(1.0, seed.amplitude)
         threshold = NONTRIVIALITY_THRESHOLD * seed_amp
         start, dip_g, g0, escaped = _descend_energy(A, seed.components, p, grid)

@@ -1,6 +1,8 @@
 """Command-line frontend: subcommands, reports, determinism, error paths."""
 
 import json
+import math
+import warnings
 
 import pytest
 
@@ -43,6 +45,16 @@ class TestClassify:
         assert doc["result"]["psd"] == "PositiveDefinite"
         assert doc["input"]["beta"] == [[1.0, 0.0], [0.0, 1.0]]
         assert doc["defaults"]["tol"] == 1e-9
+
+    def test_entries_near_float_maximum(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "huge.json", 2, [[1.5e308, 0], [0, 1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, ["classify", str(path)])
+        assert code == 0 and err == ""
+        result = parse_report(out)["result"]
+        assert result["kind"] == "StrictlyCopositive"
+        assert math.isfinite(result["min_value"])
 
     def test_round_trip(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "m.json", 2, [[1, -2], [-2, 1]])
@@ -140,7 +152,9 @@ class TestSolve:
 
     def test_inconclusive_report(self, tmp_path, capsys, monkeypatch):
         # A Newton polish that stalls at a finite residual leaves no seed
-        # accepted and some not collapsed.
+        # accepted and some not collapsed.  The seeds that run all escape in
+        # the descent at 17 nodes; pin the descent so each reaches the polish.
+        monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: (U, 0.0, 0.0, False))
         monkeypatch.setattr(neumann, "_newton_polish", lambda A, U, p, grid: (U, 0.5, False))
         path = write_matrix(tmp_path, "m.json", 2, [[1, -2], [-2, 1]])
         out_csv = tmp_path / "s.csv"
@@ -263,6 +277,12 @@ class TestErrors:
         path = write_matrix(tmp_path, "big.json", 17, beta)
         code, _, err = run(capsys, ["classify", str(path)])
         assert code == 1
+        assert err.startswith("error: schema:")
+
+    def test_boolean_n_rejected(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "bool.json", True, [[1]])
+        code, out, err = run(capsys, ["classify", str(path)])
+        assert code == 1 and out == ""
         assert err.startswith("error: schema:")
 
     def test_missing_file(self, tmp_path, capsys):

@@ -52,6 +52,10 @@ class TestSymMatrix:
         assert B.entries[0, 1] == B.entries[1, 0] == pytest.approx(1e-10)
         assert B.max_asymmetry == pytest.approx(2e-10)
 
+    def test_symmetrizes_near_float_maximum(self):
+        B = SymMatrix([[1.5e308, 1e308], [1e308, 1.5e308]])
+        assert np.array_equal(B.entries, [[1.5e308, 1e308], [1e308, 1.5e308]])
+
     def test_rejects_large_asymmetry(self):
         with pytest.raises(ParameterError):
             SymMatrix([[1.0, 1e-6], [0.0, 1.0]])

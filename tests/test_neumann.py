@@ -214,6 +214,9 @@ class TestMountainPass:
         assert isinstance(out, TrivialOnly)
 
     def test_stalled_newton_is_inconclusive(self, monkeypatch):
+        # The seeds that run all escape in the descent at 17 nodes; pin the
+        # descent so each reaches the stalled Newton polish.
+        monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: (U, 0.0, 0.0, False))
         monkeypatch.setattr(neumann, "_newton_polish", lambda A, U, p, grid: (U, 0.5, False))
         out = mountain_pass_solve(WITNESS, 4.0, Grid(1, 1.0, 17))
         assert isinstance(out, SolveInconclusive)
@@ -241,6 +244,77 @@ class TestMountainPass:
     def test_rejects_negative_diagonal(self):
         with pytest.raises(ParameterError):
             mountain_pass_solve(SymMatrix([[-1, 0], [0, 1]]), 4.0, Grid(1, 1.0, 33))
+
+
+def skipped_label(name):
+    """Outcome line of a seed that the search skips, or None if it runs."""
+    if name.startswith("constant"):
+        return f"{name}: skipped (constant field)"
+    if name.startswith("bump") or name.startswith("mixture ray=e"):
+        return f"{name}: skipped (one component)"
+    return None
+
+
+class TestSeedSkip:
+    @pytest.fixture
+    def descent_starts(self, monkeypatch):
+        """Start fields handed to the Armijo descent, in call order."""
+        starts = []
+        descend = neumann._descend_energy
+
+        def recorded(A, U0, p, grid):
+            starts.append(U0.copy())
+            return descend(A, U0, p, grid)
+
+        monkeypatch.setattr(neumann, "_descend_energy", recorded)
+        return starts
+
+    def test_descent_starts_are_nonconstant_with_two_components(self, descent_starts):
+        out = mountain_pass_solve(WITNESS, 4.0, Grid(1, 1.0, 65))
+        assert isinstance(out, NeumannSolution)
+        assert len(descent_starts) == 5
+        for U in descent_starts:
+            flat = U.reshape(U.shape[0], -1)
+            assert not np.all(flat == flat[:, :1])
+            assert np.count_nonzero(np.any(flat != 0.0, axis=1)) >= 2
+
+    def test_trivial_report_names_every_seed(self, monkeypatch):
+        # Every seed that runs collapses, so the report is TrivialOnly.
+        monkeypatch.setattr(neumann, "_newton_polish",
+                            lambda A, U, p, grid: (np.zeros_like(U), 0.0, True))
+        g = Grid(1, 1.0, 65)
+        out = mountain_pass_solve(WITNESS, 4.0, g)
+        assert isinstance(out, TrivialOnly)
+        names = [name for name, _ in theta_seeds(WITNESS, find_direction_d(WITNESS, 4.0), g, 16)]
+        expected = [skipped_label(name) or f"{name}: collapsed to trivial" for name in names]
+        assert list(out.seed_outcomes) == expected
+        # Seven of the family's first twelve seeds are skipped.
+        assert sum(skipped_label(name) is not None for name in names[:12]) == 7
+
+    def test_scalar_input_runs_no_descent(self, descent_starts):
+        out = mountain_pass_solve(SymMatrix([[1.0]]), 4.0, Grid(1, 1.0, 33))
+        assert isinstance(out, TrivialOnly)
+        assert descent_starts == []
+        assert len(out.seed_outcomes) == 12
+        assert all(": skipped (" in line for line in out.seed_outcomes)
+
+    def test_skip_applies_to_initial_fields(self, descent_starts):
+        g = Grid(1, 1.0, 33)
+        U = np.zeros((2,) + g.shape)
+        U[0] = np.linspace(0.0, 1.0, 33)
+        out = mountain_pass_solve(WITNESS, 4.0, g, initial_fields=[("ramp", FieldTuple(U))])
+        assert out == TrivialOnly(("ramp: skipped (one component)",))
+        assert descent_starts == []
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_weighted_laplacian_sums_to_zero(self, dim):
+        # The one-component skip rests on sum W L u = 0 (mirror closure).
+        g = Grid(dim, 1.0, 65 if dim == 1 else 33)
+        U = np.random.default_rng(31).uniform(-1.0, 1.0, (3,) + g.shape)
+        weighted = g.weights() * neumann._laplacian(U, g.h)
+        total = weighted.reshape(3, -1).sum(axis=1)
+        scale = np.abs(weighted).reshape(3, -1).sum(axis=1)
+        assert np.all(np.abs(total) <= 1e-12 * scale)
 
 
 class TestNewtonKrylov:
