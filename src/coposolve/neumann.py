@@ -3,24 +3,34 @@
 Second-order uniform grid with mirror (ghost-node) closure of the Laplacian.
 The discrete energy uses cell-midpoint differences for the gradient term and
 trapezoid weights for the mass terms, which makes the assembled Euler-Lagrange
-residual exactly the weighted gradient of the discrete energy.  Critical
-points are located by Armijo gradient descent from a family of seed fields
-(constants along a negative direction, separated bumps, and homotopy
-mixtures), followed by a Newton-Krylov polish: GMRES on the matrix-free
-Jacobian, preconditioned mode by mode in the DCT-I basis that diagonalises the
-mirror Laplacian.  Seeds that cannot lead to an accepted field (constant
-fields, fields with at most one nonzero component) are skipped.
+residual exactly the weighted gradient of the discrete energy; one class,
+_FieldState, evaluates both.  Critical points are located by Armijo gradient
+descent from a family of seed fields (constants along a negative direction,
+separated bumps, and homotopy mixtures, drawn one field at a time), which
+reads the energy and, on acceptance, the gradient of each trial field from
+one evaluation.  A Newton-Krylov polish follows: each Newton step is one
+restart cycle of left-preconditioned GMRES on the matrix-free Jacobian, run
+in the package in scipy's arithmetic and independent of the installed
+scipy's ``gmres`` version, preconditioned mode by mode in the DCT-I
+basis that diagonalises the mirror Laplacian.  Seeds that cannot lead to an
+accepted field (constant fields, fields with at most one nonzero component)
+are skipped.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
+from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import dctn
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.linalg.lapack import dlartg
 # Unused by the solver; the traced benchmark wraps ``neumann.splu`` by name.
 from scipy.sparse.linalg import splu  # noqa: F401
 
@@ -154,60 +164,119 @@ COARSE_SIZE = 256
 
 def _laplacian(U: np.ndarray, h: float) -> np.ndarray:
     """Ghost-node Neumann Laplacian of each component of U (shape (n, *grid))."""
-    out = 0.0
+    flat = U.reshape(-1)
+    stride = flat.size // U.shape[0]
+    out = None
     for axis in range(1, U.ndim):
-        v = U.swapaxes(axis, 0)
-        # u[k-1] - 2 u[k] + u[k+1], mirrored across each face
-        second = -2.0 * v
-        second[1:] += v[:-1]
-        second[0] += v[1]
-        second[:-1] += v[1:]
-        second[-1] += v[-2]
-        out = out + second.swapaxes(0, axis)
-    return out / h**2
+        # u[k-1] - 2 u[k] + u[k+1], mirrored across each face.  The neighbours
+        # are U shifted by one node's stride in memory, with the faces redone.
+        stride //= U.shape[axis]
+        head = (slice(None),) * axis
+        left, right = np.empty(U.shape), np.empty(U.shape)
+        left.reshape(-1)[stride:] = flat[:-stride]
+        left[head + (0,)] = U[head + (1,)]
+        right.reshape(-1)[:-stride] = flat[stride:]
+        right[head + (-1,)] = U[head + (-2,)]
+        second = -2.0 * U
+        second += left
+        second += right
+        if out is None:
+            second += 0.0  # -0.0 reads as +0.0
+            out = second
+        else:
+            out += second
+    out /= h**2
+    return out
 
 
-def _gradient_energy(u: np.ndarray, grid: Grid) -> float:
-    """Cell-midpoint quadrature of the Dirichlet integrand of one component."""
-    h = grid.h
-    if grid.dim == 1:
-        return float(np.sum(np.diff(u) ** 2)) / h
-    w = grid.weights_1d()
-    dx = np.diff(u, axis=0)
-    dy = np.diff(u, axis=1)
-    return float((dx**2).sum(axis=0) @ w + w @ (dy**2).sum(axis=1)) / h
+class _Quadrature(NamedTuple):
+    """Grid constants of the discrete energy: spacing, 1-d trapezoid weights, nodal weights."""
+
+    h: float
+    w: np.ndarray
+    W: np.ndarray
 
 
-def _nonlinear_term(A: np.ndarray, U: np.ndarray, p: float) -> np.ndarray:
-    """Componentwise sum_j beta_ij (u_j^+)^(p/2) (u_i^+)^(p/2-1)."""
-    plus = np.maximum(U, 0.0)
-    powered = cone_power(plus, p / 2.0)
-    lowered = cone_power(plus, p / 2.0 - 1.0)
-    coupled = np.tensordot(A, powered, axes=1)
-    return lowered * coupled
+@functools.lru_cache(maxsize=8)
+def _quadrature(grid: Grid) -> _Quadrature:
+    w, W = grid.weights_1d(), grid.weights()
+    w.flags.writeable = W.flags.writeable = False
+    return _Quadrature(grid.h, w, W)
 
 
-def _residual(A: np.ndarray, U: np.ndarray, p: float, grid: Grid,
-              nonlinear: np.ndarray | None = None) -> np.ndarray:
-    """Euler-Lagrange residual, from _nonlinear_term(A, U, p) when the caller has it."""
-    nonlinear = _nonlinear_term(A, U, p) if nonlinear is None else nonlinear
-    return -_laplacian(U, grid.h) + np.minimum(U, 0.0) - nonlinear
+class _FieldState:
+    """One field U and the pieces its energy, residual and Jacobian share.
+
+    The package's only implementation of the discrete energy: cell-midpoint
+    differences for the Dirichlet integrand, trapezoid weights W for the mass
+    terms, so that W times the residual is exactly the energy's gradient.
+    U^+, U^- and (U^+)^(p/2) are computed once; the residual and the nodal
+    Jacobian block share (U^+)^(p/2-1) and sum_j beta_ij (u_j^+)^(p/2).
+    """
+
+    def __init__(self, A: np.ndarray, U: np.ndarray, p: float) -> None:
+        self.A, self.U, self.p = A, U, p
+        self.plus = np.maximum(U, 0.0)
+        self.neg = np.minimum(U, 0.0)
+        self.powered = cone_power(self.plus, p / 2.0)
+        self._lowered = self._coupled = None
+
+    def parts(self, q: _Quadrature) -> tuple[float, float]:
+        """(Dirichlet term, Phi): the integrals of |grad u|^2 + |u^-|^2 and of b(u^+)/p."""
+        U, n = self.U, self.U.shape[0]
+        if U.ndim == 2:
+            diff = U[:, 1:] - U[:, :-1]
+            dirichlet = sum((np.square(diff).sum(axis=1) / q.h).tolist())
+        else:
+            rows = np.square(U[:, 1:] - U[:, :-1]).sum(axis=1)
+            cols = np.square(U[:, :, 1:] - U[:, :, :-1]).sum(axis=2)
+            dirichlet = sum(float(rows[i] @ q.w + q.w @ cols[i]) / q.h for i in range(n))
+        dirichlet += float((q.W * self.neg**2).sum())
+        flat = self.powered.reshape(n, -1)
+        overlap = (flat * q.W.ravel()) @ flat.T
+        return dirichlet, fsum_terms(self.A * overlap) / self.p
+
+    def energy(self, q: _Quadrature) -> float:
+        dirichlet, phi = self.parts(q)
+        return dirichlet / 2.0 - phi
+
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """((U^+)^(p/2-1), sum_j beta_ij (u_j^+)^(p/2)), computed on first use."""
+        if self._lowered is None:
+            U = self.U
+            self._lowered = cone_power(self.plus, self.p / 2.0 - 1.0)
+            self._coupled = np.dot(self.A, self.powered.reshape(U.shape[0], -1)).reshape(U.shape)
+        return self._lowered, self._coupled
+
+    def nonlinear(self) -> np.ndarray:
+        """Componentwise sum_j beta_ij (u_j^+)^(p/2) (u_i^+)^(p/2-1)."""
+        lowered, coupled = self._factors()
+        return lowered * coupled
+
+    def residual(self, h: float) -> np.ndarray:
+        """Euler-Lagrange residual -L u + u^- - nonlinear term."""
+        return -_laplacian(self.U, h) + self.neg - self.nonlinear()
+
+    def nodal_block(self) -> np.ndarray:
+        """Zeroth-order part of the Jacobian: D[i, j] is the nodal diagonal of block (i, j)."""
+        U, p = self.U, self.p
+        lowered, coupled = self._factors()
+        z = np.zeros_like(U)
+        z[U > 0] = U[U > 0] ** (p / 2.0 - 2.0)
+        expand = (slice(None), slice(None)) + (None,) * (U.ndim - 1)
+        D = -(p / 2.0) * self.A[expand] * lowered[:, None] * lowered[None, :]
+        diag = np.arange(U.shape[0])
+        D[diag, diag] += (U < 0).astype(float) - (p / 2.0 - 1.0) * z * coupled
+        return D
 
 
-def _energy_parts(A: np.ndarray, U: np.ndarray, p: float, grid: Grid) -> tuple[float, float]:
-    """(Dirichlet term, Phi): the integrals of |grad u|^2 + |u^-|^2 and of b(u^+)/p."""
-    W = grid.weights()
-    dirichlet = sum(_gradient_energy(U[i], grid) for i in range(U.shape[0]))
-    dirichlet += float(np.sum(W * np.minimum(U, 0.0) ** 2))
-    powered = cone_power(np.maximum(U, 0.0), p / 2.0)
-    flat = powered.reshape(U.shape[0], -1)
-    overlap = (flat * W.ravel()) @ flat.T
-    return dirichlet, fsum_terms(A * overlap) / p
+def _residual(A: np.ndarray, U: np.ndarray, p: float, grid: Grid) -> np.ndarray:
+    """Euler-Lagrange residual of the field U."""
+    return _FieldState(A, U, p).residual(grid.h)
 
 
 def _energy_value(A: np.ndarray, U: np.ndarray, p: float, grid: Grid) -> float:
-    dirichlet, phi = _energy_parts(A, U, p, grid)
-    return dirichlet / 2.0 - phi
+    return _FieldState(A, U, p).energy(_quadrature(grid))
 
 
 def energy(B: SymMatrix, u: FieldTuple, p: float, grid: Grid) -> EnergyReport:
@@ -218,13 +287,13 @@ def energy(B: SymMatrix, u: FieldTuple, p: float, grid: Grid) -> EnergyReport:
         raise ParameterError(
             f"field shape {U.shape} does not match n={B.n}, grid {grid.shape}"
         )
-    A = B.entries
-    W = grid.weights()
-    dirichlet, phi = _energy_parts(A, U, p, grid)
-    nonlinear = _nonlinear_term(A, U, p)
-    residual = _residual(A, U, p, grid, nonlinear)
+    q = _quadrature(grid)
+    state = _FieldState(B.entries, U, p)
+    dirichlet, phi = state.parts(q)
+    nonlinear = state.nonlinear()
+    residual = state.residual(q.h)
     defects = tuple(
-        float(np.sum(W * nonlinear[i])) for i in range(B.n)
+        float(np.sum(q.W * nonlinear[i])) for i in range(B.n)
     )
     return EnergyReport(
         energy=dirichlet / 2.0 - phi,
@@ -306,7 +375,7 @@ def homotopy_mixture(c: np.ndarray, t: float, profiles: np.ndarray) -> np.ndarra
 
 def _ridge_scale(A: np.ndarray, V: np.ndarray, p: float, grid: Grid) -> float:
     """Amplitude s maximizing E(sV) along the ray, or 1.0 when E has no ridge."""
-    quad, phi = _energy_parts(A, V, p, grid)
+    quad, phi = _FieldState(A, V, p).parts(_quadrature(grid))
     if phi <= 0 or quad <= 0:
         return 1.0
     return float((quad / (p * phi)) ** (1.0 / (p - 2.0)))
@@ -325,18 +394,23 @@ def theta_seeds(B: SymMatrix, d: ConeVector, grid: Grid, count: int,
         raise ParameterError("direction d must be interior to the cone")
     if not n + 2 <= count <= 4 * n + 8:
         raise ParameterError(f"count must be between n + 2 = {n + 2} and 4n + 8 = {4 * n + 8}")
+    return list(islice(_seed_family(B, d, grid, p), count))
+
+
+def _seed_family(B: SymMatrix, d: ConeVector, grid: Grid,
+                 p: float) -> Iterator[tuple[str, FieldTuple]]:
+    """The theta_seeds family in order, one field at a time."""
+    n = B.n
     A = B.entries
     profiles = bump_profiles(B, grid)
     dv = d.components / d.components.max()
     ones_shape = (n,) + grid.shape
 
-    seeds: list[tuple[str, FieldTuple]] = []
-
     def constant_field(scale: float) -> np.ndarray:
         return np.ones(ones_shape) * (scale * dv).reshape((n,) + (1,) * grid.dim)
 
     for lam in (0.5, 1.0, 2.0):
-        seeds.append((f"constant lambda={lam}", FieldTuple(constant_field(lam))))
+        yield f"constant lambda={lam}", FieldTuple(constant_field(lam))
 
     scales = []
     for i in range(n):
@@ -346,11 +420,11 @@ def theta_seeds(B: SymMatrix, d: ConeVector, grid: Grid, count: int,
         scales.append(s)
         # Slightly below the ridge: descent from the exact ridge maximum is a
         # coin flip between collapse and escape.
-        seeds.append((f"bump component={i} amplitude={0.9 * s:.4g}", FieldTuple(0.9 * s * V)))
+        yield f"bump component={i} amplitude={0.9 * s:.4g}", FieldTuple(0.9 * s * V)
 
     combined = np.stack([scales[i] * profiles[i] for i in range(n)])
-    seeds.append(("combined bumps x0.9", FieldTuple(0.9 * combined)))
-    seeds.append(("combined bumps x1.5", FieldTuple(1.5 * combined)))
+    yield "combined bumps x0.9", FieldTuple(0.9 * combined)
+    yield "combined bumps x1.5", FieldTuple(1.5 * combined)
 
     ray_scale = 1.5 * max(scales)
     rays = [("d", dv * ray_scale)]
@@ -360,24 +434,12 @@ def theta_seeds(B: SymMatrix, d: ConeVector, grid: Grid, count: int,
         rays.append((f"e{i}", e))
     for name, c in rays:
         for t in (0.25, 0.5, 0.75):
-            seeds.append(
-                (f"mixture ray={name} t={t}", FieldTuple(homotopy_mixture(c, t, profiles)))
-            )
-    return seeds[:count]
+            yield f"mixture ray={name} t={t}", FieldTuple(homotopy_mixture(c, t, profiles))
 
 
 def _nodal_block(A: np.ndarray, U: np.ndarray, p: float) -> np.ndarray:
     """Zeroth-order part of the Jacobian: D[i, j] is the nodal diagonal of block (i, j)."""
-    plus = np.maximum(U, 0.0)
-    lowered = cone_power(plus, p / 2.0 - 1.0)
-    coupled = np.tensordot(A, cone_power(plus, p / 2.0), axes=1)
-    z = np.zeros_like(U)
-    z[U > 0] = U[U > 0] ** (p / 2.0 - 2.0)
-    expand = (slice(None), slice(None)) + (None,) * (U.ndim - 1)
-    D = -(p / 2.0) * A[expand] * lowered[:, None] * lowered[None, :]
-    diag = np.arange(U.shape[0])
-    D[diag, diag] += (U < 0).astype(float) - (p / 2.0 - 1.0) * z * coupled
-    return D
+    return _FieldState(A, U, p).nodal_block()
 
 
 def _jacobian_product(D: np.ndarray, V: np.ndarray, h: float) -> np.ndarray:
@@ -428,15 +490,80 @@ def _dct_preconditioner(D: np.ndarray, grid: Grid):
     return apply
 
 
+def _gmres(matvec, psolve, b: np.ndarray) -> np.ndarray:
+    """One restart cycle of left-preconditioned GMRES for A x = b from x = 0.
+
+    The arithmetic of scipy 1.17's ``gmres(A, b, rtol=KRYLOV_RTOL,
+    restart=KRYLOV_MAXITER, maxiter=1, M=M)``, in the same order, so the
+    result is bit-identical to it: modified Gram-Schmidt on M A v, LAPACK
+    lartg Givens rotations, a stop once the preconditioned residual estimate
+    is at most ptol = |M b| min(1, rtol |b| / |b|) or on a lucky breakdown,
+    then back substitution.  The true residual b - A x, which scipy only
+    turns into its convergence flag, is not formed.
+    """
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b
+    size = b.size
+    restart = min(KRYLOV_MAXITER, size)
+    eps = np.finfo(float).eps
+    v = np.empty((restart + 1, size))
+    v[0] = psolve(b)
+    mb_norm = np.linalg.norm(v[0])
+    ptol = mb_norm * min(1.0, max(0.0, KRYLOV_RTOL * float(bnrm2)) / bnrm2)
+    v[0] *= 1 / mb_norm
+    # Hessenberg columns (row col of h holds column col) and the rotated right side.
+    h = np.zeros((restart, restart + 1))
+    S = [mb_norm] + [0.0] * restart
+    givens: list[tuple[float, float]] = []
+    for col in range(restart):
+        w = psolve(matvec(v[col]))
+        h0 = np.linalg.norm(w)
+        column = []
+        for k in range(col + 1):
+            t = np.dot(v[k], w)
+            column.append(t)
+            w -= t * v[k]
+        h1 = np.linalg.norm(w)
+        breakdown = h1 <= eps * h0
+        if breakdown:
+            column.append(0.0)
+        else:
+            column.append(h1)
+            np.multiply(w, 1 / h1, out=v[col + 1])
+        for k, (c, s) in enumerate(givens):
+            n0, n1 = column[k], column[k + 1]
+            column[k] = c * n0 + s * n1
+            column[k + 1] = -s * n0 + c * n1
+        c, s, column[col] = dlartg(column[col], column[col + 1])
+        column[col + 1] = 0.0
+        givens.append((c, s))
+        h[col, :col + 2] = column
+        S[col], S[col + 1] = c * S[col], -s * S[col]
+        if abs(S[col + 1]) <= ptol or breakdown:
+            break
+    if h[col, col] == 0:
+        S[col] = 0
+    y = np.array(S[:col + 1])
+    for k in range(col, 0, -1):
+        if y[k] != 0:
+            y[k] /= h[k, k]
+            y[:k] -= y[k] * h[k, :k]
+    if y[0] != 0:
+        y[0] /= h[0, 0]
+    x = np.zeros(size)
+    x += y @ v[:col + 1]  # as scipy forms it: a -0.0 entry reads +0.0
+    return x
+
+
 def _krylov_step(D: np.ndarray, r: np.ndarray, grid: Grid) -> np.ndarray:
     """Preconditioned GMRES for the Newton step: (-L + D) delta = -r."""
-    shape = (r.size, r.size)
-    jac = LinearOperator(shape, lambda v: _jacobian_product(D, v.reshape(r.shape), grid.h).ravel(),
-                         dtype=float)
-    precondition = LinearOperator(shape, _dct_preconditioner(D, grid), dtype=float)
-    delta, _ = gmres(jac, -r.ravel(), rtol=KRYLOV_RTOL, restart=KRYLOV_MAXITER,
-                     maxiter=1, M=precondition)
-    return delta.reshape(r.shape)
+    h = grid.h
+
+    def jacobian(v: np.ndarray) -> np.ndarray:
+        return _jacobian_product(D, v.reshape(r.shape), h).ravel()
+
+    return _gmres(jacobian, _dct_preconditioner(D, grid), -r.ravel()).reshape(r.shape)
 
 
 def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float,
@@ -448,8 +575,10 @@ def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float,
     zero or on a stall (see COLLAPSE_RATIO and STALL_RATIO).
     Returns (field, residual_inf, converged).
     """
+    h = grid.h
     U = U0.copy()
-    r = _residual(A, U, p, grid)
+    state = _FieldState(A, U, p)
+    r = state.residual(h)
     rnorm = float(np.max(np.abs(r)))
     residuals = [rnorm]
     amplitudes = [float(np.max(np.abs(U)))]
@@ -457,7 +586,7 @@ def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float,
         if rnorm == 0.0 or not np.isfinite(rnorm):
             break
         try:
-            delta = _krylov_step(_nodal_block(A, U, p), r, grid)
+            delta = _krylov_step(state.nodal_block(), r, grid)
         except np.linalg.LinAlgError:
             return U, rnorm, False
         if not np.all(np.isfinite(delta)):
@@ -466,16 +595,17 @@ def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float,
         improved = False
         while step > 1e-6:
             cand = U + step * delta
-            rc = _residual(A, cand, p, grid)
-            rcnorm = float(np.max(np.abs(rc)))
+            trial = _FieldState(A, cand, p)
+            rc = trial.residual(h)
+            rcnorm = float(np.abs(rc).max())
             if np.isfinite(rcnorm) and rcnorm < (1.0 - 0.25 * step) * rnorm:
-                U, r, rnorm = cand, rc, rcnorm
+                U, r, rnorm, state = cand, rc, rcnorm, trial
                 improved = True
                 break
             step *= 0.5
         if not improved:
             break
-        amp = float(np.max(np.abs(U)))
+        amp = float(np.abs(U).max())
         if amp > 1e8:
             return U, rnorm, False
         residuals.append(rnorm)
@@ -507,13 +637,16 @@ def _descend_energy(A: np.ndarray, U0: np.ndarray, p: float,
     The best iterate is where the gradient norm dipped lowest (the
     saddle-passage candidate).  The energy is unbounded below, so a
     trajectory that falls past every seed scale is flagged as escaped: it
-    carries no critical point beyond the dip already recorded.
+    carries no critical point beyond the dip already recorded.  Each trial
+    field is evaluated once: its energy, and on acceptance its gradient
+    W r, come from the same _FieldState.
     """
-    W = grid.weights()
+    q = _quadrature(grid)
     U = U0.copy()
-    E = _energy_value(A, U, p, grid)
-    grad = W * _residual(A, U, p, grid)
-    gnorm = float(np.sqrt(np.sum(grad**2)))
+    state = _FieldState(A, U, p)
+    E = state.energy(q)
+    grad = q.W * state.residual(q.h)
+    gnorm = math.sqrt((grad**2).sum())
     best_U, best_g = U.copy(), gnorm
     step = 0.1 / max(1.0, gnorm)
     floor = 1e-10 * max(1.0, float(np.max(np.abs(U0))))
@@ -525,15 +658,16 @@ def _descend_energy(A: np.ndarray, U0: np.ndarray, p: float,
         if gnorm < floor:
             break
         cand = U - step * grad
-        Ec = _energy_value(A, cand, p, grid)
+        trial = _FieldState(A, cand, p)
+        Ec = trial.energy(q)
         if Ec < E - 1e-4 * step * gnorm**2:
             U, E = cand, Ec
-            grad = W * _residual(A, U, p, grid)
-            gnorm = float(np.sqrt(np.sum(grad**2)))
+            grad = q.W * trial.residual(q.h)
+            gnorm = math.sqrt((grad**2).sum())
             if gnorm < best_g:
                 best_U, best_g = U.copy(), gnorm
             step *= 1.3
-            if E < energy_floor or np.max(np.abs(U)) > amp_ceiling:
+            if E < energy_floor or np.abs(U).max() > amp_ceiling:
                 escaped = True
                 break
         else:
@@ -583,13 +717,13 @@ def mountain_pass_solve(
     B: SymMatrix,
     p: float,
     grid: Grid,
-    initial_fields: list[tuple[str, FieldTuple]] | None = None,
+    initial_fields: Iterable[tuple[str, FieldTuple]] | None = None,
 ) -> NeumannSolution | TrivialOnly | SolveInconclusive:
     """Locate a nontrivial nonnegative critical point of the discrete energy.
 
     Pipeline: constant shortcut from one face pass; otherwise descend from
-    each seed field (``initial_fields``, or the whole theta_seeds family) and
-    Newton-polish the iterate where the gradient was smallest.  Seeds that are
+    each seed field (``initial_fields``, or the whole theta_seeds family,
+    drawn one field at a time) and Newton-polish the iterate where the gradient was smallest.  Seeds that are
     constant in every component or have at most one nonzero component are
     skipped with their reason (see _skip_reason); for the theta_seeds family
     that leaves the two combined-bump seeds and the three d-mixtures.  A field is
@@ -617,7 +751,7 @@ def mountain_pass_solve(
             # No negative direction (e.g. strictly copositive input): the seed
             # family is still well defined and every run should collapse.
             d = ConeVector(np.ones(B.n))
-        seeds = theta_seeds(B, d, grid, 4 * B.n + 8, p)
+        seeds = _seed_family(B, d, grid, p)
     else:
         seeds = initial_fields
 

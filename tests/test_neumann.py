@@ -1,9 +1,12 @@
 """Neumann discretization and mountain-pass solver tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from coposolve import (
     CapacityError,
@@ -26,12 +29,18 @@ from coposolve import (
     write_solution_csv,
 )
 from coposolve import neumann
+from coposolve.forms import cone_power, fsum_terms
 from coposolve.neumann import (
+    KRYLOV_MAXITER,
+    KRYLOV_RTOL,
     _dct_preconditioner,
     _energy_value,
+    _FieldState,
+    _gmres,
     _jacobian_product,
     _nodal_block,
     _prolong,
+    _quadrature,
     _residual,
     bump_profiles,
     homotopy_mixture,
@@ -306,6 +315,24 @@ class TestSeedSkip:
         assert out == TrivialOnly(("ramp: skipped (one component)",))
         assert descent_starts == []
 
+    def test_seed_family_is_drawn_one_field_at_a_time(self, monkeypatch):
+        # With descent and polish patched out, the search holds a few fields
+        # at a time, never the whole 4n + 8 family.
+        monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: (U, 0.0, 0.0, False))
+        monkeypatch.setattr(neumann, "_newton_polish",
+                            lambda A, U, p, grid: (np.zeros_like(U), 0.0, True))
+        n, g = 12, Grid(2, 1.0, 65)
+        B = SymMatrix(3.0 * np.eye(n) - 2.0 * np.ones((n, n)))
+        family_bytes = (4 * n + 8) * n * 65**2 * 8
+        tracemalloc.start()
+        try:
+            out = mountain_pass_solve(B, 4.0, g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(out, TrivialOnly) and len(out.seed_outcomes) == 4 * n + 8
+        assert peak < family_bytes / 4
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_weighted_laplacian_sums_to_zero(self, dim):
         # The one-component skip rests on sum W L u = 0 (mirror closure).
@@ -389,6 +416,151 @@ class TestNewtonKrylov:
             out = mountain_pass_solve(B, 4.0, g, initial_fields=[(name, seeds[name]) for name in order])
             assert out.seed_provenance == low
             assert out.report.energy == alone[low].report.energy
+
+
+def signed_field(grid, seed, n=2):
+    """Random field with both signs in every component, bounded away from zero."""
+    rng = np.random.default_rng(seed)
+    U = rng.uniform(0.2, 1.5, (n,) + grid.shape)
+    return U * np.where(rng.uniform(size=U.shape) < 0.3, -1.0, 1.0)
+
+
+def bit_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+SCIPY_VERSION = tuple(int(part) for part in scipy.__version__.split(".")[:2])
+
+
+@pytest.mark.skipif(SCIPY_VERSION < (1, 12),
+                    reason="scipy before 1.12 runs the Fortran GMRES, whose arithmetic differs")
+class TestGmresCycle:
+    """_gmres against scipy.sparse.linalg.gmres with the same operators, bit for bit."""
+
+    @staticmethod
+    def both(D, r, grid):
+        """(_gmres result, scipy result, Jacobian products _gmres took) for (-L + D) x = -r."""
+        products = []
+
+        def jac(v):
+            products.append(None)
+            return _jacobian_product(D, v.reshape(r.shape), grid.h).ravel()
+
+        precondition = _dct_preconditioner(D, grid)
+        ours = _gmres(jac, precondition, -r.ravel())
+        steps = len(products)
+        shape = (r.size, r.size)
+        theirs, _ = gmres(LinearOperator(shape, jac, dtype=float), -r.ravel(), rtol=KRYLOV_RTOL,
+                          restart=KRYLOV_MAXITER, maxiter=1,
+                          M=LinearOperator(shape, precondition, dtype=float))
+        return ours, theirs, steps
+
+    @pytest.mark.parametrize("dim, nodes", [(1, 65), (2, 17)])
+    @pytest.mark.parametrize("seed", [41, 47])
+    @pytest.mark.parametrize("scale, full_cycle", [(1.0, False), (30.0, True)])
+    def test_newton_systems(self, dim, nodes, seed, scale, full_cycle):
+        # At amplitude 1 the cycle stops early at the tolerance; at 30 it runs
+        # every iteration of the cycle.
+        g = Grid(dim, 1.0, nodes)
+        U = scale * signed_field(g, seed)
+        A = WITNESS.entries
+        ours, theirs, steps = self.both(_nodal_block(A, U, 4.0), _residual(A, U, 4.0, g), g)
+        assert bit_equal(ours, theirs)
+        assert (steps == KRYLOV_MAXITER) == full_cycle
+
+    @pytest.mark.parametrize("dim, nodes", [(1, 65), (2, 17)])
+    def test_lucky_breakdown(self, dim, nodes):
+        # D = I: the preconditioner inverts -L + I exactly, so one step solves it.
+        g = Grid(dim, 1.0, nodes)
+        D = np.zeros((2, 2) + g.shape)
+        D[0, 0] = D[1, 1] = 1.0
+        ours, theirs, steps = self.both(D, np.random.default_rng(59).standard_normal((2,) + g.shape), g)
+        assert bit_equal(ours, theirs)
+        assert steps == 1
+
+    def test_zero_right_side(self):
+        g = Grid(1, 1.0, 65)
+        D = _nodal_block(WITNESS.entries, signed_field(g, 61), 4.0)
+        ours, theirs, steps = self.both(D, np.zeros((2,) + g.shape), g)
+        assert bit_equal(ours, theirs)
+        assert steps == 0 and not np.any(ours)
+
+
+def two_call_descent(A, U0, p, grid):
+    """The Armijo loop as it was before the fused evaluation: energy and residual called apart."""
+    W = grid.weights()
+    U = U0.copy()
+    E = _energy_value(A, U, p, grid)
+    grad = W * _residual(A, U, p, grid)
+    gnorm = float(np.sqrt(np.sum(grad**2)))
+    best_U, best_g = U.copy(), gnorm
+    step = 0.1 / max(1.0, gnorm)
+    floor = 1e-10 * max(1.0, float(np.max(np.abs(U0))))
+    g0 = gnorm
+    energy_floor = -30.0 * (1.0 + abs(E))
+    amp_ceiling = 8.0 * (1.0 + float(np.max(np.abs(U0))))
+    escaped = False
+    for _ in range(neumann.MAX_DESCENT_STEPS):
+        if gnorm < floor:
+            break
+        cand = U - step * grad
+        Ec = _energy_value(A, cand, p, grid)
+        if Ec < E - 1e-4 * step * gnorm**2:
+            U, E = cand, Ec
+            grad = W * _residual(A, U, p, grid)
+            gnorm = float(np.sqrt(np.sum(grad**2)))
+            if gnorm < best_g:
+                best_U, best_g = U.copy(), gnorm
+            step *= 1.3
+            if E < energy_floor or np.max(np.abs(U)) > amp_ceiling:
+                escaped = True
+                break
+        else:
+            step *= 0.5
+            if step < 1e-14:
+                break
+    return best_U, best_g, g0, escaped
+
+
+def per_component_energy_parts(A, U, p, grid):
+    """(Dirichlet term, Phi) summed one component at a time, each grid call apart."""
+    h, w, W = grid.h, grid.weights_1d(), grid.weights()
+    dirichlet = 0
+    for u in U:
+        if grid.dim == 1:
+            dirichlet += float(np.sum(np.diff(u) ** 2)) / h
+        else:
+            dx, dy = np.diff(u, axis=0), np.diff(u, axis=1)
+            dirichlet += float((dx**2).sum(axis=0) @ w + w @ (dy**2).sum(axis=1)) / h
+    dirichlet += float(np.sum(W * np.minimum(U, 0.0) ** 2))
+    flat = cone_power(np.maximum(U, 0.0), p / 2.0).reshape(U.shape[0], -1)
+    return dirichlet, fsum_terms(A * ((flat * W.ravel()) @ flat.T)) / p
+
+
+class TestFusedEvaluation:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("p", [3.0, 4.0, 5.0])
+    def test_energy_and_residual(self, dim, p):
+        g = Grid(dim, 1.0, 65 if dim == 1 else 17)
+        B = SymMatrix([[1, -2, 0.5], [-2, 1, -1], [0.5, -1, 2]])
+        # Summation order shows in the last bit on some fields only.
+        for seed in range(67, 75):
+            U = signed_field(g, seed, n=3)
+            parts = _FieldState(B.entries, U, p).parts(_quadrature(g))
+            assert parts == per_component_energy_parts(B.entries, U, p, g)
+        state = _FieldState(B.entries, U, p)
+        assert state.energy(_quadrature(g)) == energy(B, FieldTuple(U), p, g).energy
+        oracle = mirror_residual(B.entries, U, p, g.h)
+        assert np.max(np.abs(state.residual(g.h) - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    def test_descent_matches_two_call_loop(self):
+        g = Grid(1, 1.0, 65)
+        seeds = dict(theta_seeds(WITNESS, find_direction_d(WITNESS, 4.0), g, 16))
+        U0 = seeds["combined bumps x0.9"].components
+        fused = neumann._descend_energy(WITNESS.entries, U0, 4.0, g)
+        reference = two_call_descent(WITNESS.entries, U0, 4.0, g)
+        assert bit_equal(fused[0], reference[0])
+        assert fused[1:] == reference[1:]
 
 
 @pytest.fixture
