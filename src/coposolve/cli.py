@@ -1,11 +1,13 @@
 """Command-line frontend: classify matrices, run verdicts, solve on a box.
 
 Matrix files are JSON documents {"n": <int>, "beta": [[...], ...],
-"name": <optional>}.  Every subcommand prints one report document (schema
-coposolve-report/2) to standard output, holding the defaults and the
-parameter values the run actually used; its result block is the library's
-result passed through `reports.to_doc`.  Nothing is random, so identical
-invocations produce byte-identical reports.  Any verdict, including Unknown,
+"name": <optional>}, beta being n lists of n JSON numbers.  Every subcommand
+prints one report document (schema coposolve-report/2) to standard output,
+holding the defaults and the parameter values the run actually used; its
+result block is the library's result passed through `reports.to_doc`.
+Nothing is random, so identical invocations at a fixed BLAS thread count
+produce byte-identical reports; `solve` output can differ in the last bits
+between OpenBLAS thread counts.  Any verdict, including Unknown,
 exits 0; only input and validation failures exit nonzero, with a one-line
 `error: <category>: <message>` on standard error.
 """
@@ -79,9 +81,15 @@ def load_matrix(path: str | Path) -> tuple[SymMatrix, dict]:
         raise InputError("schema", f"{p}: n must be a positive integer")
     if n > MAX_CLI_N:
         raise InputError("schema", f"{p}: n={n} exceeds the supported maximum {MAX_CLI_N}")
-    arr = np.asarray(beta, dtype=float)
-    if arr.shape != (n, n):
-        raise InputError("schema", f"{p}: beta must be an {n}x{n} array")
+    # JSON numbers only: bool is an int subclass and numpy would read "1" as 1.0.
+    if not (isinstance(beta, list) and len(beta) == n
+            and all(isinstance(row, list) and len(row) == n for row in beta)
+            and all(type(v) in (int, float) for row in beta for v in row)):
+        raise InputError("schema", f"{p}: beta must be {n} lists of {n} numbers")
+    try:
+        arr = np.asarray(beta, dtype=float)
+    except OverflowError as exc:
+        raise InputError("schema", f"{p}: beta entry out of float range: {exc}") from exc
     try:
         matrix = SymMatrix(arr)
     except CoposolveError as exc:

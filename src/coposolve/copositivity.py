@@ -209,7 +209,7 @@ def scan_faces(B: SymMatrix, p: float | None = None, max_size: int | None = None
 
     witness = np.maximum(best[1], 0.0)
     arg = ConeVector(witness / witness.sum())
-    return FaceScan(None, SimplexMinimum(quadratic_form(B, arg).value, arg, False))
+    return FaceScan(None, SimplexMinimum(quadratic_form(B, arg), arg, False))
 
 
 def simplex_min_quadratic(B: SymMatrix) -> SimplexMinimum:

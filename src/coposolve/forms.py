@@ -78,26 +78,8 @@ class ConeVector:
         return self.components.size
 
     @property
-    def nontrivial(self) -> bool:
-        return bool(np.any(self.components > 0))
-
-    @property
     def strictly_positive(self) -> bool:
         return bool(np.all(self.components > 0))
-
-    def to_simplex(self) -> "ConeVector":
-        total = float(self.components.sum())
-        if total <= 0:
-            raise ParameterError("cannot normalize the zero vector onto the simplex")
-        return ConeVector(self.components / total)
-
-
-@dataclass(frozen=True)
-class FormValue:
-    """Value of a form, optionally with its gradient in the cone variable."""
-
-    value: float
-    gradient: np.ndarray | None = None
 
 
 def _vector(x, n: int, name: str = "vector") -> np.ndarray:
@@ -145,55 +127,26 @@ def require_p(p: float) -> None:
         raise ParameterError(f"p must exceed 2 and be finite, got {p}")
 
 
-def quadratic_form(B: SymMatrix, c) -> FormValue:
-    """b(c) = sum_ij beta_ij c_i c_j with gradient 2 B c.
+def quadratic_form(B: SymMatrix, c) -> float:
+    """b(c) = sum_ij beta_ij c_i c_j.
 
     ``c`` may be any real vector; the quadratic form is defined on all of R^n.
     """
     v = _vector(c, B.n, "c")
-    value = fsum_terms(B.entries * np.outer(v, v))
-    gradient = 2.0 * (B.entries @ v)
-    return FormValue(value, _readonly(gradient))
+    return fsum_terms(B.entries * np.outer(v, v))
 
 
-def p_form(B: SymMatrix, c, mu, p: float) -> FormValue:
+def p_form(B: SymMatrix, c, mu, p: float) -> float:
     """Weighted degree-(p-1) form sum_ij beta_ij c_j^(p/2) c_i^(p/2-1) mu_i.
 
     Defined for p > 2 on the closed cone; c_i^(p/2-1) is taken as 0 at c_i = 0.
-    The gradient is attached when it exists everywhere on the evaluation point
-    (always for p >= 4, and for p < 4 only at strictly positive c).
     """
     require_p(p)
     cv = _cone_vector(c, B.n, "c")
     mv = _cone_vector(mu, B.n, "mu")
     x = cone_power(cv, p / 2.0)
     y = cone_power(cv, p / 2.0 - 1.0)
-    value = fsum_terms(B.entries * np.outer(mv * y, x))
-    gradient = None
-    if p >= 4 or np.all(cv > 0):
-        gradient = _readonly(p_form_gradient(B.entries, cv, mv, p))
-    return FormValue(value, gradient)
-
-
-def p_form_gradient(A: np.ndarray, c: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
-    """Gradient of the weighted form in c, row-wise for a stack of points.
-
-    For 2 < p < 4 the derivative blows up at the cone boundary; the singular
-    term is masked to 0 there (one-sided convention).
-    """
-    half = p / 2.0
-    y = cone_power(c, half - 1.0)
-    s = cone_power(c, half) @ A
-    e2 = half - 2.0
-    if e2 == 0.0:
-        z = np.ones_like(c)
-    elif e2 > 0:
-        z = cone_power(c, e2)
-    else:
-        z = np.zeros_like(c)
-        mask = c > 0
-        z[mask] = np.exp(e2 * np.log(c[mask]))
-    return half * y * ((mu * y) @ A) + (half - 1.0) * z * mu * s
+    return fsum_terms(B.entries * np.outer(mv * y, x))
 
 
 def p_form_values(A: np.ndarray, points: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
@@ -211,16 +164,6 @@ def p_form_batch(B: SymMatrix, points: np.ndarray, mu, p: float) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != B.n:
         raise DimensionError(f"points have shape {pts.shape}, expected (m, {B.n})")
     return p_form_values(B.entries, pts, mv, p)
-
-
-def principal_submatrix(B: SymMatrix, indices) -> SymMatrix:
-    """Principal submatrix on the given zero-based component indices."""
-    idx = sorted(set(int(i) for i in indices))
-    if not idx:
-        raise ParameterError("index set must be nonempty")
-    if idx[0] < 0 or idx[-1] >= B.n:
-        raise ParameterError(f"indices {idx} out of range for n={B.n}")
-    return SymMatrix(B.entries[np.ix_(idx, idx)])
 
 
 def negative_part_row_sums(B: SymMatrix) -> np.ndarray:

@@ -258,10 +258,10 @@ def verify_mu(B: SymMatrix, mu, p: float) -> MuCertificate | MuViolation | None:
     info = VerificationInfo(count, int(depth[:count].max()))
     point = ConeVector(worst)
     if U <= 0:
-        return MuViolation(point, p_form(B, point, mv, p).value, info)
+        return MuViolation(point, p_form(B, point, mv, p), info)
     kappa = float(low[:count].min())
     if kappa > 0:
-        return MuCertificate(ConeVector(mv), kappa, p_form(B, point, mv, p).value, point, info)
+        return MuCertificate(ConeVector(mv), kappa, p_form(B, point, mv, p), point, info)
     return None
 
 

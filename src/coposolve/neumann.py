@@ -22,9 +22,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
-from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -93,10 +92,6 @@ class FieldTuple:
         if arr.ndim < 2:
             raise ParameterError("field tuple needs shape (n, nodes...)")
         object.__setattr__(self, "components", arr)
-
-    @property
-    def n(self) -> int:
-        return self.components.shape[0]
 
     @property
     def amplitude(self) -> float:
@@ -270,15 +265,6 @@ class _FieldState:
         return D
 
 
-def _residual(A: np.ndarray, U: np.ndarray, p: float, grid: Grid) -> np.ndarray:
-    """Euler-Lagrange residual of the field U."""
-    return _FieldState(A, U, p).residual(grid.h)
-
-
-def _energy_value(A: np.ndarray, U: np.ndarray, p: float, grid: Grid) -> float:
-    return _FieldState(A, U, p).energy(_quadrature(grid))
-
-
 def energy(B: SymMatrix, u: FieldTuple, p: float, grid: Grid) -> EnergyReport:
     """Energy, Euler-Lagrange residual and per-component integral identities."""
     require_p(p)
@@ -327,7 +313,7 @@ def _interior_direction(B: SymMatrix, p: float, minimum: SimplexMinimum) -> Cone
         c = (1.0 - blend) * c_star + blend * center
         c = np.maximum(c, 1e-4 * c.max())
         c = c / c.sum()
-        if quadratic_form(B, c).value < 0:
+        if quadratic_form(B, c) < 0:
             d = cone_power(c, 2.0 / p)
             return ConeVector(d / d.max())
     raise NotApplicableError("NoInteriorNegativeDirection")
@@ -381,9 +367,9 @@ def _ridge_scale(A: np.ndarray, V: np.ndarray, p: float, grid: Grid) -> float:
     return float((quad / (p * phi)) ** (1.0 / (p - 2.0)))
 
 
-def theta_seeds(B: SymMatrix, d: ConeVector, grid: Grid, count: int,
-                p: float = 4.0) -> list[tuple[str, FieldTuple]]:
-    """The first ``count`` seed fields of the competitor family, with provenance labels.
+def theta_seeds(B: SymMatrix, d: ConeVector, grid: Grid,
+                p: float = 4.0) -> Iterator[tuple[str, FieldTuple]]:
+    """The seed fields of the competitor family with provenance labels, one at a time.
 
     Constants along d, per-component and combined separated bumps at their
     ridge amplitude, and homotopy mixtures between boundary rays and bump
@@ -392,15 +378,6 @@ def theta_seeds(B: SymMatrix, d: ConeVector, grid: Grid, count: int,
     n = B.n
     if not d.strictly_positive:
         raise ParameterError("direction d must be interior to the cone")
-    if not n + 2 <= count <= 4 * n + 8:
-        raise ParameterError(f"count must be between n + 2 = {n + 2} and 4n + 8 = {4 * n + 8}")
-    return list(islice(_seed_family(B, d, grid, p), count))
-
-
-def _seed_family(B: SymMatrix, d: ConeVector, grid: Grid,
-                 p: float) -> Iterator[tuple[str, FieldTuple]]:
-    """The theta_seeds family in order, one field at a time."""
-    n = B.n
     A = B.entries
     profiles = bump_profiles(B, grid)
     dv = d.components / d.components.max()
@@ -435,11 +412,6 @@ def _seed_family(B: SymMatrix, d: ConeVector, grid: Grid,
     for name, c in rays:
         for t in (0.25, 0.5, 0.75):
             yield f"mixture ray={name} t={t}", FieldTuple(homotopy_mixture(c, t, profiles))
-
-
-def _nodal_block(A: np.ndarray, U: np.ndarray, p: float) -> np.ndarray:
-    """Zeroth-order part of the Jacobian: D[i, j] is the nodal diagonal of block (i, j)."""
-    return _FieldState(A, U, p).nodal_block()
 
 
 def _jacobian_product(D: np.ndarray, V: np.ndarray, h: float) -> np.ndarray:
@@ -713,20 +685,16 @@ def _skip_reason(U: np.ndarray) -> str | None:
     return None
 
 
-def mountain_pass_solve(
-    B: SymMatrix,
-    p: float,
-    grid: Grid,
-    initial_fields: Iterable[tuple[str, FieldTuple]] | None = None,
-) -> NeumannSolution | TrivialOnly | SolveInconclusive:
+def mountain_pass_solve(B: SymMatrix, p: float,
+                        grid: Grid) -> NeumannSolution | TrivialOnly | SolveInconclusive:
     """Locate a nontrivial nonnegative critical point of the discrete energy.
 
     Pipeline: constant shortcut from one face pass; otherwise descend from
-    each seed field (``initial_fields``, or the whole theta_seeds family,
-    drawn one field at a time) and Newton-polish the iterate where the gradient was smallest.  Seeds that are
+    each field of the theta_seeds family, drawn one field at a time, and
+    Newton-polish the iterate where the gradient was smallest.  Seeds that are
     constant in every component or have at most one nonzero component are
-    skipped with their reason (see _skip_reason); for the theta_seeds family
-    that leaves the two combined-bump seeds and the three d-mixtures.  A field is
+    skipped with their reason (see _skip_reason), which leaves the two
+    combined-bump seeds and the three d-mixtures.  A field is
     accepted when its residual, negativity and nontriviality pass
     RESIDUAL_TOL, NEGATIVITY_TOL and NONTRIVIALITY_THRESHOLD; the accepted
     field with the least energy wins (ties by residual, then lexicographic
@@ -744,22 +712,18 @@ def mountain_pass_solve(
     if cert is not None:
         return _constant_shortcut(B, cert, p, grid)
 
-    if initial_fields is None:
-        try:
-            d = _interior_direction(B, p, minimum)
-        except NotApplicableError:
-            # No negative direction (e.g. strictly copositive input): the seed
-            # family is still well defined and every run should collapse.
-            d = ConeVector(np.ones(B.n))
-        seeds = _seed_family(B, d, grid, p)
-    else:
-        seeds = initial_fields
+    try:
+        d = _interior_direction(B, p, minimum)
+    except NotApplicableError:
+        # No negative direction (e.g. strictly copositive input): the seed
+        # family is still well defined and every run should collapse.
+        d = ConeVector(np.ones(B.n))
 
     accepted: list[tuple[float, float, NeumannSolution]] = []
     outcomes: list[str] = []
     # Residuals of the seeds that leave the outcome undecided.
     pending: list[float] = []
-    for provenance, seed in seeds:
+    for provenance, seed in theta_seeds(B, d, grid, p):
         skip = _skip_reason(seed.components)
         if skip is not None:
             outcomes.append(f"{provenance}: skipped ({skip})")

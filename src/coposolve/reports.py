@@ -95,6 +95,3 @@ def build_report(command: str, matrix_doc: dict | None, defaults: dict, effectiv
 def serialize_report(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
-
-def parse_report(text: str) -> dict:
-    return json.loads(text)

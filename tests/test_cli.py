@@ -15,7 +15,7 @@ from coposolve.errors import (
     PreconditionError,
 )
 from coposolve.mu_search import b_epsilon
-from coposolve.reports import SCHEMA_VERSION, parse_report, serialize_report
+from coposolve.reports import SCHEMA_VERSION, serialize_report
 
 
 def write_matrix(tmp_path, name, n, beta, label=None):
@@ -38,7 +38,7 @@ class TestClassify:
         path = write_matrix(tmp_path, "id2.json", 2, [[1, 0], [0, 1]], "identity")
         code, out, err = run(capsys, ["classify", str(path)])
         assert code == 0 and err == ""
-        doc = parse_report(out)
+        doc = json.loads(out)
         assert doc["schema_version"] == SCHEMA_VERSION
         assert doc["result"]["kind"] == "StrictlyCopositive"
         assert doc["result"]["min_value"] == pytest.approx(0.5)
@@ -52,22 +52,22 @@ class TestClassify:
             warnings.simplefilter("error", RuntimeWarning)
             code, out, err = run(capsys, ["classify", str(path)])
         assert code == 0 and err == ""
-        result = parse_report(out)["result"]
+        result = json.loads(out)["result"]
         assert result["kind"] == "StrictlyCopositive"
         assert math.isfinite(result["min_value"])
 
     def test_round_trip(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "m.json", 2, [[1, -2], [-2, 1]])
         code, out, _ = run(capsys, ["classify", str(path)])
-        doc = parse_report(out)
-        assert parse_report(serialize_report(doc)) == doc
+        doc = json.loads(out)
+        assert json.loads(serialize_report(doc)) == doc
 
     def test_directory_batch_sorted(self, tmp_path, capsys):
         write_matrix(tmp_path, "b.json", 2, [[1, 0], [0, 1]])
         write_matrix(tmp_path, "a.json", 2, [[1, -2], [-2, 1]])
         code, out, _ = run(capsys, ["classify", str(tmp_path)])
         assert code == 0
-        entries = parse_report(out)["result"]["batch"]
+        entries = json.loads(out)["result"]["batch"]
         assert [e["file"] for e in entries] == ["a.json", "b.json"]
         assert entries[0]["kind"] == "NotCopositive"
 
@@ -77,7 +77,7 @@ class TestLiouville:
         path = write_matrix(tmp_path, "boundary.json", 2, [[1, -1], [-1, 1]])
         code, out, _ = run(capsys, ["liouville", str(path), "--dim", "3", "--p", "4"])
         assert code == 0
-        result = parse_report(out)["result"]
+        result = json.loads(out)["result"]
         assert result["kind"] == "ExistsNontrivial"
         assert result["reason"] == "ConstantSolution"
         assert result["certificate"]["u"] == [1.0, 1.0]
@@ -87,7 +87,7 @@ class TestLiouville:
         path = write_matrix(tmp_path, "gap.json", 3, beta)
         code, out, _ = run(capsys, ["liouville", str(path), "--dim", "3", "--p", "4"])
         assert code == 0
-        result = parse_report(out)["result"]
+        result = json.loads(out)["result"]
         assert result["kind"] == "Unknown"
         assert result["reason"] == "OpenGap"
         assert result["note"]
@@ -105,7 +105,7 @@ class TestFindMu:
         path = write_matrix(tmp_path, "m.json", 2, [[1, -1.9], [-1.9, 4]])
         code, out, _ = run(capsys, ["find-mu", str(path), "--p", "4"])
         assert code == 0
-        result = parse_report(out)["result"]
+        result = json.loads(out)["result"]
         assert result["type"] == "certificate"
         assert result["min_on_simplex"] > 0
         assert result["verification"]["cells"] >= 1
@@ -128,7 +128,7 @@ class TestSolve:
              "--out", str(out_csv)],
         )
         assert code == 0
-        result = parse_report(out)["result"]
+        result = json.loads(out)["result"]
         assert result["outcome"] == "solution"
         assert result["energy_report"]["residual_inf"] == 0.0
         lines = out_csv.read_text().strip().splitlines()
@@ -146,7 +146,7 @@ class TestSolve:
              "--out", str(out_csv)],
         )
         assert code == 0
-        result = parse_report(out)["result"]
+        result = json.loads(out)["result"]
         assert result["outcome"] == "trivial_only"
         assert not out_csv.exists()
 
@@ -163,7 +163,7 @@ class TestSolve:
             ["solve", str(path), "--dim", "1", "--nodes", "17", "--out", str(out_csv)],
         )
         assert code == 0
-        result = parse_report(out)["result"]
+        result = json.loads(out)["result"]
         assert result["outcome"] == "inconclusive"
         assert result["best_residual"] == 0.5
         assert not out_csv.exists()
@@ -195,7 +195,7 @@ class TestBEpsilon:
     def test_pipeline_values(self, capsys):
         code, out, _ = run(capsys, ["bepsilon", "--eps", "0.25", "--dim", "3", "--p", "4"])
         assert code == 0
-        result = parse_report(out)["result"]
+        result = json.loads(out)["result"]
         assert result["closed_form"]["final_expression"] == pytest.approx(1.0, abs=1e-12)
         assert result["appendix_form_at_322"] == -1.0
         # eps = 0.25 sits far above the weight-existence threshold (0.007-0.008):
@@ -284,6 +284,20 @@ class TestErrors:
         code, out, err = run(capsys, ["classify", str(path)])
         assert code == 1 and out == ""
         assert err.startswith("error: schema:")
+
+    @pytest.mark.parametrize("n, beta", [
+        (2, [[1, True], [True, "1"]]),
+        (2, [[1, 2], [3]]),
+        (1, [["a"]]),
+        (2, [[1, {"x": 1}], [3, 4]]),
+        (1, [[10**400]]),
+    ], ids=["bool-and-string", "ragged", "string", "object", "int-beyond-float"])
+    def test_non_numeric_beta_rejected(self, tmp_path, capsys, n, beta):
+        path = write_matrix(tmp_path, "entries.json", n, beta)
+        code, out, err = run(capsys, ["classify", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: schema:")
+        assert len(err.strip().splitlines()) == 1
 
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, ["classify", str(tmp_path / "none.json")])

@@ -94,7 +94,7 @@ class TestSimplexMinimum:
             exact_min = exact_simplex_min(a)
             tol = 1e-10 * (1.0 + float(np.max(np.abs(a))))
             assert abs(m.min_value - float(exact_min)) <= tol
-            assert quadratic_form(B, m.argmin).value == m.min_value
+            assert quadratic_form(B, m.argmin) == m.min_value
             assert abs(float(exact_quadratic_form(a, m.argmin.components)) - m.min_value) <= tol
 
     def test_capacity_limit(self):
@@ -134,7 +134,7 @@ class TestClassify:
         for _ in range(50):
             B = random_symmetric(rng, 3)
             v = classify_copositivity(B)
-            reproduced = quadratic_form(B, v.witness).value
+            reproduced = quadratic_form(B, v.witness)
             assert abs(reproduced - v.min_value) < 1e-10
             assert abs(v.witness.components.sum() - 1.0) < 1e-12
 
@@ -302,7 +302,7 @@ class TestFacePass:
 
     def test_one_sweep_per_decision(self, monkeypatch):
         calls = count_sweeps(monkeypatch)
-        monkeypatch.setattr(neumann, "_seed_family", lambda *args: iter(()))
+        monkeypatch.setattr(neumann, "theta_seeds", lambda *args: iter(()))
         runs = {
             "Thm1.1": lambda: classify_solvability(self.WITNESS, ProblemParams(dim=3)),
             "Prop1.7": lambda: classify_solvability(SymMatrix(np.eye(3)), ProblemParams(dim=3)),

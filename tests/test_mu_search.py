@@ -71,7 +71,7 @@ class TestVerifyMu:
         witness_value = p_form(
             B_EPS_LIMIT, ConeVector(np.array([3.0, 2.0, 2.0]) / 7.0),
             ConeVector([1, 1, 1]), 4.0,
-        ).value
+        )
         assert witness_value == pytest.approx(-1.0 / 343.0, rel=1e-12)
 
     def test_row_dominance_bound_holds(self):
@@ -81,7 +81,7 @@ class TestVerifyMu:
 
     def test_worst_point_reproduces_minimum(self):
         out = verify_mu(PROP_MATRIX, ConeVector([1, 1, 1]), 4.0)
-        replay = p_form(PROP_MATRIX, out.worst_point, out.mu, 4.0).value
+        replay = p_form(PROP_MATRIX, out.worst_point, out.mu, 4.0)
         assert replay == pytest.approx(out.min_on_simplex, abs=1e-9)
 
     def test_kappa_below_grid_ratio(self):
@@ -225,7 +225,7 @@ class TestFindMu:
         out = find_mu(b_epsilon(0.004), 4.0)
         assert isinstance(out, MuSearchFailure)
         values = [
-            p_form(b_epsilon(0.004), c, out.final_mu, 4.0).value
+            p_form(b_epsilon(0.004), c, out.final_mu, 4.0)
             for c in out.adversarial_set
         ]
         assert min(values) == pytest.approx(out.best_margin, abs=1e-9)
@@ -238,7 +238,7 @@ class TestFindMu:
         out = find_mu(b_epsilon(eps), 4.0)
         assert isinstance(out, MuSearchFailure)
         assert max(out.final_mu.components) == 1.0
-        values = [p_form(b_epsilon(eps), c, out.final_mu, 4.0).value for c in out.adversarial_set]
+        values = [p_form(b_epsilon(eps), c, out.final_mu, 4.0) for c in out.adversarial_set]
         assert min(values) == pytest.approx(out.best_margin, rel=1e-9)
         assert out.best_margin < -1e-6
 
@@ -369,5 +369,5 @@ class TestBEpsilonFamily:
         for _ in range(100):
             c = rng.uniform(0.0, 3.0, 3)
             direct = appendix_limit_form(ConeVector(c))
-            via_form = p_form(B_EPS_LIMIT, ConeVector(c), ConeVector([1, 1, 1]), 4.0).value
+            via_form = p_form(B_EPS_LIMIT, ConeVector(c), ConeVector([1, 1, 1]), 4.0)
             assert direct == pytest.approx(via_form, rel=1e-12, abs=1e-12)

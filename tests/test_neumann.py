@@ -34,14 +34,11 @@ from coposolve.neumann import (
     KRYLOV_MAXITER,
     KRYLOV_RTOL,
     _dct_preconditioner,
-    _energy_value,
     _FieldState,
     _gmres,
     _jacobian_product,
-    _nodal_block,
     _prolong,
     _quadrature,
-    _residual,
     bump_profiles,
     homotopy_mixture,
 )
@@ -102,8 +99,8 @@ class TestEnergy:
         A = WITNESS.entries
         U = rng.uniform(0.2, 1.2, (2, 17))
         U[1, 3:6] = -rng.uniform(0.2, 0.5, 3)
-        W = g.weights()
-        analytic = W * _residual(A, U, 4.0, g)
+        W, q = g.weights(), _quadrature(g)
+        analytic = W * _FieldState(A, U, 4.0).residual(g.h)
         fd = np.zeros_like(U)
         h = 1e-6
         for i in range(2):
@@ -113,7 +110,7 @@ class TestEnergy:
                 up[i, k] += h
                 um[i, k] -= h
                 fd[i, k] = (
-                    _energy_value(A, up, 4.0, g) - _energy_value(A, um, 4.0, g)
+                    _FieldState(A, up, 4.0).energy(q) - _FieldState(A, um, 4.0).energy(q)
                 ) / (2 * h)
         scale = float(np.max(np.abs(fd)))
         assert np.max(np.abs(analytic - fd)) / scale < 1e-8
@@ -130,7 +127,7 @@ class TestFindDirection:
         d = find_direction_d(WITNESS, 4.0)
         assert d.components == pytest.approx([1.0, 1.0], abs=1e-9)
         squared = d.components**2
-        assert quadratic_form(WITNESS, squared).value < 0
+        assert quadratic_form(WITNESS, squared) < 0
 
     def test_constant_solution_blocks(self):
         limit = SymMatrix([[1, -1, -1], [-1, 1, 1], [-1, 1, 1]])
@@ -146,8 +143,8 @@ class TestThetaSeeds:
     def test_family_shape_and_support(self):
         g = Grid(1, 1.0, 129)
         d = ConeVector([1.0, 1.0])
-        seeds = theta_seeds(WITNESS, d, g, 12)
-        assert len(seeds) == 12
+        seeds = list(theta_seeds(WITNESS, d, g))
+        assert len(seeds) == 4 * WITNESS.n + 8
         labels = [name for name, _ in seeds]
         assert any("constant" in s for s in labels)
         assert any("bump" in s for s in labels)
@@ -176,18 +173,6 @@ class TestThetaSeeds:
         g = Grid(1, 1.0, 17)
         with pytest.raises(CapacityError):
             bump_profiles(SymMatrix(np.eye(5)), g)
-
-    def test_minimum_count(self):
-        g = Grid(1, 1.0, 129)
-        with pytest.raises(ParameterError):
-            theta_seeds(WITNESS, ConeVector([1.0, 1.0]), g, 3)
-
-    def test_count_at_most_family_size(self):
-        g = Grid(1, 1.0, 129)
-        d = ConeVector([1.0, 1.0])
-        assert len(theta_seeds(WITNESS, d, g, 16)) == 16
-        with pytest.raises(ParameterError):
-            theta_seeds(WITNESS, d, g, 17)
 
 
 class TestMountainPass:
@@ -294,7 +279,7 @@ class TestSeedSkip:
         g = Grid(1, 1.0, 65)
         out = mountain_pass_solve(WITNESS, 4.0, g)
         assert isinstance(out, TrivialOnly)
-        names = [name for name, _ in theta_seeds(WITNESS, find_direction_d(WITNESS, 4.0), g, 16)]
+        names = [name for name, _ in theta_seeds(WITNESS, find_direction_d(WITNESS, 4.0), g)]
         expected = [skipped_label(name) or f"{name}: collapsed to trivial" for name in names]
         assert list(out.seed_outcomes) == expected
         # Seven of the family's first twelve seeds are skipped.
@@ -307,11 +292,12 @@ class TestSeedSkip:
         assert len(out.seed_outcomes) == 12
         assert all(": skipped (" in line for line in out.seed_outcomes)
 
-    def test_skip_applies_to_initial_fields(self, descent_starts):
+    def test_skip_applies_to_initial_fields(self, descent_starts, monkeypatch):
         g = Grid(1, 1.0, 33)
         U = np.zeros((2,) + g.shape)
         U[0] = np.linspace(0.0, 1.0, 33)
-        out = mountain_pass_solve(WITNESS, 4.0, g, initial_fields=[("ramp", FieldTuple(U))])
+        monkeypatch.setattr(neumann, "theta_seeds", lambda *args: iter([("ramp", FieldTuple(U))]))
+        out = mountain_pass_solve(WITNESS, 4.0, g)
         assert out == TrivialOnly(("ramp: skipped (one component)",))
         assert descent_starts == []
 
@@ -359,13 +345,14 @@ class TestNewtonKrylov:
         g = Grid(dim, 1.0, 17)
         A = WITNESS.entries
         U = self.mixed_sign_field(g, 13)
-        D = _nodal_block(A, U, p)
+        D = _FieldState(A, U, p).nodal_block()
         # Dense Jacobian from matrix-free products with the unit vectors.
         eye = np.eye(U.size).reshape((U.size,) + U.shape)
         jac = np.stack([_jacobian_product(D, e, g.h).ravel() for e in eye], axis=1)
         w = np.random.default_rng(17).standard_normal(U.size)
         fd = central_difference_gradient(
-            lambda x: float(w @ _residual(A, x.reshape(U.shape), p, g).ravel()), U.ravel(), 1e-6
+            lambda x: float(w @ _FieldState(A, x.reshape(U.shape), p).residual(g.h).ravel()),
+            U.ravel(), 1e-6,
         )
         assert np.max(np.abs(fd - jac.T @ w)) <= 1e-6 * np.max(np.abs(fd))
 
@@ -400,20 +387,23 @@ class TestNewtonKrylov:
         assert U.min() >= 0.0 and U.max() > 1.0
         assert np.max(np.abs(mirror_residual(WITNESS.entries, U, 4.0, g.h))) < 1e-8
 
-    def test_accepted_solutions_ranked_by_energy(self):
+    def test_accepted_solutions_ranked_by_energy(self, monkeypatch):
         # Two seeds converging to different solutions; their residuals differ
         # by round-off only (here the higher-energy one has the smaller).
         B = SymMatrix([[1, -2, -2], [-2, 1, -2], [-2, -2, 1]])
         g = Grid(1, 1.0, 49)
-        seeds = dict(theta_seeds(B, ConeVector([1.0, 1.0, 1.0]), g, 14))
+        seeds = dict(theta_seeds(B, ConeVector([1.0, 1.0, 1.0]), g))
         low, high = "mixture ray=d t=0.25", "mixture ray=d t=0.75"
-        alone = {
-            name: mountain_pass_solve(B, 4.0, g, initial_fields=[(name, seeds[name])])
-            for name in (low, high)
-        }
+
+        def solve_from(*names):
+            monkeypatch.setattr(neumann, "theta_seeds",
+                                lambda *args: iter([(name, seeds[name]) for name in names]))
+            return mountain_pass_solve(B, 4.0, g)
+
+        alone = {name: solve_from(name) for name in (low, high)}
         assert alone[low].report.energy < alone[high].report.energy - 100.0
         for order in ((low, high), (high, low)):
-            out = mountain_pass_solve(B, 4.0, g, initial_fields=[(name, seeds[name]) for name in order])
+            out = solve_from(*order)
             assert out.seed_provenance == low
             assert out.report.energy == alone[low].report.energy
 
@@ -463,8 +453,8 @@ class TestGmresCycle:
         # every iteration of the cycle.
         g = Grid(dim, 1.0, nodes)
         U = scale * signed_field(g, seed)
-        A = WITNESS.entries
-        ours, theirs, steps = self.both(_nodal_block(A, U, 4.0), _residual(A, U, 4.0, g), g)
+        state = _FieldState(WITNESS.entries, U, 4.0)
+        ours, theirs, steps = self.both(state.nodal_block(), state.residual(g.h), g)
         assert bit_equal(ours, theirs)
         assert (steps == KRYLOV_MAXITER) == full_cycle
 
@@ -480,7 +470,7 @@ class TestGmresCycle:
 
     def test_zero_right_side(self):
         g = Grid(1, 1.0, 65)
-        D = _nodal_block(WITNESS.entries, signed_field(g, 61), 4.0)
+        D = _FieldState(WITNESS.entries, signed_field(g, 61), 4.0).nodal_block()
         ours, theirs, steps = self.both(D, np.zeros((2,) + g.shape), g)
         assert bit_equal(ours, theirs)
         assert steps == 0 and not np.any(ours)
@@ -488,10 +478,10 @@ class TestGmresCycle:
 
 def two_call_descent(A, U0, p, grid):
     """The Armijo loop as it was before the fused evaluation: energy and residual called apart."""
-    W = grid.weights()
+    W, q = grid.weights(), _quadrature(grid)
     U = U0.copy()
-    E = _energy_value(A, U, p, grid)
-    grad = W * _residual(A, U, p, grid)
+    E = _FieldState(A, U, p).energy(q)
+    grad = W * _FieldState(A, U, p).residual(grid.h)
     gnorm = float(np.sqrt(np.sum(grad**2)))
     best_U, best_g = U.copy(), gnorm
     step = 0.1 / max(1.0, gnorm)
@@ -504,10 +494,10 @@ def two_call_descent(A, U0, p, grid):
         if gnorm < floor:
             break
         cand = U - step * grad
-        Ec = _energy_value(A, cand, p, grid)
+        Ec = _FieldState(A, cand, p).energy(q)
         if Ec < E - 1e-4 * step * gnorm**2:
             U, E = cand, Ec
-            grad = W * _residual(A, U, p, grid)
+            grad = W * _FieldState(A, U, p).residual(grid.h)
             gnorm = float(np.sqrt(np.sum(grad**2)))
             if gnorm < best_g:
                 best_U, best_g = U.copy(), gnorm
@@ -555,7 +545,7 @@ class TestFusedEvaluation:
 
     def test_descent_matches_two_call_loop(self):
         g = Grid(1, 1.0, 65)
-        seeds = dict(theta_seeds(WITNESS, find_direction_d(WITNESS, 4.0), g, 16))
+        seeds = dict(theta_seeds(WITNESS, find_direction_d(WITNESS, 4.0), g))
         U0 = seeds["combined bumps x0.9"].components
         fused = neumann._descend_energy(WITNESS.entries, U0, 4.0, g)
         reference = two_call_descent(WITNESS.entries, U0, 4.0, g)
@@ -601,7 +591,7 @@ class TestNewtonExits:
 
     def test_stalled_seed_exits_early(self, krylov_calls, monkeypatch):
         g = Grid(1, 1.0, 513)
-        seeds = dict(theta_seeds(WITNESS, find_direction_d(WITNESS, 4.0), g, 12))
+        seeds = dict(theta_seeds(WITNESS, find_direction_d(WITNESS, 4.0), g))
         start, _, _, escaped = neumann._descend_energy(
             WITNESS.entries, seeds["mixture ray=e0 t=0.5"].components, 4.0, g
         )
