@@ -19,7 +19,6 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .copositivity import strict_copositivity_closed_form
 from .errors import (
@@ -270,6 +269,13 @@ def _lp_coefficients(B: SymMatrix, point: np.ndarray, p: float) -> np.ndarray:
     x = cone_power(point, p / 2.0)
     y = cone_power(point, p / 2.0 - 1.0)
     return y * (B.entries @ x)
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first weight LP rather than with the package."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _weight_lp(B: SymMatrix, points: list[np.ndarray], p: float) -> tuple[np.ndarray, float]:

@@ -28,16 +28,21 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.fft import dctn
-from scipy.linalg.lapack import dlartg
-# Unused by the solver; the traced benchmark wraps ``neumann.splu`` by name.
-from scipy.sparse.linalg import splu  # noqa: F401
 
 from .copositivity import ConstantSolutionCertificate, SimplexMinimum, scan_faces
 from .copositivity import simplex_min_quadratic  # noqa: F401  (bench/spans.py wraps this attribute)
 from .errors import CapacityError, NotApplicableError, ParameterError
 from .forms import ConeVector, SymMatrix, cone_power, fsum_terms, quadratic_form, require_p
 from .solvability import constant_solution  # noqa: F401  (bench/spans.py wraps this attribute)
+
+
+def __getattr__(name: str):
+    # Served only for bench/spans.py; retire with ROADMAP item 4.
+    if name == "splu":
+        from scipy.sparse.linalg import splu
+
+        return splu
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -419,6 +424,30 @@ def _jacobian_product(D: np.ndarray, V: np.ndarray, h: float) -> np.ndarray:
     return -_laplacian(V, h) + np.einsum("ij...,j...->i...", D, V)
 
 
+@functools.cache
+def _dct_spectrum(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eig, lap_eig, inverse): -L's eigenvalues per axis and on the grid, and the high-mode factor."""
+    m, dim = grid.points_per_side, grid.dim
+    scale = 2.0 * (m - 1)
+    eig = (2.0 - 2.0 * np.cos(np.pi * np.arange(m) / (m - 1))) / grid.h**2
+    lap_eig = eig if dim == 1 else eig[:, None] + eig[None, :]
+    inverse = 1.0 / ((1.0 + lap_eig) * scale**dim)
+    eig.flags.writeable = lap_eig.flags.writeable = inverse.flags.writeable = False
+    return eig, lap_eig, inverse
+
+
+@functools.cache
+def _dct_modes(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) on m nodes per axis: DCT-I coefficients 0..k-1 of a field, and those modes as fields."""
+    scale = 2.0 * (m - 1)
+    cosines = np.cos(np.pi * np.outer(np.arange(k), np.arange(m)) / (m - 1))
+    ends = np.r_[1.0, np.full(m - 2, 2.0), 1.0]
+    rows = cosines * ends
+    cols = cosines * ends[:k, None] / scale
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _dct_preconditioner(D: np.ndarray, grid: Grid):
     """x -> approximate inverse of the Jacobian -L + D, block diagonal in DCT-I modes.
 
@@ -427,17 +456,15 @@ def _dct_preconditioner(D: np.ndarray, grid: Grid):
     least the constant mode, whose block is the trapezoid-weighted mean of D)
     gets the exact inverse of the Galerkin block of -L + D.
     """
+    from scipy.fft import dctn
+
     n, m, dim = D.shape[0], grid.points_per_side, grid.dim
     axes = tuple(range(1, dim + 1))
     scale = 2.0 * (m - 1)  # DCT-I applied twice multiplies by this, per axis
-    eig = (2.0 - 2.0 * np.cos(np.pi * np.arange(m) / (m - 1))) / grid.h**2
-    lap_eig = eig if dim == 1 else eig[:, None] + eig[None, :]
+    eig, lap_eig, inverse = _dct_spectrum(grid)
     cap = max(1, int((COARSE_SIZE / n) ** (1.0 / dim)))
     k = min(int(np.searchsorted(eig, np.max(np.abs(D)))) + 1, cap, m)
-    cosines = np.cos(np.pi * np.outer(np.arange(k), np.arange(m)) / (m - 1))
-    ends = np.r_[1.0, np.full(m - 2, 2.0), 1.0]
-    rows = cosines * ends  # DCT-I coefficients k of a field
-    cols = cosines * ends[:k, None] / scale  # mode k as a field
+    rows, cols = _dct_modes(m, k)
     block = D
     for _ in range(dim):
         block = np.einsum("ax,ijx...,cx->ij...ac", rows, block, cols, optimize=True)
@@ -450,7 +477,6 @@ def _dct_preconditioner(D: np.ndarray, grid: Grid):
         coarse = np.linalg.inv(block)
     except np.linalg.LinAlgError:
         coarse = np.linalg.pinv(block)
-    inverse = 1.0 / ((1.0 + lap_eig) * scale**dim)
 
     def apply(x: np.ndarray) -> np.ndarray:
         C = dctn(x.reshape((n,) + grid.shape), type=1, axes=axes)
@@ -473,6 +499,8 @@ def _gmres(matvec, psolve, b: np.ndarray) -> np.ndarray:
     then back substitution.  The true residual b - A x, which scipy only
     turns into its convergence flag, is not formed.
     """
+    from scipy.linalg.lapack import dlartg
+
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
         return b

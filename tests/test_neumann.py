@@ -378,6 +378,18 @@ class TestNewtonKrylov:
         back = _jacobian_product(D, _dct_preconditioner(D, g)(v.ravel()).reshape(v.shape), g.h)
         assert np.max(np.abs(back - v)) <= 1e-9
 
+    def test_preconditioner_constants_are_shared_read_only(self):
+        g = Grid(2, 1.0, 17)
+        D = np.ones((2, 2) + g.shape)
+        x = np.random.default_rng(29).standard_normal(2 * 17 * 17)
+        first = _dct_preconditioner(D, g)(x)
+        hits = neumann._dct_spectrum.cache_info().hits, neumann._dct_modes.cache_info().hits
+        assert np.array_equal(_dct_preconditioner(D, g)(x), first)
+        assert (neumann._dct_spectrum.cache_info().hits, neumann._dct_modes.cache_info().hits) == (
+            hits[0] + 1, hits[1] + 1)
+        cached = [*neumann._dct_spectrum(g), *neumann._dct_modes(17, 2)]
+        assert not any(a.flags.writeable for a in cached)
+
     def test_2d_existence_witness(self):
         g = Grid(2, 1.0, 25)
         out = mountain_pass_solve(WITNESS, 4.0, g)
