@@ -193,8 +193,8 @@ def verify_mu(B: SymMatrix, mu, p: float) -> MuCertificate | MuViolation | None:
     mv = np.asarray(mu.components if isinstance(mu, ConeVector) else mu, dtype=float)
     if mv.ndim != 1 or mv.size != B.n:
         raise DimensionError(f"mu has length {mv.size}, expected {B.n}")
-    if np.any(mv <= 0):
-        raise ParameterError("mu must have strictly positive components")
+    if not np.all((mv > 0) & (mv < np.inf)):
+        raise ParameterError("mu must have finite, strictly positive components")
     mv = mv / mv.max()
     A, n = B.entries, B.n
 

@@ -5,16 +5,14 @@ The discrete energy uses cell-midpoint differences for the gradient term and
 trapezoid weights for the mass terms, which makes the assembled Euler-Lagrange
 residual exactly the weighted gradient of the discrete energy; one class,
 _FieldState, evaluates both.  Critical points are located by Armijo gradient
-descent from a family of seed fields (constants along a negative direction,
-separated bumps, and homotopy mixtures, drawn one field at a time), which
+descent from a family of five seed fields (separated bumps and homotopy
+mixtures along a negative direction, drawn one field at a time), which
 reads the energy and, on acceptance, the gradient of each trial field from
 one evaluation.  A Newton-Krylov polish follows: each Newton step is one
 restart cycle of left-preconditioned GMRES on the matrix-free Jacobian, run
 in the package in scipy's arithmetic and independent of the installed
 scipy's ``gmres`` version, preconditioned mode by mode in the DCT-I
-basis that diagonalises the mirror Laplacian.  Seeds that cannot lead to an
-accepted field (constant fields, fields with at most one nonzero component)
-are skipped.
+basis that diagonalises the mirror Laplacian.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import numpy as np
 
 from .copositivity import ConstantSolutionCertificate, SimplexMinimum, scan_faces
 from .copositivity import simplex_min_quadratic  # noqa: F401  (bench/spans.py wraps this attribute)
-from .errors import CapacityError, NotApplicableError, ParameterError
+from .errors import CapacityError, DimensionError, NotApplicableError, ParameterError
 from .forms import ConeVector, SymMatrix, cone_power, fsum_terms, quadratic_form, require_p
 from .solvability import constant_solution  # noqa: F401  (bench/spans.py wraps this attribute)
 
@@ -58,10 +56,11 @@ class Grid:
             raise ParameterError(f"grid dimension must be 1 or 2, got {self.dim}")
         if not 0 < self.extent < np.inf:
             raise ParameterError(f"box side must be positive and finite, got {self.extent}")
-        if self.points_per_side < 17:
-            raise ParameterError(
-                f"need at least 17 points per side, got {self.points_per_side}"
-            )
+        m = self.points_per_side
+        if int(m) != m or m < 17:
+            raise ParameterError(f"points per side must be an integer of at least 17, got {m}")
+        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "points_per_side", int(m))
 
     @property
     def h(self) -> float:
@@ -122,7 +121,7 @@ class NeumannSolution:
 
 @dataclass(frozen=True)
 class TrivialOnly:
-    """Every seed was skipped, collapsed below the nontriviality threshold or escaped."""
+    """Every seed collapsed below the nontriviality threshold or escaped (n = 1 runs none)."""
 
     seed_outcomes: tuple[str, ...]
 
@@ -374,49 +373,44 @@ def _ridge_scale(A: np.ndarray, V: np.ndarray, p: float, grid: Grid) -> float:
 
 def theta_seeds(B: SymMatrix, d: ConeVector, grid: Grid,
                 p: float = 4.0) -> Iterator[tuple[str, FieldTuple]]:
-    """The seed fields of the competitor family with provenance labels, one at a time.
+    """The seed fields of the mountain-pass search with provenance labels, one at a time.
 
-    Constants along d, per-component and combined separated bumps at their
-    ridge amplitude, and homotopy mixtures between boundary rays and bump
-    images at t in {1/4, 1/2, 3/4}: 4n + 8 fields in all.
+    For n >= 2, five fields, each nonconstant with every component nonzero:
+    the combined separated bumps at 0.9 and 1.5 times their ridge amplitude,
+    and the homotopy mixtures at t in {1/4, 1/2, 3/4} between the ray along d
+    and the bump images.  A field with one nonzero component can only reach
+    u = 0, so the family is empty for n = 1.  Past scan_faces every beta_ii
+    is positive (a zero diagonal is a singleton constant solution) and a zero
+    component stays zero (p > 2), so such a run ends at a critical point of
+    -Lu + u^- = beta_ii (u^+)^(p-1).  Summed with the trapezoid weights W,
+    sum W Lu = 0 leaves sum W u^- = beta_ii sum W (u^+)^(p-1), whose sides
+    have opposite signs.  Constant fields along d are left out on
+    measurement, not proof: Newton collapsed every one of them below 1e-4
+    (0.5, 1 and 2 times d on [[1,-2],[-2,1]] at 49^2 nodes).
     """
     n = B.n
+    if d.components.size != n:
+        raise DimensionError(f"direction d has length {d.components.size}, expected {n}")
     if not d.strictly_positive:
         raise ParameterError("direction d must be interior to the cone")
+    if n == 1:
+        return
     A = B.entries
     profiles = bump_profiles(B, grid)
-    dv = d.components / d.components.max()
-    ones_shape = (n,) + grid.shape
-
-    def constant_field(scale: float) -> np.ndarray:
-        return np.ones(ones_shape) * (scale * dv).reshape((n,) + (1,) * grid.dim)
-
-    for lam in (0.5, 1.0, 2.0):
-        yield f"constant lambda={lam}", FieldTuple(constant_field(lam))
-
     scales = []
     for i in range(n):
-        V = np.zeros(ones_shape)
+        V = np.zeros((n,) + grid.shape)
         V[i] = profiles[i]
-        s = _ridge_scale(A, V, p, grid)
-        scales.append(s)
-        # Slightly below the ridge: descent from the exact ridge maximum is a
-        # coin flip between collapse and escape.
-        yield f"bump component={i} amplitude={0.9 * s:.4g}", FieldTuple(0.9 * s * V)
-
+        scales.append(_ridge_scale(A, V, p, grid))
     combined = np.stack([scales[i] * profiles[i] for i in range(n)])
+    # Slightly below the ridge: descent from the exact ridge maximum is a
+    # coin flip between collapse and escape.
     yield "combined bumps x0.9", FieldTuple(0.9 * combined)
     yield "combined bumps x1.5", FieldTuple(1.5 * combined)
 
-    ray_scale = 1.5 * max(scales)
-    rays = [("d", dv * ray_scale)]
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = ray_scale
-        rays.append((f"e{i}", e))
-    for name, c in rays:
-        for t in (0.25, 0.5, 0.75):
-            yield f"mixture ray={name} t={t}", FieldTuple(homotopy_mixture(c, t, profiles))
+    ray = d.components / d.components.max() * (1.5 * max(scales))
+    for t in (0.25, 0.5, 0.75):
+        yield f"mixture ray=d t={t}", FieldTuple(homotopy_mixture(ray, t, profiles))
 
 
 def _jacobian_product(D: np.ndarray, V: np.ndarray, h: float) -> np.ndarray:
@@ -690,47 +684,22 @@ def _constant_shortcut(B: SymMatrix, cert: ConstantSolutionCertificate,
     )
 
 
-def _skip_reason(U: np.ndarray) -> str | None:
-    """Why the seed field U cannot lead to an accepted field, or None if it may.
-
-    One component: past scan_faces every beta_ii is positive (a zero diagonal
-    is a singleton constant solution), and a zero component stays exactly
-    zero under descent and Newton (p > 2), so the run can only end at a
-    critical point of -Lu + u^- = beta_ii (u^+)^(p-1).  Summed with the
-    trapezoid weights W, sum W Lu = 0 leaves sum W u^- = beta_ii sum W (u^+)^(p-1),
-    whose sides have opposite signs, so u = 0.
-
-    Constant: measured, not proven.  The descent steps along W r, and W is
-    smaller on the box faces, so a 2-d constant seed drifts (spread 6.1e-4,
-    4.0e-3 and 1.8e-2 after descent for lambda = 0.5, 1, 2 on [[1,-2],[-2,1]]
-    at 49^2 nodes); Newton still collapses each one below 1e-4.
-    """
-    flat = U.reshape(U.shape[0], -1)
-    if np.all(flat == flat[:, :1]):
-        return "constant field"
-    if np.count_nonzero(np.any(flat != 0.0, axis=1)) <= 1:
-        return "one component"
-    return None
-
-
 def mountain_pass_solve(B: SymMatrix, p: float,
                         grid: Grid) -> NeumannSolution | TrivialOnly | SolveInconclusive:
     """Locate a nontrivial nonnegative critical point of the discrete energy.
 
     Pipeline: constant shortcut from one face pass; otherwise descend from
     each field of the theta_seeds family, drawn one field at a time, and
-    Newton-polish the iterate where the gradient was smallest.  Seeds that are
-    constant in every component or have at most one nonzero component are
-    skipped with their reason (see _skip_reason), which leaves the two
-    combined-bump seeds and the three d-mixtures.  A field is
-    accepted when its residual, negativity and nontriviality pass
-    RESIDUAL_TOL, NEGATIVITY_TOL and NONTRIVIALITY_THRESHOLD; the accepted
-    field with the least energy wins (ties by residual, then lexicographic
-    comparison).  Residuals of accepted fields differ by round-off only, so
-    ranking by them would pick by noise.  With no accepted field the outcome
-    is TrivialOnly when every seed was skipped, collapsed or escaped, otherwise
-    SolveInconclusive with the least finite residual among the seeds that
-    stalled, kept a negative part or failed after clamping.
+    Newton-polish the iterate where the gradient was smallest (five seeds for
+    n >= 2, none for n = 1).  A field is accepted when its residual,
+    negativity and nontriviality pass RESIDUAL_TOL, NEGATIVITY_TOL and
+    NONTRIVIALITY_THRESHOLD; the accepted field with the least energy wins
+    (ties by residual, then lexicographic comparison).  Residuals of accepted
+    fields differ by round-off only, so ranking by them would pick by noise.
+    With no accepted field the outcome is TrivialOnly when every seed
+    collapsed or escaped, otherwise SolveInconclusive with the least finite
+    residual among the seeds that stalled, kept a negative part or failed
+    after clamping.
     """
     if np.any(np.diag(B.entries) < 0):
         raise ParameterError("diagonal entries must be nonnegative")
@@ -744,7 +713,7 @@ def mountain_pass_solve(B: SymMatrix, p: float,
         d = _interior_direction(B, p, minimum)
     except NotApplicableError:
         # No negative direction (e.g. strictly copositive input): the seed
-        # family is still well defined and every run should collapse.
+        # family is still well defined, and no run should be accepted.
         d = ConeVector(np.ones(B.n))
 
     accepted: list[tuple[float, float, NeumannSolution]] = []
@@ -752,10 +721,6 @@ def mountain_pass_solve(B: SymMatrix, p: float,
     # Residuals of the seeds that leave the outcome undecided.
     pending: list[float] = []
     for provenance, seed in theta_seeds(B, d, grid, p):
-        skip = _skip_reason(seed.components)
-        if skip is not None:
-            outcomes.append(f"{provenance}: skipped ({skip})")
-            continue
         seed_amp = max(1.0, seed.amplitude)
         threshold = NONTRIVIALITY_THRESHOLD * seed_amp
         start, dip_g, g0, escaped = _descend_energy(A, seed.components, p, grid)

@@ -97,6 +97,9 @@ class TestVerifyMu:
             verify_mu(PROP_MATRIX, ConeVector([1, 0, 1]), 4.0)
         with pytest.raises(ParameterError):
             verify_mu(PROP_MATRIX, ConeVector([1, 1, 1]), 2.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ParameterError):
+                verify_mu(SymMatrix(np.eye(2)), [bad, 1.0], 4.0)
 
     def test_certificate_mu_normalized(self):
         out = verify_mu(PROP_MATRIX, ConeVector([0.5, 0.25, 0.5]), 4.0)

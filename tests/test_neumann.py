@@ -11,6 +11,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from coposolve import (
     CapacityError,
     ConeVector,
+    DimensionError,
     FieldTuple,
     Grid,
     NeumannSolution,
@@ -46,6 +47,9 @@ from oracles import central_difference_gradient, mirror_laplacian, mirror_residu
 
 BOUNDARY = SymMatrix([[1, -1], [-1, 1]])
 WITNESS = SymMatrix([[1, -2], [-2, 1]])
+# Labels of the seed family for n >= 2, in the order it yields them.
+FAMILY = ["combined bumps x0.9", "combined bumps x1.5",
+          "mixture ray=d t=0.25", "mixture ray=d t=0.5", "mixture ray=d t=0.75"]
 
 
 class TestGrid:
@@ -65,6 +69,13 @@ class TestGrid:
             Grid(1, 0.0, 33)
         with pytest.raises(ParameterError):
             Grid(1, 1.0, 16)
+        with pytest.raises(ParameterError):
+            Grid(1, 1.0, 33.5)
+
+    def test_integral_sizes_are_read_as_ints(self):
+        assert Grid(1.0, 1.0, 33).shape == (33,)
+        g = Grid(np.int64(2), 1.0, np.int64(17))
+        assert g.shape == (17, 17) and g == Grid(2, 1.0, 17)
 
 
 class TestEnergy:
@@ -144,11 +155,11 @@ class TestThetaSeeds:
         g = Grid(1, 1.0, 129)
         d = ConeVector([1.0, 1.0])
         seeds = list(theta_seeds(WITNESS, d, g))
-        assert len(seeds) == 4 * WITNESS.n + 8
-        labels = [name for name, _ in seeds]
-        assert any("constant" in s for s in labels)
-        assert any("bump" in s for s in labels)
-        assert any("mixture" in s for s in labels)
+        assert [name for name, _ in seeds] == FAMILY
+        for _, seed in seeds:
+            flat = seed.components.reshape(WITNESS.n, -1)
+            assert not np.all(flat == flat[:, :1])
+            assert np.all(np.any(flat != 0.0, axis=1))
         profiles = bump_profiles(WITNESS, g)
         assert np.all(profiles >= 0.0) and np.all(profiles <= 1.0)
         assert np.all(profiles[0] * profiles[1] == 0.0)
@@ -173,6 +184,10 @@ class TestThetaSeeds:
         g = Grid(1, 1.0, 17)
         with pytest.raises(CapacityError):
             bump_profiles(SymMatrix(np.eye(5)), g)
+
+    def test_direction_length_must_match(self):
+        with pytest.raises(DimensionError):
+            next(theta_seeds(WITNESS, ConeVector([1, 1, 1]), Grid(1, 1.0, 33)))
 
 
 class TestMountainPass:
@@ -240,15 +255,6 @@ class TestMountainPass:
             mountain_pass_solve(SymMatrix([[-1, 0], [0, 1]]), 4.0, Grid(1, 1.0, 33))
 
 
-def skipped_label(name):
-    """Outcome line of a seed that the search skips, or None if it runs."""
-    if name.startswith("constant"):
-        return f"{name}: skipped (constant field)"
-    if name.startswith("bump") or name.startswith("mixture ray=e"):
-        return f"{name}: skipped (one component)"
-    return None
-
-
 class TestSeedSkip:
     @pytest.fixture
     def descent_starts(self, monkeypatch):
@@ -279,31 +285,17 @@ class TestSeedSkip:
         g = Grid(1, 1.0, 65)
         out = mountain_pass_solve(WITNESS, 4.0, g)
         assert isinstance(out, TrivialOnly)
-        names = [name for name, _ in theta_seeds(WITNESS, find_direction_d(WITNESS, 4.0), g)]
-        expected = [skipped_label(name) or f"{name}: collapsed to trivial" for name in names]
-        assert list(out.seed_outcomes) == expected
-        # Seven of the family's first twelve seeds are skipped.
-        assert sum(skipped_label(name) is not None for name in names[:12]) == 7
+        assert list(out.seed_outcomes) == [f"{name}: collapsed to trivial" for name in FAMILY]
 
     def test_scalar_input_runs_no_descent(self, descent_starts):
         out = mountain_pass_solve(SymMatrix([[1.0]]), 4.0, Grid(1, 1.0, 33))
         assert isinstance(out, TrivialOnly)
         assert descent_starts == []
-        assert len(out.seed_outcomes) == 12
-        assert all(": skipped (" in line for line in out.seed_outcomes)
-
-    def test_skip_applies_to_initial_fields(self, descent_starts, monkeypatch):
-        g = Grid(1, 1.0, 33)
-        U = np.zeros((2,) + g.shape)
-        U[0] = np.linspace(0.0, 1.0, 33)
-        monkeypatch.setattr(neumann, "theta_seeds", lambda *args: iter([("ramp", FieldTuple(U))]))
-        out = mountain_pass_solve(WITNESS, 4.0, g)
-        assert out == TrivialOnly(("ramp: skipped (one component)",))
-        assert descent_starts == []
+        assert out.seed_outcomes == ()
 
     def test_seed_family_is_drawn_one_field_at_a_time(self, monkeypatch):
         # With descent and polish patched out, the search holds a few fields
-        # at a time, never the whole 4n + 8 family.
+        # at a time, well under a quarter of 4n + 8 fields.
         monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: (U, 0.0, 0.0, False))
         monkeypatch.setattr(neumann, "_newton_polish",
                             lambda A, U, p, grid: (np.zeros_like(U), 0.0, True))
@@ -316,12 +308,13 @@ class TestSeedSkip:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert isinstance(out, TrivialOnly) and len(out.seed_outcomes) == 4 * n + 8
+        assert isinstance(out, TrivialOnly) and len(out.seed_outcomes) == 5
         assert peak < family_bytes / 4
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_weighted_laplacian_sums_to_zero(self, dim):
-        # The one-component skip rests on sum W L u = 0 (mirror closure).
+        # That a one-component field reaches only u = 0, and so the empty
+        # family at n = 1, rests on sum W L u = 0 (mirror closure).
         g = Grid(dim, 1.0, 65 if dim == 1 else 33)
         U = np.random.default_rng(31).uniform(-1.0, 1.0, (3,) + g.shape)
         weighted = g.weights() * neumann._laplacian(U, g.h)
@@ -602,11 +595,17 @@ class TestNewtonExits:
         assert converged and len(krylov_calls) == neumann.MAX_NEWTON_STEPS
 
     def test_stalled_seed_exits_early(self, krylov_calls, monkeypatch):
+        # Start: the t = 0.5 mixture along the boundary ray e0 (one nonzero
+        # component), from which Newton stalls.
         g = Grid(1, 1.0, 513)
-        seeds = dict(theta_seeds(WITNESS, find_direction_d(WITNESS, 4.0), g))
-        start, _, _, escaped = neumann._descend_energy(
-            WITNESS.entries, seeds["mixture ray=e0 t=0.5"].components, 4.0, g
-        )
+        profiles = bump_profiles(WITNESS, g)
+        scales = []
+        for i in range(WITNESS.n):
+            V = np.zeros((WITNESS.n,) + g.shape)
+            V[i] = profiles[i]
+            scales.append(neumann._ridge_scale(WITNESS.entries, V, 4.0, g))
+        mixture = homotopy_mixture(np.array([1.5 * max(scales), 0.0]), 0.5, profiles)
+        start, _, _, escaped = neumann._descend_energy(WITNESS.entries, mixture, 4.0, g)
         assert not escaped
         _, rnorm, converged = neumann._newton_polish(WITNESS.entries, start, 4.0, g)
         assert not converged and rnorm > 1.0
