@@ -2,8 +2,10 @@
 
 One face sweep enumerates the vertices of the standard simplex and the
 face-interior stationary points of b, support size by support size in
-stacked batches; faces with a singular stationarity system are skipped, as
-their minimum is also attained on a smaller face.  One pass over it finds the
+stacked batches.  Each batch's stationarity systems are solved first; only
+the faces whose solution is strictly positive then pay for a 1-norm
+condition number, and the singular ones among them are skipped, as their
+minimum is also attained on a smaller face.  One pass over it finds the
 exact constant solutions (stationary points with multiplier zero) and else
 the minimum of b, which decides copositivity, since a quadratic attains its
 minimum over a compact polytope at a swept point; the minimum over the proper
@@ -18,6 +20,7 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import CapacityError, InternalConsistencyError, ParameterError
 from .forms import ConeVector, SymMatrix, cone_power, fsum_terms, quadratic_form, require_p
@@ -104,8 +107,13 @@ def _face_sweep(A: np.ndarray):
     itertools.combinations order, in batches of at most SWEEP_BATCH whose
     bordered systems are stacked and solved together.
 
-    Faces whose system is singular (1-norm condition number above
-    FACE_CONDITION_LIMIT, inf or NaN) are skipped.  A singular system has a
+    Every face of a batch is solved first, each by its own LAPACK gesv; a
+    face that is not interior is dropped whatever its condition, so the
+    1-norm condition number (a full inverse) is computed only for the
+    interior ones.  An exactly singular face (a zero pivot) gets a NaN
+    solution, which is never interior.  Every other singular face is caught
+    by the gate: interior faces whose condition number is above
+    FACE_CONDITION_LIMIT or inf are skipped.  A singular system has a
     null vector (d, nu) with d != 0 and 1'd = 0, so 2 A_S d = nu 1 and,
     through a stationary point c, b(c + t d) = b(c) + t lambda 1'd +
     t^2 nu 1'd / 2 = b(c).  Moving along d to the boundary of the face keeps
@@ -130,12 +138,17 @@ def _face_sweep(A: np.ndarray):
             blocks = A[idx[:, :, None], idx[:, None, :]]
             kkt = np.repeat(border[None], len(batch), axis=0)
             kkt[:, :k, :k] = blocks
-            # "not above the limit" also drops the inf and NaN of singular faces.
-            regular = np.linalg.cond(kkt, 1) <= FACE_CONDITION_LIMIT
-            idx, blocks, kkt = idx[regular], blocks[regular], kkt[regular]
-            c = np.linalg.solve(kkt, rhs)[:, :k, 0]
+            # The gufunc behind np.linalg.solve, which writes NaN rows for
+            # exactly singular systems instead of raising for the stack.
+            with np.errstate(all="ignore"):
+                c = _umath_linalg.solve(kkt, rhs, signature="dd->d")[:, :k, 0]
             interior = np.all(c > 0, axis=1)
-            yield idx[interior], c[interior], blocks[interior]
+            # Filtered in place of the batch, so the full stack is freed
+            # before cond allocates its inverses.
+            idx, c, blocks, kkt = idx[interior], c[interior], blocks[interior], kkt[interior]
+            # "not above the limit" also drops the inf of singular faces.
+            regular = np.linalg.cond(kkt, 1) <= FACE_CONDITION_LIMIT
+            yield idx[regular], c[regular], blocks[regular]
 
 
 def _batch_constant(A: np.ndarray, idx: np.ndarray, points: np.ndarray,

@@ -57,7 +57,7 @@ class Grid:
         if not 0 < self.extent < np.inf:
             raise ParameterError(f"box side must be positive and finite, got {self.extent}")
         m = self.points_per_side
-        if int(m) != m or m < 17:
+        if not (17 <= m < np.inf and int(m) == m):
             raise ParameterError(f"points per side must be an integer of at least 17, got {m}")
         object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "points_per_side", int(m))
@@ -794,7 +794,7 @@ def reflect_tile(u: FieldTuple, grid: Grid, copies: int) -> tuple[FieldTuple, Gr
     stencils of the extension map onto original stencils, so the discrete
     residual is preserved node for node.
     """
-    if int(copies) != copies or copies < 1:
+    if not (1 <= copies < np.inf and int(copies) == copies):
         raise ParameterError(f"copies must be a positive integer, got {copies}")
     m = grid.points_per_side
     factor = 2**copies

@@ -70,8 +70,9 @@ class ProblemParams:
     p: float = 4.0
 
     def __post_init__(self) -> None:
-        if int(self.dim) != self.dim or self.dim < 1:
+        if not (1 <= self.dim < np.inf and int(self.dim) == self.dim):
             raise ParameterError(f"dimension must be a positive integer, got {self.dim}")
+        object.__setattr__(self, "dim", int(self.dim))
         require_p(self.p)
         if self.dim >= 3 and not Fraction(self.p) < Fraction(2 * self.dim, self.dim - 2):
             raise ParameterError(

@@ -2,9 +2,11 @@
 
 import itertools
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from coposolve import (
     CapacityError,
@@ -341,3 +343,109 @@ class TestFacePass:
         monkeypatch.setattr(copositivity, "SWEEP_BATCH", batch)
         for a, expected in zip(cases, default):
             assert sweep_reads(a) == expected
+
+
+def bordered_systems(A: np.ndarray, supports) -> tuple:
+    """The sweep's halved bordered systems [[A_S, -1/2], [1/2, 0]] c = (0, 1/2)."""
+    idx = np.array(supports)
+    k = idx.shape[1]
+    blocks = A[idx[:, :, None], idx[:, None, :]]
+    kkt = np.zeros((len(idx), k + 1, k + 1))
+    kkt[:, :k, :k] = blocks
+    kkt[:, :k, k] = -0.5
+    kkt[:, k, :k] = 0.5
+    rhs = np.zeros((k + 1, 1))
+    rhs[k] = 0.5
+    return idx, blocks, kkt, rhs
+
+
+def cond_first_sweep(A: np.ndarray):
+    """The face sweep with the condition gate on every face before the solve."""
+    n = A.shape[0]
+    yield np.arange(n)[:, None], np.ones((n, 1)), np.diag(A)[:, None, None]
+    for k in range(2, n + 1):
+        supports = itertools.combinations(range(n), k)
+        while batch := list(itertools.islice(supports, copositivity.SWEEP_BATCH)):
+            idx, blocks, kkt, rhs = bordered_systems(A, batch)
+            regular = np.linalg.cond(kkt, 1) <= copositivity.FACE_CONDITION_LIMIT
+            idx, blocks, kkt = idx[regular], blocks[regular], kkt[regular]
+            c = np.linalg.solve(kkt, rhs)[:, :k, 0]
+            interior = np.all(c > 0, axis=1)
+            yield idx[interior], c[interior], blocks[interior]
+
+
+def exactly_singular_faces(A: np.ndarray) -> int:
+    """Faces whose bordered system makes np.linalg.solve raise."""
+    count = 0
+    for k in range(2, len(A) + 1):
+        _, _, kkt, rhs = bordered_systems(A, list(itertools.combinations(range(len(A)), k)))
+        for system in kkt:
+            try:
+                np.linalg.solve(system, rhs)
+            except np.linalg.LinAlgError:
+                count += 1
+    return count
+
+
+def singular_face_cases() -> dict:
+    g = np.array([[1, 0], [2, -1], [0, 3], [-1, 1], [3, 2], [1, -2]])
+    return {
+        "ones": np.ones((5, 5)),
+        "b_epsilon": b_epsilon(0.1).entries,
+        "rank2_integer": (g @ g.T).astype(float),
+    }
+
+
+class TestSolveFirstSweep:
+    """The sweep solves every face first and gates only the interior ones."""
+
+    @staticmethod
+    def assert_same_sweep(A: np.ndarray) -> None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            swept = list(copositivity._face_sweep(A))
+        reference = list(cond_first_sweep(A))
+        assert len(swept) == len(reference)
+        for (idx, points, blocks), (ref_idx, ref_points, ref_blocks) in zip(swept, reference):
+            assert idx.tolist() == ref_idx.tolist()
+            assert points.shape == ref_points.shape and points.tobytes() == ref_points.tobytes()
+            assert blocks.shape == ref_blocks.shape and blocks.tobytes() == ref_blocks.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_matches_cond_first_order_on_random_matrices(self, n):
+        rng = np.random.default_rng(100 + n)
+        for nonneg_diag in (True, False):
+            for _ in range(3):
+                self.assert_same_sweep(random_symmetric(rng, n, nonneg_diag).entries)
+
+    @pytest.mark.parametrize("case", ["ones", "b_epsilon", "rank2_integer"])
+    def test_matches_cond_first_order_on_exactly_singular_faces(self, case):
+        A = singular_face_cases()[case]
+        assert exactly_singular_faces(A) > 0
+        self.assert_same_sweep(A)
+
+    def test_nearly_singular_interior_face_is_dropped(self):
+        a = 1.0 + 1e-14
+        A = np.array([[1.0, a], [a, 1.0]])
+        _, _, kkt, rhs = bordered_systems(A, [(0, 1)])
+        c = np.linalg.solve(kkt, rhs)[0, :2, 0]
+        assert c == pytest.approx([0.5, 0.5]) and np.all(c > 0)
+        assert np.linalg.cond(kkt[0], 1) > 1e13
+        vertices, edge = list(copositivity._face_sweep(A))
+        assert len(vertices[0]) == 2
+        assert edge[0].shape == (0, 2) and edge[1].shape == (0, 2)
+
+    def test_private_solve_writes_nan_rows_for_singular_systems(self):
+        # The sweep relies on this gufunc behaviour of numpy.linalg.
+        regular = np.array([[2.0, 1.0], [1.0, 3.0]])
+        stack = np.stack([regular, np.ones((2, 2)), np.zeros((2, 2))])
+        rhs = np.array([[1.0], [2.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(stack, rhs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                x = _umath_linalg.solve(stack, rhs, signature="dd->d")
+        assert x.shape == (3, 2, 1)
+        assert x[0].tobytes() == np.linalg.solve(regular, rhs).tobytes()
+        assert np.isnan(x[1:]).all()

@@ -72,6 +72,11 @@ class TestGrid:
         with pytest.raises(ParameterError):
             Grid(1, 1.0, 33.5)
 
+    @pytest.mark.parametrize("size", [np.nan, np.inf, -np.inf])
+    def test_non_finite_size_is_a_parameter_error(self, size):
+        with pytest.raises(ParameterError):
+            Grid(1, 1.0, size)
+
     def test_integral_sizes_are_read_as_ints(self):
         assert Grid(1.0, 1.0, 33).shape == (33,)
         g = Grid(np.int64(2), 1.0, np.int64(17))
@@ -688,6 +693,11 @@ class TestReflectTile:
         g = Grid(1, 1.0, 17)
         with pytest.raises(ParameterError):
             reflect_tile(FieldTuple(np.ones((2, 17))), g, 0)
+
+    @pytest.mark.parametrize("copies", [np.nan, np.inf, -np.inf])
+    def test_non_finite_copies_is_a_parameter_error(self, copies):
+        with pytest.raises(ParameterError):
+            reflect_tile(FieldTuple(np.ones((2, 17))), Grid(1, 1.0, 17), copies)
 
 
 class TestSolutionDump:

@@ -46,6 +46,15 @@ class TestProblemParams:
         with pytest.raises(ParameterError):
             ProblemParams(0, 4.0)
 
+    @pytest.mark.parametrize("dim", [np.nan, np.inf, -np.inf, 2.5])
+    def test_non_integer_dimension_is_a_parameter_error(self, dim):
+        with pytest.raises(ParameterError):
+            ProblemParams(dim, 4.0)
+
+    def test_integral_dimension_is_read_as_int(self):
+        params = ProblemParams(3.0, 4.0)
+        assert params == ProblemParams(3, 4.0) and type(params.dim) is int
+
 
 class TestConstantSolution:
     def test_kernel_pair(self):
