@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .copositivity import Tolerance, check_psd, classify_copositivity, strict_copositivity_closed_form
-from .errors import CapacityError, CoposolveError, ParameterError
+from .copositivity import DEAD_BAND, check_psd, classify_copositivity, strict_copositivity_closed_form
+from .errors import CapacityError, CoposolveError, ParameterError, PreconditionError
 from .forms import ConeVector, SymMatrix, require_p
 from .mu_search import MAX_ITERATIONS, appendix_limit_form, b_epsilon, find_mu
 from .neumann import Grid, mountain_pass_solve, write_solution_csv, NeumannSolution
@@ -33,7 +33,7 @@ from .solvability import ProblemParams, classify_solvability
 MAX_CLI_N = 16
 
 DEFAULTS = {
-    "tol": 1e-9,
+    "tol": DEAD_BAND,
     "p": 4.0,
     "budget": MAX_ITERATIONS,
     "nodes": 129,
@@ -98,33 +98,27 @@ def load_matrix(path: str | Path) -> tuple[SymMatrix, dict]:
     return matrix, _input_doc(arr, name if isinstance(name, str) else None, str(path))
 
 
-def _tolerance(args) -> Tolerance:
-    with _category("parameter"):
-        return Tolerance(args.tol)
-
-
 def _budget(args) -> int:
     if args.budget < 1:
         raise InputError("parameter", f"budget must be at least 1, got {args.budget}")
     return args.budget
 
 
-def _classify_one(matrix: SymMatrix, tol: Tolerance) -> dict:
-    doc = to_doc(classify_copositivity(matrix, tol))
-    doc["psd"] = to_doc(check_psd(matrix, tol))
+def _classify_one(matrix: SymMatrix) -> dict:
+    doc = to_doc(classify_copositivity(matrix))
+    doc["psd"] = to_doc(check_psd(matrix))
     if matrix.n in (2, 3):
         doc["closed_form"] = to_doc(strict_copositivity_closed_form(matrix))
     return doc
 
 
 def cmd_classify(args) -> tuple[dict, dict]:
-    tol = _tolerance(args)
     path = Path(args.file)
     if path.is_dir():
         entries = []
         for child in sorted(path.glob("*.json")):
             matrix, matrix_doc = load_matrix(child)
-            entry = _classify_one(matrix, tol)
+            entry = _classify_one(matrix)
             entry["file"] = child.name
             entry["input"] = matrix_doc
             entries.append(entry)
@@ -132,17 +126,17 @@ def cmd_classify(args) -> tuple[dict, dict]:
             raise InputError("io", f"no .json matrix files in directory {path}")
         return {"directory": str(path)}, {"batch": entries}
     matrix, matrix_doc = load_matrix(path)
-    return matrix_doc, _classify_one(matrix, tol)
+    return matrix_doc, _classify_one(matrix)
 
 
 def cmd_liouville(args) -> tuple[dict, dict]:
     matrix, matrix_doc = load_matrix(args.file)
-    tol = _tolerance(args)
     budget = _budget(args)
     with _category("parameter"):
         params = ProblemParams(args.dim, args.p)
-    with _category("precondition"):
-        verdict = classify_solvability(matrix, params, budget, tol)
+    # Internal failures reach main's typed handler.
+    with _category("precondition", PreconditionError):
+        verdict = classify_solvability(matrix, params, budget)
     return matrix_doc, to_doc(verdict)
 
 
@@ -157,11 +151,14 @@ def cmd_solve(args) -> tuple[dict, dict]:
     matrix, matrix_doc = load_matrix(args.file)
     # Internal and precondition failures reach main's typed handler.
     with _category("parameter", ParameterError), _category("capacity", CapacityError):
-        grid = Grid(args.dim, args.extent, args.nodes)
+        grid = Grid(args.dim, points_per_side=args.nodes)
         outcome = mountain_pass_solve(matrix, args.p, grid)
     doc = to_doc(outcome)
     if isinstance(outcome, NeumannSolution):
-        write_solution_csv(outcome, grid, args.out)
+        try:
+            write_solution_csv(outcome, grid, args.out)
+        except OSError as exc:
+            raise InputError("io", f"cannot write {args.out}: {exc}") from exc
         doc["csv_path"] = str(args.out)
     return matrix_doc, doc
 
@@ -200,7 +197,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="copositivity trichotomy plus PSD check")
     p_classify.add_argument("file", help="matrix JSON file or a directory of them")
-    p_classify.add_argument("--tol", type=float, default=DEFAULTS["tol"])
     p_classify.set_defaults(func=cmd_classify)
 
     p_liouville = sub.add_parser("liouville", help="existence/nonexistence verdict")
@@ -208,7 +204,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_liouville.add_argument("--dim", type=int, required=True)
     p_liouville.add_argument("--p", type=float, default=DEFAULTS["p"])
     p_liouville.add_argument("--budget", type=int, default=DEFAULTS["budget"])
-    p_liouville.add_argument("--tol", type=float, default=DEFAULTS["tol"])
     p_liouville.set_defaults(func=cmd_liouville)
 
     p_findmu = sub.add_parser("find-mu", help="search for a verifying weight vector")
@@ -223,7 +218,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--p", type=float, default=DEFAULTS["p"])
     p_solve.add_argument("--nodes", type=int, default=DEFAULTS["nodes"])
     p_solve.add_argument("--out", required=True, help="CSV path for the field dump")
-    p_solve.add_argument("--extent", type=float, default=1.0)
     p_solve.set_defaults(func=cmd_solve)
 
     p_beps = sub.add_parser("bepsilon", help="full pipeline on the b_epsilon family")

@@ -27,6 +27,8 @@ from .forms import ConeVector, SymMatrix, cone_power, fsum_terms, quadratic_form
 from .simplex import barycentric_grid  # noqa: F401  (bench/spans.py wraps this attribute)
 
 MAX_ENUMERATION_N = 16
+# Dead-band around zero of the copositivity trichotomy and the PSD check.
+DEAD_BAND = 1e-9
 FACE_CONDITION_LIMIT = 1e12
 CONSTANT_RESIDUAL_TOL = 1e-10
 # Supports per stacked solve.  The batch's temporaries (about 0.8 MB at 128
@@ -45,17 +47,6 @@ class Definiteness(Enum):
     POSITIVE_DEFINITE = "PositiveDefinite"
     POSITIVE_SEMIDEFINITE = "PositiveSemidefinite"
     INDEFINITE = "Indefinite"
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Classification dead-band around zero."""
-
-    tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.tol < 1e-3):
-            raise ParameterError(f"tolerance must lie in (0, 1e-3), got {self.tol}")
 
 
 class SimplexMinimum(NamedTuple):
@@ -255,18 +246,22 @@ def strict_copositivity_closed_form(B: SymMatrix) -> ClosedFormResult:
     return ClosedFormResult(bool(final > 0), float(final))
 
 
-def classify_copositivity(B: SymMatrix, tol: Tolerance = Tolerance()) -> CopositivityVerdict:
+def classify_copositivity(B: SymMatrix) -> CopositivityVerdict:
     """Trichotomy verdict with witness; dead-band cases flagged as boundary."""
-    return copositivity_verdict(B, simplex_min_quadratic(B), tol)
+    return copositivity_verdict(B, simplex_min_quadratic(B))
 
 
-def copositivity_verdict(B: SymMatrix, minimum: SimplexMinimum, tol: Tolerance) -> CopositivityVerdict:
-    """Trichotomy verdict read from the simplex minimum of B; for n in {2, 3} a
-    closed-form disagreement outside the dead-band is an internal error."""
-    if minimum.min_value < -tol.tol:
+def copositivity_verdict(B: SymMatrix, minimum: SimplexMinimum) -> CopositivityVerdict:
+    """Trichotomy verdict read from the simplex minimum of B.
+
+    A minimum within DEAD_BAND of zero reads as copositive, not strictly,
+    and is flagged as a boundary case; min_value is reported, so any other
+    threshold can be applied to it.  For n in {2, 3} a closed-form
+    disagreement outside the dead-band is an internal error."""
+    if minimum.min_value < -DEAD_BAND:
         kind = Copositivity.NOT_COPOSITIVE
         boundary = False
-    elif minimum.min_value > tol.tol:
+    elif minimum.min_value > DEAD_BAND:
         kind = Copositivity.STRICTLY_COPOSITIVE
         boundary = False
     else:
@@ -276,7 +271,7 @@ def copositivity_verdict(B: SymMatrix, minimum: SimplexMinimum, tol: Tolerance) 
     if B.n in (2, 3):
         method = f"ClosedForm{B.n}"
         closed = strict_copositivity_closed_form(B)
-        if abs(minimum.min_value) > tol.tol and closed.strict != (minimum.min_value > 0):
+        if abs(minimum.min_value) > DEAD_BAND and closed.strict != (minimum.min_value > 0):
             raise InternalConsistencyError(
                 f"closed form says strict={closed.strict} but simplex minimum is "
                 f"{minimum.min_value:.6e}"
@@ -290,17 +285,17 @@ def copositivity_verdict(B: SymMatrix, minimum: SimplexMinimum, tol: Tolerance) 
     )
 
 
-def check_psd(B: SymMatrix, tol: Tolerance = Tolerance()) -> Definiteness:
+def check_psd(B: SymMatrix) -> Definiteness:
     """Definiteness via the symmetric eigenvalue spectrum."""
     lam_min = float(np.linalg.eigvalsh(B.entries)[0])
-    if lam_min > tol.tol:
+    if lam_min > DEAD_BAND:
         return Definiteness.POSITIVE_DEFINITE
-    if lam_min >= -tol.tol:
+    if lam_min >= -DEAD_BAND:
         return Definiteness.POSITIVE_SEMIDEFINITE
     return Definiteness.INDEFINITE
 
 
-def boundary_positive(B: SymMatrix, tol: Tolerance = Tolerance()) -> bool:
+def boundary_positive(B: SymMatrix) -> bool:
     """True iff b is positive on the cone boundary minus the origin.
 
     Equivalent to strict copositivity of every proper principal submatrix,
@@ -310,4 +305,4 @@ def boundary_positive(B: SymMatrix, tol: Tolerance = Tolerance()) -> bool:
     """
     if B.n < 2:
         raise ParameterError("boundary positivity needs n >= 2")
-    return scan_faces(B, max_size=B.n - 1).minimum.min_value > tol.tol
+    return scan_faces(B, max_size=B.n - 1).minimum.min_value > DEAD_BAND

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .copositivity import ConstantSolutionCertificate, Tolerance, copositivity_verdict, scan_faces
+from .copositivity import ConstantSolutionCertificate, copositivity_verdict, scan_faces
 from .copositivity import classify_copositivity  # noqa: F401  (bench/spans.py wraps this attribute)
 from .errors import ParameterError, PreconditionError
 from .forms import SymMatrix, require_p
@@ -117,7 +117,6 @@ def classify_solvability(
     B: SymMatrix,
     params: ProblemParams,
     max_iterations: int = MAX_ITERATIONS,
-    tol: Tolerance = Tolerance(),
 ) -> SolvabilityVerdict:
     """Decision tree for existence of nontrivial nonnegative entire solutions.
 
@@ -138,7 +137,7 @@ def classify_solvability(
             reason = "ZeroDiagonal"
         return SolvabilityVerdict(SolvabilityKind.EXISTS, reason, cs)
 
-    verdict = copositivity_verdict(B, minimum, tol)
+    verdict = copositivity_verdict(B, minimum)
     strictly_copositive = verdict.min_value > 0
     if not strictly_copositive:
         return SolvabilityVerdict(

@@ -99,6 +99,24 @@ class TestLiouville:
         assert err.startswith("error:")
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "error, prefix",
+        [
+            (PreconditionError, "error: precondition:"),
+            (InternalConsistencyError, "error: InternalConsistencyError:"),
+        ],
+    )
+    def test_error_categories(self, tmp_path, capsys, monkeypatch, error, prefix):
+        # A precondition is the user's input; a failed cross-check is a fault.
+        def fail(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "classify_solvability", fail)
+        path = write_matrix(tmp_path, "m.json", 2, [[1, -2], [-2, 1]])
+        code, out, err = run(capsys, ["liouville", str(path), "--dim", "2"])
+        assert code == 1 and out == ""
+        assert err == f"{prefix} boom\n"
+
 
 class TestFindMu:
     def test_certificate_report(self, tmp_path, capsys):
@@ -136,6 +154,17 @@ class TestSolve:
         assert len(lines) == 34
         sidecar = json.loads((tmp_path / "sol.csv.json").read_text())
         assert sidecar["classification"] == "Constant"
+
+    def test_unwritable_out_is_an_io_error(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "boundary.json", 2, [[1, -1], [-1, 1]])
+        out_csv = tmp_path / "missing" / "sol.csv"
+        code, out, err = run(
+            capsys,
+            ["solve", str(path), "--dim", "1", "--nodes", "33", "--out", str(out_csv)],
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: io: cannot write {out_csv}:")
+        assert len(err.strip().splitlines()) == 1
 
     def test_trivial_only_report(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "id.json", 2, [[1, 0], [0, 1]])
@@ -203,6 +232,25 @@ class TestBEpsilon:
         assert result["find_mu"]["type"] == "certificate"
         assert result["solvability"]["kind"] == "NoNontrivial"
 
+    def test_find_mu_reuses_the_audit(self, capsys):
+        # Below the weight-existence threshold the decision tree ends in the
+        # open gap after its own weight search.
+        code, out, _ = run(capsys, ["bepsilon", "--eps", "0.005", "--dim", "3"])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["solvability"]["reason"] == "OpenGap"
+        assert result["find_mu"] == result["solvability"]["audit"]
+
+    def test_find_mu_runs_when_the_tree_stops_early(self, tmp_path, capsys):
+        code, out, _ = run(capsys, ["bepsilon", "--eps", "0.1", "--dim", "2"])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["solvability"]["reason"] == "Thm1.6"
+        path = write_matrix(tmp_path, "b.json", 3, b_epsilon(0.1).entries.tolist())
+        code, out, _ = run(capsys, ["find-mu", str(path)])
+        assert code == 0
+        assert result["find_mu"] == json.loads(out)["result"]
+
     def test_rejects_nonpositive_eps(self, capsys):
         code, out, err = run(capsys, ["bepsilon", "--eps", "0", "--dim", "3", "--p", "4"])
         assert code == 1 and out == ""
@@ -244,15 +292,6 @@ class TestParameters:
         code, out, err = run(capsys, argv + ["--p", "inf"])
         assert code == 1 and out == ""
         assert err == "error: parameter: p must exceed 2 and be finite, got inf\n"
-
-    def test_infinite_extent_rejected(self, tmp_path, capsys):
-        path = write_matrix(tmp_path, "m.json", 2, [[1, -2], [-2, 1]])
-        code, out, err = run(
-            capsys,
-            ["solve", str(path), "--dim", "1", "--extent", "inf", "--out", str(tmp_path / "s.csv")],
-        )
-        assert code == 1 and out == ""
-        assert err == "error: parameter: box side must be positive and finite, got inf\n"
 
 
 class TestErrors:

@@ -16,7 +16,6 @@ from coposolve import (
     ParameterError,
     ProblemParams,
     SymMatrix,
-    Tolerance,
     TrivialOnly,
     boundary_positive,
     check_psd,
@@ -150,12 +149,6 @@ class TestClassify:
                 permuted = classify_copositivity(SymMatrix(P.T @ B.entries @ P))
                 assert permuted.kind is base.kind
                 assert abs(permuted.min_value - base.min_value) < 1e-10
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ParameterError):
-            Tolerance(0.0)
-        with pytest.raises(ParameterError):
-            Tolerance(1e-2)
 
 
 class TestClosedForm:

@@ -175,6 +175,15 @@ class TestBranchAndBound:
                 y, v = Fraction(float(y)), Fraction(float(v))
                 assert (y * (1 - r)) ** q <= v ** e.numerator <= (y * (1 + r)) ** q
 
+    def test_lowest_bounds_split_first(self):
+        # More than BATCH cells stay open at n = 5, so each step splits the
+        # BATCH with the lowest bounds.
+        out = verify_mu(SymMatrix(np.eye(5)), np.ones(5), 4.0)
+        assert isinstance(out, MuCertificate)
+        assert out.verification.cells > mu_search.BATCH
+        assert out.kappa > 0
+        assert out.min_on_simplex == pytest.approx(1 / 25, rel=1e-9)
+
     def test_cell_cap_leaves_weight_search_open(self, monkeypatch, tmp_path, capsys):
         # One cell of three components: the simplex alone can neither be
         # proven positive nor shows a nonpositive vertex.

@@ -68,6 +68,10 @@ class TestGrid:
         with pytest.raises(ParameterError):
             Grid(1, 0.0, 33)
         with pytest.raises(ParameterError):
+            Grid(1, np.inf, 33)
+        with pytest.raises(ParameterError):
+            Grid(1, np.nan, 33)
+        with pytest.raises(ParameterError):
             Grid(1, 1.0, 16)
         with pytest.raises(ParameterError):
             Grid(1, 1.0, 33.5)
@@ -236,6 +240,25 @@ class TestMountainPass:
         assert isinstance(out, SolveInconclusive)
         assert out.best_residual == 0.5
         assert any("newton stalled at residual 5.00e-01" in s for s in out.seed_outcomes)
+
+    def test_negative_and_clamped_seeds_are_inconclusive(self, monkeypatch):
+        # Alternate seeds polish to a field with a negative part and to the
+        # seed itself, which is no solution, so its clamped residual fails.
+        polished = []
+
+        def polish(A, U, p, grid):
+            polished.append(None)
+            if len(polished) % 2:
+                return U - 1e-3, 0.25, True
+            return U, 1e-12, True
+
+        monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: (U, 0.0, 0.0, False))
+        monkeypatch.setattr(neumann, "_newton_polish", polish)
+        out = mountain_pass_solve(WITNESS, 4.0, Grid(1, 1.0, 17))
+        assert isinstance(out, SolveInconclusive)
+        assert any(": negative part -" in s for s in out.seed_outcomes)
+        assert any(": clamped residual " in s for s in out.seed_outcomes)
+        assert out.best_residual == 0.25
 
     def test_best_residual_ignores_collapsed_seeds(self, monkeypatch):
         # Alternate seeds collapse to zero (residual far below 0.5) and stall

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from coposolve.cli import _classify_one
-from coposolve.copositivity import ConstantSolutionCertificate, Tolerance
+from coposolve.copositivity import ConstantSolutionCertificate
 from coposolve.forms import ConeVector, SymMatrix
 from coposolve.mu_search import (
     MuCertificate,
@@ -106,7 +106,7 @@ def test_document_keys(case):
 
 
 def test_classify_document_keys():
-    doc = _classify_one(SymMatrix([[1.0, -0.5], [-0.5, 1.0]]), Tolerance())
+    doc = _classify_one(SymMatrix([[1.0, -0.5], [-0.5, 1.0]]))
     assert set(doc) == {"kind", "min_value", "witness", "method", "boundary_case", "psd", "closed_form"}
     assert doc["psd"] == "PositiveDefinite"
     assert set(doc["closed_form"]) == {"strict", "final_expression"}
