@@ -9,7 +9,10 @@ Nothing is random, so identical invocations at a fixed BLAS thread count
 produce byte-identical reports; `solve` output can differ in the last bits
 between OpenBLAS thread counts.  Any verdict, including Unknown,
 exits 0; only input and validation failures exit nonzero, with a one-line
-`error: <category>: <message>` on standard error.
+`error: <category>: <message>` on standard error.  Reading the file gives
+io, json, schema or matrix.  Every other input rule lives in the library:
+CATEGORIES names its errors parameter, capacity (n above 16) or precondition
+(a negative diagonal entry); any other is a fault, named by its type.
 """
 
 from __future__ import annotations
@@ -17,20 +20,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .copositivity import DEAD_BAND, check_psd, classify_copositivity, strict_copositivity_closed_form
 from .errors import CapacityError, CoposolveError, ParameterError, PreconditionError
-from .forms import ConeVector, SymMatrix, require_p
+from .forms import ConeVector, SymMatrix
 from .mu_search import MAX_ITERATIONS, appendix_limit_form, b_epsilon, find_mu
 from .neumann import Grid, mountain_pass_solve, write_solution_csv, NeumannSolution
 from .reports import build_report, serialize_report, to_doc
 from .solvability import ProblemParams, classify_solvability
-
-MAX_CLI_N = 16
 
 DEFAULTS = {
     "tol": DEAD_BAND,
@@ -40,21 +40,16 @@ DEFAULTS = {
 }
 
 
+# How main names a library error; any other CoposolveError is named by its type.
+CATEGORIES = ((PreconditionError, "precondition"), (ParameterError, "parameter"), (CapacityError, "capacity"))
+
+
 class InputError(Exception):
-    """Invalid user input (file, schema, or parameter)."""
+    """An unreadable or malformed matrix file, or an unwritable output path."""
 
     def __init__(self, category: str, message: str):
         super().__init__(message)
         self.category = category
-
-
-@contextmanager
-def _category(category: str, errors=CoposolveError):
-    """Report library errors raised in the block as InputError(category)."""
-    try:
-        yield
-    except errors as exc:
-        raise InputError(category, str(exc)) from exc
 
 
 def _input_doc(beta, name: str | None, path: str | None) -> dict:
@@ -79,8 +74,6 @@ def load_matrix(path: str | Path) -> tuple[SymMatrix, dict]:
     beta = doc["beta"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InputError("schema", f"{p}: n must be a positive integer")
-    if n > MAX_CLI_N:
-        raise InputError("schema", f"{p}: n={n} exceeds the supported maximum {MAX_CLI_N}")
     # JSON numbers only: bool is an int subclass and numpy would read "1" as 1.0.
     if not (isinstance(beta, list) and len(beta) == n
             and all(isinstance(row, list) and len(row) == n for row in beta)
@@ -96,12 +89,6 @@ def load_matrix(path: str | Path) -> tuple[SymMatrix, dict]:
         raise InputError("matrix", f"{p}: {exc}") from exc
     name = doc.get("name")
     return matrix, _input_doc(arr, name if isinstance(name, str) else None, str(path))
-
-
-def _budget(args) -> int:
-    if args.budget < 1:
-        raise InputError("parameter", f"budget must be at least 1, got {args.budget}")
-    return args.budget
 
 
 def _classify_one(matrix: SymMatrix) -> dict:
@@ -131,28 +118,19 @@ def cmd_classify(args) -> tuple[dict, dict]:
 
 def cmd_liouville(args) -> tuple[dict, dict]:
     matrix, matrix_doc = load_matrix(args.file)
-    budget = _budget(args)
-    with _category("parameter"):
-        params = ProblemParams(args.dim, args.p)
-    # Internal failures reach main's typed handler.
-    with _category("precondition", PreconditionError):
-        verdict = classify_solvability(matrix, params, budget)
+    verdict = classify_solvability(matrix, ProblemParams(args.dim, args.p), args.budget)
     return matrix_doc, to_doc(verdict)
 
 
 def cmd_find_mu(args) -> tuple[dict, dict]:
     matrix, matrix_doc = load_matrix(args.file)
-    with _category("parameter"):
-        require_p(args.p)
-    return matrix_doc, to_doc(find_mu(matrix, args.p, _budget(args)))
+    return matrix_doc, to_doc(find_mu(matrix, args.p, args.budget))
 
 
 def cmd_solve(args) -> tuple[dict, dict]:
     matrix, matrix_doc = load_matrix(args.file)
-    # Internal and precondition failures reach main's typed handler.
-    with _category("parameter", ParameterError), _category("capacity", CapacityError):
-        grid = Grid(args.dim, points_per_side=args.nodes)
-        outcome = mountain_pass_solve(matrix, args.p, grid)
+    grid = Grid(args.dim, points_per_side=args.nodes)
+    outcome = mountain_pass_solve(matrix, args.p, grid)
     doc = to_doc(outcome)
     if isinstance(outcome, NeumannSolution):
         try:
@@ -164,12 +142,8 @@ def cmd_solve(args) -> tuple[dict, dict]:
 
 
 def cmd_bepsilon(args) -> tuple[dict, dict]:
-    with _category("parameter"):
-        matrix = b_epsilon(args.eps)
-    budget = _budget(args)
-    with _category("parameter"):
-        params = ProblemParams(args.dim, args.p)
-    verdict = classify_solvability(matrix, params, budget)
+    matrix = b_epsilon(args.eps)
+    verdict = classify_solvability(matrix, ProblemParams(args.dim, args.p), args.budget)
     # The decision tree already ran find_mu with this budget when it reached
     # the weight search; search here only when it stopped before that.
     if verdict.reason in ("Prop1.2", "Prop4.3"):
@@ -177,7 +151,7 @@ def cmd_bepsilon(args) -> tuple[dict, dict]:
     elif verdict.audit is not None:
         outcome = verdict.audit
     else:
-        outcome = find_mu(matrix, args.p, budget)
+        outcome = find_mu(matrix, args.p, args.budget)
     result = {
         "eps": args.eps,
         "closed_form": strict_copositivity_closed_form(matrix),
@@ -239,7 +213,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return 1
     except CoposolveError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        category = next((name for kind, name in CATEGORIES if isinstance(exc, kind)), type(exc).__name__)
+        print(f"error: {category}: {exc}", file=sys.stderr)
         return 1
     # The parameter values this run used: every option except paths.
     effective = {k: v for k, v in vars(args).items() if k not in ("command", "func", "file", "out")}

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, PreconditionError
 
 MAX_ASYMMETRY = 1e-9
 
@@ -125,6 +125,19 @@ def require_p(p: float) -> None:
     """The one rule for the nonlinearity degree: finite and above 2."""
     if not 2 < p < math.inf:
         raise ParameterError(f"p must exceed 2 and be finite, got {p}")
+
+
+def require_int(x, lo: int, rule: str) -> int:
+    """The one rule for a size: an integer of at least lo, returned as int."""
+    if not (lo <= x < math.inf and int(x) == x):
+        raise ParameterError(f"{rule}, got {x}")
+    return int(x)
+
+
+def require_nonnegative_diagonal(B: SymMatrix) -> None:
+    """The paper's scope for a system: every beta_ii is nonnegative."""
+    if np.any(np.diag(B.entries) < 0):
+        raise PreconditionError("negative diagonal entries are outside scope")
 
 
 def quadratic_form(B: SymMatrix, c) -> float:

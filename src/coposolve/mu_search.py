@@ -36,6 +36,7 @@ from .forms import (
     negative_part_row_sums,
     p_form,
     p_form_values,
+    require_nonnegative_diagonal,
     require_p,
 )
 from .forms import p_form_batch  # noqa: F401  (bench/spans.py wraps this attribute)
@@ -302,18 +303,26 @@ def _weight_lp(B: SymMatrix, points: list[np.ndarray], p: float) -> tuple[np.nda
     return mu, margin
 
 
+def require_budget(max_iterations: int) -> None:
+    """The one rule for the weight-search budget: at least one LP round."""
+    if max_iterations < 1:
+        raise ParameterError(f"budget must be at least 1, got {max_iterations}")
+
+
 def find_mu(B: SymMatrix, p: float, max_iterations: int = MAX_ITERATIONS
             ) -> MuCertificate | MuSearchFailure | MuSearchInconclusive:
     """Cutting-plane search for a verifying weight.
 
     A Failure is declared only when the linear relaxation over the recorded
     adversarial set is itself blocked (margin at or below LP_MARGIN_TOL);
-    an exhausted budget of max_iterations (at least 1) LP rounds, or a
-    weight verify_mu leaves undecided, yields Inconclusive.
+    an exhausted budget of max_iterations LP rounds, or a weight verify_mu
+    leaves undecided, yields Inconclusive.  Before any LP runs it raises
+    ParameterError for p or the budget, PreconditionError for a negative
+    diagonal entry (outside the paper's scope) and CapacityError above MAX_N.
     """
     require_p(p)
-    if max_iterations < 1:
-        raise ParameterError(f"max_iterations must be at least 1, got {max_iterations}")
+    require_budget(max_iterations)
+    require_nonnegative_diagonal(B)
     if B.n > MAX_N:
         raise CapacityError(f"weight search supports n <= {MAX_N}, got {B.n}")
     n = B.n

@@ -30,7 +30,8 @@ import numpy as np
 from .copositivity import ConstantSolutionCertificate, SimplexMinimum, scan_faces
 from .copositivity import simplex_min_quadratic  # noqa: F401  (bench/spans.py wraps this attribute)
 from .errors import CapacityError, DimensionError, NotApplicableError, ParameterError
-from .forms import ConeVector, SymMatrix, cone_power, fsum_terms, quadratic_form, require_p
+from .forms import ConeVector, SymMatrix, cone_power, fsum_terms, quadratic_form
+from .forms import require_int, require_nonnegative_diagonal, require_p
 from .solvability import constant_solution  # noqa: F401  (bench/spans.py wraps this attribute)
 
 
@@ -56,11 +57,9 @@ class Grid:
             raise ParameterError(f"grid dimension must be 1 or 2, got {self.dim}")
         if not 0 < self.extent < np.inf:
             raise ParameterError(f"box side must be positive and finite, got {self.extent}")
-        m = self.points_per_side
-        if not (17 <= m < np.inf and int(m) == m):
-            raise ParameterError(f"points per side must be an integer of at least 17, got {m}")
+        m = require_int(self.points_per_side, 17, "points per side must be an integer of at least 17")
         object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "points_per_side", int(m))
+        object.__setattr__(self, "points_per_side", m)
 
     @property
     def h(self) -> float:
@@ -701,8 +700,7 @@ def mountain_pass_solve(B: SymMatrix, p: float,
     residual among the seeds that stalled, kept a negative part or failed
     after clamping.
     """
-    if np.any(np.diag(B.entries) < 0):
-        raise ParameterError("diagonal entries must be nonnegative")
+    require_nonnegative_diagonal(B)
     A = B.entries
 
     cert, minimum = scan_faces(B, p)  # also rejects p <= 2
@@ -794,8 +792,7 @@ def reflect_tile(u: FieldTuple, grid: Grid, copies: int) -> tuple[FieldTuple, Gr
     stencils of the extension map onto original stencils, so the discrete
     residual is preserved node for node.
     """
-    if not (1 <= copies < np.inf and int(copies) == copies):
-        raise ParameterError(f"copies must be a positive integer, got {copies}")
+    copies = require_int(copies, 1, "copies must be a positive integer")
     m = grid.points_per_side
     factor = 2**copies
     new_m = (m - 1) * factor + 1

@@ -15,17 +15,16 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from .copositivity import ConstantSolutionCertificate, copositivity_verdict, scan_faces
 from .copositivity import classify_copositivity  # noqa: F401  (bench/spans.py wraps this attribute)
-from .errors import ParameterError, PreconditionError
-from .forms import SymMatrix, require_p
+from .errors import ParameterError
+from .forms import SymMatrix, require_int, require_nonnegative_diagonal, require_p
 from .mu_search import (
     MAX_ITERATIONS,
     MuCertificate,
     constructive_mu_n2,
     find_mu,
+    require_budget,
     sufficient_condition,
     verify_mu,
 )
@@ -70,9 +69,7 @@ class ProblemParams:
     p: float = 4.0
 
     def __post_init__(self) -> None:
-        if not (1 <= self.dim < np.inf and int(self.dim) == self.dim):
-            raise ParameterError(f"dimension must be a positive integer, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", require_int(self.dim, 1, "dimension must be a positive integer"))
         require_p(self.p)
         if self.dim >= 3 and not Fraction(self.p) < Fraction(2 * self.dim, self.dim - 2):
             raise ParameterError(
@@ -124,16 +121,19 @@ def classify_solvability(
     both from one face pass), the low-dimension strict-copositivity route, the
     two-component constructive weight, the row-dominance bound, and finally
     the cutting plane weight search; anything left is the open gap.
+
+    On entry it raises ParameterError for a budget below 1, even when the
+    tree stops before the weight search, and PreconditionError for a negative
+    diagonal entry (outside the paper's scope).
     """
-    diag = np.diag(B.entries)
-    if np.any(diag < 0):
-        raise PreconditionError("negative diagonal entries are outside scope")
+    require_budget(max_iterations)
+    require_nonnegative_diagonal(B)
     cubic = params.p == 4.0
 
     cs, minimum = scan_faces(B, params.p)
     if cs is not None:
         reason = "ConstantSolution"
-        if len(cs.support) == 1 and diag[cs.support[0]] == 0.0:
+        if len(cs.support) == 1 and B.entries[cs.support[0], cs.support[0]] == 0.0:
             reason = "ZeroDiagonal"
         return SolvabilityVerdict(SolvabilityKind.EXISTS, reason, cs)
 

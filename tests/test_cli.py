@@ -4,6 +4,7 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from coposolve import cli, neumann
@@ -31,6 +32,17 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def command_argv(command, path, tmp_path):
+    """A short invocation of each subcommand on the matrix file ``path``."""
+    return {
+        "classify": ["classify", str(path)],
+        "liouville": ["liouville", str(path), "--dim", "3"],
+        "find-mu": ["find-mu", str(path)],
+        "solve": ["solve", str(path), "--dim", "1", "--nodes", "33", "--out", str(tmp_path / "s.csv")],
+        "bepsilon": ["bepsilon", "--eps", "0.1", "--dim", "3"],
+    }[command]
 
 
 class TestClassify:
@@ -203,7 +215,7 @@ class TestSolve:
             (ParameterError, "error: parameter:"),
             (CapacityError, "error: capacity:"),
             (InternalConsistencyError, "error: InternalConsistencyError:"),
-            (PreconditionError, "error: PreconditionError:"),
+            (PreconditionError, "error: precondition:"),
         ],
     )
     def test_error_categories(self, tmp_path, capsys, monkeypatch, error, prefix):
@@ -269,12 +281,7 @@ class TestBudget:
     @pytest.mark.parametrize("command", ["liouville", "find-mu", "bepsilon"])
     def test_budget_below_one_rejected(self, tmp_path, capsys, command, budget):
         path = write_matrix(tmp_path, "m.json", 3, b_epsilon(0.1).entries.tolist())
-        argv = {
-            "liouville": ["liouville", str(path), "--dim", "3"],
-            "find-mu": ["find-mu", str(path)],
-            "bepsilon": ["bepsilon", "--eps", "0.1", "--dim", "3"],
-        }[command]
-        code, out, err = run(capsys, argv + ["--budget", budget])
+        code, out, err = run(capsys, command_argv(command, path, tmp_path) + ["--budget", budget])
         assert code == 1 and out == ""
         assert err.startswith("error: parameter: budget must be at least 1")
 
@@ -283,13 +290,7 @@ class TestParameters:
     @pytest.mark.parametrize("command", ["liouville", "find-mu", "solve", "bepsilon"])
     def test_infinite_p_rejected(self, tmp_path, capsys, command):
         path = write_matrix(tmp_path, "m.json", 2, [[1, -2], [-2, 1]])
-        argv = {
-            "liouville": ["liouville", str(path), "--dim", "3"],
-            "find-mu": ["find-mu", str(path)],
-            "solve": ["solve", str(path), "--dim", "1", "--out", str(tmp_path / "s.csv")],
-            "bepsilon": ["bepsilon", "--eps", "0.1", "--dim", "3"],
-        }[command]
-        code, out, err = run(capsys, argv + ["--p", "inf"])
+        code, out, err = run(capsys, command_argv(command, path, tmp_path) + ["--p", "inf"])
         assert code == 1 and out == ""
         assert err == "error: parameter: p must exceed 2 and be finite, got inf\n"
 
@@ -310,13 +311,25 @@ class TestErrors:
         assert err.startswith("error: matrix:")
 
     def test_oversized_matrix(self, tmp_path, capsys):
-        import numpy as np
-
         beta = np.eye(17).tolist()
         path = write_matrix(tmp_path, "big.json", 17, beta)
         code, _, err = run(capsys, ["classify", str(path)])
         assert code == 1
-        assert err.startswith("error: schema:")
+        assert err.startswith("error: capacity:")
+
+    # A negative diagonal is outside the paper's scope; n = 17 exceeds the
+    # face enumeration and the weight search.  The library rejects both.
+    @pytest.mark.parametrize("command, beta, category", [
+        *[(command, [[-1, 0], [0, 1]], "precondition") for command in ("liouville", "find-mu", "solve")],
+        *[(command, np.eye(17).tolist(), "capacity") for command in ("classify", "liouville", "find-mu", "solve")],
+    ], ids=["negative-diagonal-liouville", "negative-diagonal-find-mu", "negative-diagonal-solve",
+            "n17-classify", "n17-liouville", "n17-find-mu", "n17-solve"])
+    def test_library_error_category(self, tmp_path, capsys, command, beta, category):
+        path = write_matrix(tmp_path, "m.json", len(beta), beta)
+        code, out, err = run(capsys, command_argv(command, path, tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {category}: ")
+        assert len(err.splitlines()) == 1
 
     def test_boolean_n_rejected(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "bool.json", True, [[1]])

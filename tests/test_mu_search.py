@@ -299,6 +299,10 @@ class TestFindMu:
         with pytest.raises(CapacityError):
             find_mu(SymMatrix(np.eye(17)), 4.0)
 
+    def test_rejects_negative_diagonal(self):
+        with pytest.raises(PreconditionError):
+            find_mu(SymMatrix([[-1, 0], [0, 1]]), 4.0)
+
 
 class TestConstructiveMu:
     def test_quarter_roots(self):

@@ -17,6 +17,7 @@ from coposolve import (
     NeumannSolution,
     NotApplicableError,
     ParameterError,
+    PreconditionError,
     SolveInconclusive,
     SymMatrix,
     TrivialOnly,
@@ -279,7 +280,7 @@ class TestMountainPass:
         assert out.best_residual == 0.5
 
     def test_rejects_negative_diagonal(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(PreconditionError):
             mountain_pass_solve(SymMatrix([[-1, 0], [0, 1]]), 4.0, Grid(1, 1.0, 33))
 
 

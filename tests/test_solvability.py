@@ -241,6 +241,12 @@ class TestClassifySolvability:
         with pytest.raises(PreconditionError):
             classify_solvability(mat([[-1, 0], [0, 1]]), ProblemParams(3, 4.0))
 
+    @pytest.mark.parametrize("max_iterations", [0, -3])
+    def test_rejects_budget_below_one(self, max_iterations):
+        # Rejected on entry, although this input stops at Thm1.1, before the weight search.
+        with pytest.raises(ParameterError, match="budget must be at least 1"):
+            classify_solvability(mat([[1, -2], [-2, 1]]), ProblemParams(3), max_iterations)
+
     def test_monotonicity_of_low_dimension_route(self):
         rng = np.random.default_rng(53)
         for _ in range(20):
