@@ -4,7 +4,8 @@ One face sweep enumerates the vertices of the standard simplex and the
 face-interior stationary points of b, support size by support size in
 stacked batches.  Each batch's stationarity systems are solved first; only
 the faces whose solution is strictly positive then pay for a 1-norm
-condition number, and the singular ones among them are skipped, as their
+condition number, read at unit scale so that no verdict depends on the units
+of beta, and the singular ones among them are skipped, as their
 minimum is also attained on a smaller face.  One pass over it finds the
 exact constant solutions (stationary points with multiplier zero) and else
 the minimum of b, which decides copositivity, since a quadratic attains its
@@ -14,7 +15,8 @@ exist for n in {2, 3} and are run as a redundant cross-check."""
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -31,9 +33,9 @@ MAX_ENUMERATION_N = 16
 DEAD_BAND = 1e-9
 FACE_CONDITION_LIMIT = 1e12
 CONSTANT_RESIDUAL_TOL = 1e-10
-# Supports per stacked solve.  The batch's temporaries (about 0.8 MB at 128
-# for n = 16) set the sweep's peak memory, while the gain in speed of larger
-# batches flattens out.
+# Supports per stacked solve.  The batch's temporaries (about 0.4 MB at 128
+# for n = 16) and the cached support masks (128 kB at n = 16) set the sweep's
+# peak memory, while the gain in speed of larger batches flattens out.
 SWEEP_BATCH = 128
 
 
@@ -88,6 +90,38 @@ class ClosedFormResult:
     final_expression: float | None = None
 
 
+@functools.lru_cache(maxsize=MAX_ENUMERATION_N)
+def _support_masks(n: int) -> tuple[np.ndarray, ...]:
+    """The supports of sizes 2..n as bit masks, one read-only uint16 table per size.
+
+    Bit i of a mask is set when index i is in the support, and the masks come
+    in itertools.combinations order: the size k-1 supports whose least index
+    is above i are a suffix of their table, and prefixing i to that suffix,
+    for i in increasing order, gives the size k supports in order."""
+    tables = []
+    table = (1 << np.arange(n)).astype(np.uint16)
+    for k in range(2, n + 1):
+        pieces, start = [], 0
+        for i in range(n - k + 1):
+            start += math.comb(n - 1 - i, k - 2)
+            pieces.append(table[start:] | np.uint16(1 << i))
+        # Little-endian, so the sweep reads a mask's low byte first.
+        table = np.concatenate(pieces).astype("<u2", copy=False)
+        table.flags.writeable = False
+        tables.append(table)
+    return tuple(tables)
+
+
+def _bordered(A: np.ndarray) -> np.ndarray:
+    """[[A, -1/2 1], [1/2 1', 0]], every face's halved bordered system at once."""
+    n = A.shape[0]
+    K = np.full((n + 1, n + 1), -0.5)
+    K[n] = 0.5
+    K[n, n] = 0.0
+    K[:n, :n] = A
+    return K
+
+
 def _face_sweep(A: np.ndarray):
     """Stationary points of b interior to the faces of the simplex, in batches.
 
@@ -95,51 +129,77 @@ def _face_sweep(A: np.ndarray):
     positive stationary points on them, c > 0 with 2 A_S c = lambda 1 and
     sum c = 1, and the principal blocks A_S.  The vertices come first as one
     batch of singletons, then the larger supports one size at a time in
-    itertools.combinations order, in batches of at most SWEEP_BATCH whose
-    bordered systems are stacked and solved together.
-
-    Every face of a batch is solved first, each by its own LAPACK gesv; a
-    face that is not interior is dropped whatever its condition, so the
-    1-norm condition number (a full inverse) is computed only for the
-    interior ones.  An exactly singular face (a zero pivot) gets a NaN
-    solution, which is never interior.  Every other singular face is caught
-    by the gate: interior faces whose condition number is above
-    FACE_CONDITION_LIMIT or inf are skipped.  A singular system has a
-    null vector (d, nu) with d != 0 and 1'd = 0, so 2 A_S d = nu 1 and,
-    through a stationary point c, b(c + t d) = b(c) + t lambda 1'd +
-    t^2 nu 1'd / 2 = b(c).  Moving along d to the boundary of the face keeps
-    the value, so the face minimum is also attained on a proper sub-face,
-    which the sweep visits anyway.  On a nearly singular face b moves by only
-    O(||K|| / cond) along d, about 1e-12 at FACE_CONDITION_LIMIT.
+    itertools.combinations order, in batches of at most SWEEP_BATCH masks of
+    the cached support tables.
     """
     n = A.shape[0]
     yield np.arange(n)[:, None], np.ones((n, 1)), np.diag(A)[:, None, None]
-    for k in range(2, n + 1):
-        # The bordered system halved throughout, so A_S itself fills the block
-        # (no overflow near the float maximum); a power-of-two scaling leaves
-        # the solution and the condition number bit-identical.
-        border = np.zeros((k + 1, k + 1))
-        border[:k, k] = -0.5
-        border[k, :k] = 0.5
+    # Flat, so each batch's systems are one take.
+    K = _bordered(A).ravel()
+    columns = np.tile(np.arange(n + 1), SWEEP_BATCH)
+    for k, table in enumerate(_support_masks(n), start=2):
         rhs = np.zeros((k + 1, 1))
         rhs[k] = 0.5
-        supports = itertools.combinations(range(n), k)
-        while batch := list(itertools.islice(supports, SWEEP_BATCH)):
-            idx = np.array(batch)
-            blocks = A[idx[:, :, None], idx[:, None, :]]
-            kkt = np.repeat(border[None], len(batch), axis=0)
-            kkt[:, :k, :k] = blocks
-            # The gufunc behind np.linalg.solve, which writes NaN rows for
-            # exactly singular systems instead of raising for the stack.
-            with np.errstate(all="ignore"):
-                c = _umath_linalg.solve(kkt, rhs, signature="dd->d")[:, :k, 0]
-            interior = np.all(c > 0, axis=1)
-            # Filtered in place of the batch, so the full stack is freed
-            # before cond allocates its inverses.
-            idx, c, blocks, kkt = idx[interior], c[interior], blocks[interior], kkt[interior]
-            # "not above the limit" also drops the inf of singular faces.
-            regular = np.linalg.cond(kkt, 1) <= FACE_CONDITION_LIMIT
-            yield idx[regular], c[regular], blocks[regular]
+        for start in range(0, len(table), SWEEP_BATCH):
+            yield _sweep_batch(A, K, columns, table[start:start + SWEEP_BATCH], rhs)
+
+
+def _sweep_batch(A: np.ndarray, K: np.ndarray, columns: np.ndarray, masks: np.ndarray,
+                 rhs: np.ndarray):
+    """One batch of the face sweep: the regular interior faces among masks.
+
+    A function of its own so that one batch's temporaries are freed before
+    the next batch's are made; they set the sweep's peak memory.  The
+    bordered systems are taken from K, the flat _bordered(A) (halved
+    throughout, so A_S itself fills the block and nothing overflows near the
+    float maximum), and solved together, each by its own LAPACK gesv.  A face
+    that is not interior is dropped whatever its condition, so the 1-norm
+    condition number (a full inverse) is computed only for the interior
+    ones.  An exactly singular face (a zero pivot) gets a NaN solution, which
+    is never interior.  Every other singular face is caught by the gate:
+    interior faces whose condition number is above FACE_CONDITION_LIMIT, inf
+    or NaN are skipped.  The gate reads each face's system at unit scale,
+    with A_S divided by the power of two that brings max |A_S| into [1, 2):
+    the border 1/2 does not scale with A_S, so the condition number of the
+    unscaled system grows like s^2 under A_S -> s A_S, while the gate's
+    verdict on a face should depend neither on the units of beta nor on the
+    entries outside A_S.  The solve stays unscaled, so the points keep their
+    bits.  A singular system has a null vector (d, nu) with d != 0 and
+    1'd = 0, so 2 A_S d = nu 1 and, through a stationary point c,
+    b(c + t d) = b(c) + t lambda 1'd + t^2 nu 1'd / 2 = b(c).  Moving along d
+    to the boundary of the face keeps the value, so the face minimum is also
+    attained on a proper sub-face, which the sweep visits anyway.  On a
+    nearly singular face b moves by only O(||K_S|| / cond) along d, about
+    1e-12 of max |A_S| at FACE_CONDITION_LIMIT.
+    """
+    n, k = A.shape[0], len(rhs) - 1
+    # Each mask's indices in increasing order, then the border index n, read
+    # off columns, which repeats 0..n once per mask.
+    bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 2), axis=1, count=n + 1,
+                         bitorder="little")
+    bits[:, n] = 1
+    rows = columns[:bits.size][bits.ravel().view(bool)].reshape(-1, k + 1)
+    kkt = K.take(rows[:, :, None] * (n + 1) + rows[:, None, :])
+    # The gufunc behind np.linalg.solve, which writes NaN rows for exactly
+    # singular systems instead of raising for the stack.
+    with np.errstate(all="ignore"):
+        c = _umath_linalg.solve(kkt, rhs, signature="dd->d")[:, :k, 0]
+    interior = np.all(c > 0, axis=1)
+    rows, c = rows[interior], c[interior]
+    if len(rows):
+        gate = kkt[interior]
+        block = gate[:, :k, :k]
+        # ldexp is exact, and a zero block stays zero.
+        block[...] = np.ldexp(block, 1 - np.frexp(np.abs(block).max(axis=(1, 2)))[1][:, None, None])
+        # np.linalg.cond(gate, 1) without its checks and its NaN-to-inf
+        # pass: NaN, like inf, is not "not above the limit".
+        with np.errstate(all="ignore"):
+            inverse = _umath_linalg.inv(gate, signature="d->d")
+            cond = np.abs(gate).sum(-2).max(-1) * np.abs(inverse).sum(-2).max(-1)
+        regular = cond <= FACE_CONDITION_LIMIT
+        rows, c = rows[regular], c[regular]
+    idx = rows[:, :k]
+    return idx, c, A[idx[:, :, None], idx[:, None, :]]
 
 
 def _batch_constant(A: np.ndarray, idx: np.ndarray, points: np.ndarray,
@@ -206,6 +266,9 @@ def scan_faces(B: SymMatrix, p: float | None = None, max_size: int | None = None
             return FaceScan(cert, None)
         if len(idx):
             values = np.einsum("mi,mij,mj->m", points, blocks, points)
+            # A batch that cannot win or tie skips the fold; NaN does not skip.
+            if values.min() > best[0]:
+                continue
             witnesses = np.zeros((len(idx), n))
             np.put_along_axis(witnesses, idx, points, axis=1)
             first = np.lexsort((*witnesses.T[::-1], values))[0]
@@ -226,7 +289,11 @@ def strict_copositivity_closed_form(B: SymMatrix) -> ClosedFormResult:
     n = B.n
     if n not in (2, 3):
         raise CapacityError(f"closed forms exist only for n in {{2, 3}}, got {n}")
-    a = B.entries
+    # On B / 4^e with max |B / 4^e| in [1/2, 2), so the products below stay
+    # in range; an even power of two passes exactly through every product and
+    # square root, and final_expression, of degree 3/2, scales back by 8^e.
+    e = int(np.frexp(np.abs(B.entries).max())[1]) // 2
+    a = np.ldexp(B.entries, -2 * e)
     if np.any(np.diag(a) <= 0):
         return ClosedFormResult(False, None)
     if n == 2:
@@ -243,7 +310,8 @@ def strict_copositivity_closed_form(B: SymMatrix) -> ClosedFormResult:
         + a[1, 2] * np.sqrt(a[0, 0])
         + np.sqrt(2.0 * pair01 * pair02 * pair12)
     )
-    return ClosedFormResult(bool(final > 0), float(final))
+    with np.errstate(over="ignore"):
+        return ClosedFormResult(bool(final > 0), float(np.ldexp(final, 3 * e)))
 
 
 def classify_copositivity(B: SymMatrix) -> CopositivityVerdict:

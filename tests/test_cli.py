@@ -84,6 +84,34 @@ class TestClassify:
         assert entries[0]["kind"] == "NotCopositive"
 
 
+def scaled_not_copositive(scale):
+    """scale times a 6 x 6 not copositive matrix, minimum -0.097 on the simplex."""
+    m = np.random.default_rng(3).uniform(-1.0, 1.0, (6, 6))
+    m = m + m.T
+    np.fill_diagonal(m, 1.0)
+    return (scale * m).tolist()
+
+
+class TestScale:
+    @pytest.mark.parametrize("scale", [1e8, 2.0**-20])
+    def test_verdicts_do_not_depend_on_the_units_of_beta(self, tmp_path, capsys, scale):
+        results = {}
+        for s in (1.0, scale):
+            path = write_matrix(tmp_path, f"m{s}.json", 6, scaled_not_copositive(s))
+            for argv in (["classify", str(path)], ["liouville", str(path), "--dim", "2"]):
+                code, out, err = run(capsys, argv)
+                assert code == 0 and err == ""
+                results[argv[0], s] = json.loads(out)["result"]
+        classify, scaled = results["classify", 1.0], results["classify", scale]
+        assert classify["kind"] == scaled["kind"] == "NotCopositive"
+        assert scaled["min_value"] / scale == pytest.approx(classify["min_value"], rel=1e-9)
+        assert scaled["witness"] == pytest.approx(classify["witness"], abs=1e-9)
+        liouville, scaled = results["liouville", 1.0], results["liouville", scale]
+        assert (liouville["kind"], liouville["reason"]) == (scaled["kind"], scaled["reason"])
+        assert liouville["reason"] == "Thm1.1"
+        assert scaled["certificate"]["point"] == pytest.approx(liouville["certificate"]["point"], abs=1e-9)
+
+
 class TestLiouville:
     def test_constant_solution_certificate(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "boundary.json", 2, [[1, -1], [-1, 1]])

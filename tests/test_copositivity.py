@@ -29,6 +29,7 @@ from coposolve import (
     strict_copositivity_closed_form,
 )
 from coposolve import copositivity, neumann
+from coposolve.forms import ConeVector
 from coposolve.mu_search import b_epsilon
 
 from oracles import dense_min_quadratic, exact_quadratic_form, exact_simplex_min
@@ -171,6 +172,21 @@ class TestClosedForm:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             strict_copositivity_closed_form(mat(np.eye(4)))
+
+    def test_huge_entries_keep_their_class(self):
+        # sqrt(a00 a11) and sqrt(a00 a11 a22) overflow above about 1e154.
+        for rows in ([[1, -2], [-2, 1]], [[1, -0.6, -0.6], [-0.6, 1, -0.6], [-0.6, -0.6, 1]]):
+            B = mat(np.array(rows) * 1e160)
+            assert not strict_copositivity_closed_form(B).strict
+            assert classify_copositivity(B).kind is Copositivity.NOT_COPOSITIVE
+
+    def test_final_expression_scales_exactly(self):
+        rows = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, -0.3], [0.2, -0.3, 2.0]])
+        base = strict_copositivity_closed_form(mat(rows))
+        assert base.strict
+        for e in (-250, -1, 1, 260):
+            scaled = strict_copositivity_closed_form(mat(np.ldexp(rows, 2 * e)))
+            assert scaled.strict and scaled.final_expression == np.ldexp(base.final_expression, 3 * e)
 
     def test_agrees_with_oracle_outside_dead_band(self):
         rng = np.random.default_rng(7)
@@ -336,6 +352,71 @@ class TestFacePass:
         monkeypatch.setattr(copositivity, "SWEEP_BATCH", batch)
         for a, expected in zip(cases, default):
             assert sweep_reads(a) == expected
+
+
+class TestSupportMasks:
+    def test_masks_follow_combinations(self):
+        for n in range(1, copositivity.MAX_ENUMERATION_N + 1):
+            tables = copositivity._support_masks(n)
+            assert len(tables) == max(n - 1, 0)
+            for k, table in enumerate(tables, start=2):
+                assert table.dtype == np.uint16 and not table.flags.writeable
+                assert table.tolist() == [sum(1 << i for i in s) for s in itertools.combinations(range(n), k)]
+
+
+def full_fold_minimum(B: SymMatrix) -> copositivity.SimplexMinimum:
+    """The minimum of scan_faces with every batch folded, none skipped."""
+    best = (np.inf, ())
+    for idx, points, blocks in copositivity._face_sweep(B.entries):
+        if len(idx):
+            values = np.einsum("mi,mij,mj->m", points, blocks, points)
+            witnesses = np.zeros((len(idx), B.n))
+            np.put_along_axis(witnesses, idx, points, axis=1)
+            first = np.lexsort((*witnesses.T[::-1], values))[0]
+            best = min(best, (float(values[first]), tuple(witnesses[first])))
+    witness = np.maximum(best[1], 0.0)
+    arg = ConeVector(witness / witness.sum())
+    return copositivity.SimplexMinimum(quadratic_form(B, arg), arg, False)
+
+
+class TestFoldSkip:
+    @pytest.mark.parametrize("batch", [1, 7, 128])
+    def test_matches_the_full_fold(self, monkeypatch, batch):
+        monkeypatch.setattr(copositivity, "SWEEP_BATCH", batch)
+        for a in sweep_cases():
+            B = SymMatrix(a)
+            m, expected = simplex_min_quadratic(B), full_fold_minimum(B)
+            assert np.float64(m.min_value).tobytes() == np.float64(expected.min_value).tobytes()
+            assert m.argmin.components.tobytes() == expected.argmin.components.tobytes()
+
+
+class TestScaleInvariance:
+    """The face gate reads the system at unit scale, so 2^e beta keeps every face."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_power_of_two_scaling(self, n):
+        rng = np.random.default_rng(200 + n)
+        for nonneg_diag in (True, False):
+            A = random_symmetric(rng, n, nonneg_diag).entries
+            faces = [idx.tolist() for idx, _, _ in copositivity._face_sweep(A)]
+            base = simplex_min_quadratic(SymMatrix(A))
+            for e in range(-60, 61, 5):
+                scaled = np.ldexp(A, e)
+                assert [idx.tolist() for idx, _, _ in copositivity._face_sweep(scaled)] == faces
+                m = simplex_min_quadratic(SymMatrix(scaled))
+                assert np.ldexp(m.min_value, -e) == pytest.approx(base.min_value, rel=1e-12, abs=0)
+                assert m.argmin.components == pytest.approx(base.argmin.components, rel=0, abs=1e-12)
+
+    def test_each_face_is_gated_at_its_own_scale(self):
+        # At one scale for the whole matrix, the huge entry would shrink the
+        # block of face {0, 1} until its system failed the gate.
+        B = np.diag([1.0, 1.0, 1e14, 1.0])
+        B[0, 1] = B[1, 0] = -2.0
+        for e in (-40, 0, 40):
+            m = simplex_min_quadratic(SymMatrix(np.ldexp(B, e)))
+            assert np.ldexp(m.min_value, -e) == pytest.approx(-0.5, rel=1e-12)
+            assert m.argmin.components == pytest.approx([0.5, 0.5, 0.0, 0.0], abs=1e-12)
+        assert classify_copositivity(SymMatrix(B)).kind is Copositivity.NOT_COPOSITIVE
 
 
 def bordered_systems(A: np.ndarray, supports) -> tuple:
