@@ -6,8 +6,9 @@ prints one report document (schema coposolve-report/2) to standard output,
 holding the defaults and the parameter values the run actually used; its
 result block is the library's result passed through `reports.to_doc`.
 Nothing is random, so identical invocations at a fixed BLAS thread count
-produce byte-identical reports; `solve` output can differ in the last bits
-between OpenBLAS thread counts.  Any verdict, including Unknown,
+produce byte-identical reports; the default `solve` runs (`--dim 2` is the
+`--dim 1` solve tiled along y) also match at 1 and 2 OpenBLAS threads in CI,
+measured, not proven, at large --nodes.  Any verdict, including Unknown,
 exits 0; only input and validation failures exit nonzero, with a one-line
 `error: <category>: <message>` on standard error.  Reading the file gives
 io, json, schema or matrix.  Every other input rule lives in the library:

@@ -13,6 +13,10 @@ restart cycle of left-preconditioned GMRES on the matrix-free Jacobian, run
 in the package in scipy's arithmetic and independent of the installed
 scipy's ``gmres`` version, preconditioned mode by mode in the DCT-I
 basis that diagonalises the mirror Laplacian.
+
+A 2-d solve is the 1-d solve on the same nodes tiled along y: every seed is
+y-constant, and a y-constant field solves the 2-d system exactly when its
+profile solves the 1-d one (the mirror closure zeroes the y-difference).
 """
 
 from __future__ import annotations
@@ -156,7 +160,7 @@ STALL_WINDOW = 5
 # cycle); in the round-off tail the line search decides whether a step is taken.
 KRYLOV_RTOL = 1e-9
 KRYLOV_MAXITER = 30
-# Cap on n * k^dim, the size of the preconditioner's low-mode Galerkin block.
+# Cap on n * k, the size of the preconditioner's low-mode Galerkin block.
 COARSE_SIZE = 256
 
 
@@ -261,8 +265,7 @@ class _FieldState:
         lowered, coupled = self._factors()
         z = np.zeros_like(U)
         z[U > 0] = U[U > 0] ** (p / 2.0 - 2.0)
-        expand = (slice(None), slice(None)) + (None,) * (U.ndim - 1)
-        D = -(p / 2.0) * self.A[expand] * lowered[:, None] * lowered[None, :]
+        D = -(p / 2.0) * self.A[:, :, None] * lowered[:, None] * lowered[None, :]
         diag = np.arange(U.shape[0])
         D[diag, diag] += (U < 0).astype(float) - (p / 2.0 - 1.0) * z * coupled
         return D
@@ -330,12 +333,18 @@ def _bump_intervals(n: int, extent: float) -> list[tuple[float, float]]:
     return [(i * (width + gap), i * (width + gap) + width) for i in range(n)]
 
 
+def _require_line(*grids: Grid) -> None:
+    if any(grid.dim != 1 for grid in grids):
+        raise ParameterError("seeds and refinement take 1-d grids; a 2-d solve tiles the 1-d one")
+
+
 def bump_profiles(B: SymMatrix, grid: Grid) -> np.ndarray:
     """Smooth disjoint-support bump per component: cos^2 on its own interval.
 
-    Profiles live along the first axis (constant across the second in 2d),
-    satisfy 0 <= phi_i <= 1 and phi_i phi_j = 0 exactly on the grid nodes.
+    Profiles live on a 1-d grid, satisfy 0 <= phi_i <= 1 and phi_i phi_j = 0
+    exactly on the grid nodes.
     """
+    _require_line(grid)
     n = B.n
     x = grid.axis()
     intervals = _bump_intervals(n, grid.extent)
@@ -348,18 +357,13 @@ def bump_profiles(B: SymMatrix, grid: Grid) -> np.ndarray:
             )
         phi = np.zeros_like(x)
         phi[inside] = np.cos(np.pi * (x[inside] - (a + b) / 2.0) / (b - a)) ** 2
-        if grid.dim == 2:
-            phi = np.tile(phi[:, None], (1, grid.points_per_side))
         profiles.append(phi)
     return np.stack(profiles)
 
 
 def homotopy_mixture(c: np.ndarray, t: float, profiles: np.ndarray) -> np.ndarray:
     """Field (1-t) c + t (c_1 phi_1, ..., c_n phi_n) for a cone point c."""
-    c = np.asarray(c, dtype=float)
-    shape = (1,) * (profiles.ndim - 1)
-    cb = c.reshape((-1,) + shape)
-    return cb * ((1.0 - t) + t * profiles)
+    return np.asarray(c, dtype=float)[:, None] * ((1.0 - t) + t * profiles)
 
 
 def _ridge_scale(A: np.ndarray, V: np.ndarray, p: float, grid: Grid) -> float:
@@ -372,7 +376,7 @@ def _ridge_scale(A: np.ndarray, V: np.ndarray, p: float, grid: Grid) -> float:
 
 def theta_seeds(B: SymMatrix, d: ConeVector, grid: Grid,
                 p: float = 4.0) -> Iterator[tuple[str, FieldTuple]]:
-    """The seed fields of the mountain-pass search with provenance labels, one at a time.
+    """The seed fields of the mountain-pass search on a 1-d grid with provenance labels, one at a time.
 
     For n >= 2, five fields, each nonconstant with every component nonzero:
     the combined separated bumps at 0.9 and 1.5 times their ridge amplitude,
@@ -387,6 +391,7 @@ def theta_seeds(B: SymMatrix, d: ConeVector, grid: Grid,
     measurement, not proof: Newton collapsed every one of them below 1e-4
     (0.5, 1 and 2 times d on [[1,-2],[-2,1]] at 49^2 nodes).
     """
+    _require_line(grid)
     n = B.n
     if d.components.size != n:
         raise DimensionError(f"direction d has length {d.components.size}, expected {n}")
@@ -413,25 +418,23 @@ def theta_seeds(B: SymMatrix, d: ConeVector, grid: Grid,
 
 
 def _jacobian_product(D: np.ndarray, V: np.ndarray, h: float) -> np.ndarray:
-    """(-L + D) V for a field V of shape (n, *grid)."""
-    return -_laplacian(V, h) + np.einsum("ij...,j...->i...", D, V)
+    """(-L + D) V for a field V of shape (n, m)."""
+    return -_laplacian(V, h) + np.einsum("ijx,jx->ix", D, V)
 
 
 @functools.cache
-def _dct_spectrum(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(eig, lap_eig, inverse): -L's eigenvalues per axis and on the grid, and the high-mode factor."""
-    m, dim = grid.points_per_side, grid.dim
-    scale = 2.0 * (m - 1)
+def _dct_spectrum(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """(eig, inverse): -L's eigenvalues on the line's modes, and the high-mode factor."""
+    m = grid.points_per_side
     eig = (2.0 - 2.0 * np.cos(np.pi * np.arange(m) / (m - 1))) / grid.h**2
-    lap_eig = eig if dim == 1 else eig[:, None] + eig[None, :]
-    inverse = 1.0 / ((1.0 + lap_eig) * scale**dim)
-    eig.flags.writeable = lap_eig.flags.writeable = inverse.flags.writeable = False
-    return eig, lap_eig, inverse
+    inverse = 1.0 / ((1.0 + eig) * (2.0 * (m - 1)))
+    eig.flags.writeable = inverse.flags.writeable = False
+    return eig, inverse
 
 
 @functools.cache
 def _dct_modes(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) on m nodes per axis: DCT-I coefficients 0..k-1 of a field, and those modes as fields."""
+    """(rows, cols) on m nodes: DCT-I coefficients 0..k-1 of a field, and those modes as fields."""
     scale = 2.0 * (m - 1)
     cosines = np.cos(np.pi * np.outer(np.arange(k), np.arange(m)) / (m - 1))
     ends = np.r_[1.0, np.full(m - 2, 2.0), 1.0]
@@ -444,39 +447,32 @@ def _dct_modes(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _dct_preconditioner(D: np.ndarray, grid: Grid):
     """x -> approximate inverse of the Jacobian -L + D, block diagonal in DCT-I modes.
 
-    -L has eigenvalue eig[k] on mode cos(pi j k / (m - 1)) of an axis.  Modes
-    with eig above every |D| entry get (-L + I)^-1; the box of lower ones (at
-    least the constant mode, whose block is the trapezoid-weighted mean of D)
-    gets the exact inverse of the Galerkin block of -L + D.
+    -L has eigenvalue eig[k] on mode cos(pi j k / (m - 1)).  Modes with eig
+    above every |D| entry get (-L + I)^-1; the lowest k (at least the
+    constant mode, whose block is the trapezoid-weighted mean of D) get the
+    exact inverse of the Galerkin block of -L + D.
     """
-    from scipy.fft import dctn
+    from scipy.fft import dct
 
-    n, m, dim = D.shape[0], grid.points_per_side, grid.dim
-    axes = tuple(range(1, dim + 1))
-    scale = 2.0 * (m - 1)  # DCT-I applied twice multiplies by this, per axis
-    eig, lap_eig, inverse = _dct_spectrum(grid)
-    cap = max(1, int((COARSE_SIZE / n) ** (1.0 / dim)))
-    k = min(int(np.searchsorted(eig, np.max(np.abs(D)))) + 1, cap, m)
+    n, m = D.shape[0], grid.points_per_side
+    scale = 2.0 * (m - 1)  # DCT-I applied twice multiplies by this
+    eig, inverse = _dct_spectrum(grid)
+    k = min(int(np.searchsorted(eig, np.max(np.abs(D)))) + 1, max(1, COARSE_SIZE // n), m)
     rows, cols = _dct_modes(m, k)
-    block = D
-    for _ in range(dim):
-        block = np.einsum("ax,ijx...,cx->ij...ac", rows, block, cols, optimize=True)
-    order = [0, *range(2, 2 + 2 * dim, 2), 1, *range(3, 3 + 2 * dim, 2)]
-    size = n * k**dim
-    box = (slice(None),) + (slice(0, k),) * dim
-    block = block.transpose(order).reshape(size, size)
-    block += np.diag(np.tile(lap_eig[box[1:]].ravel(), n))
+    block = np.einsum("ax,ijx,cx->ijac", rows, D, cols, optimize=True)
+    block = block.transpose(0, 2, 1, 3).reshape(n * k, n * k)
+    block += np.diag(np.tile(eig[:k], n))
     try:
         coarse = np.linalg.inv(block)
     except np.linalg.LinAlgError:
         coarse = np.linalg.pinv(block)
 
     def apply(x: np.ndarray) -> np.ndarray:
-        C = dctn(x.reshape((n,) + grid.shape), type=1, axes=axes)
-        low = coarse @ C[box].ravel()
+        C = dct(x.reshape(n, m), type=1)
+        low = coarse @ C[:, :k].ravel()
         C *= inverse
-        C[box] = low.reshape(C[box].shape) / scale**dim
-        return dctn(C, type=1, axes=axes).ravel()
+        C[:, :k] = low.reshape(n, k) / scale
+        return dct(C, type=1).ravel()
 
     return apply
 
@@ -698,8 +694,15 @@ def mountain_pass_solve(B: SymMatrix, p: float,
     With no accepted field the outcome is TrivialOnly when every seed
     collapsed or escaped, otherwise SolveInconclusive with the least finite
     residual among the seeds that stalled, kept a negative part or failed
-    after clamping.
+    after clamping.  On a 2-d grid the search runs on the line of the same
+    nodes; an accepted profile is tiled along y and reported on the 2-d grid.
     """
+    if grid.dim == 2:
+        out = mountain_pass_solve(B, p, Grid(1, grid.extent, grid.points_per_side))
+        if not isinstance(out, NeumannSolution):
+            return out
+        field = FieldTuple(np.repeat(out.field.components[:, :, None], grid.points_per_side, axis=2))
+        return NeumannSolution(field, energy(B, field, p, grid), out.classification, out.seed_provenance)
     require_nonnegative_diagonal(B)
     A = B.entries
 
@@ -761,22 +764,12 @@ def mountain_pass_solve(B: SymMatrix, p: float,
     return SolveInconclusive(best_residual=float(best_residual), seed_outcomes=tuple(outcomes))
 
 
-def _prolong(U: np.ndarray, grid_from: Grid, grid_to: Grid) -> np.ndarray:
-    """Separable (bi)linear interpolation of the fields U: np.interp along each axis."""
-    x_from, x_to = grid_from.axis(), grid_to.axis()
-    j = np.clip(np.searchsorted(x_from, x_to, side="right") - 1, 0, x_from.size - 2)
-    for axis in range(1, U.ndim):
-        v = U.swapaxes(axis, -1)
-        lo, hi = v[..., j], v[..., j + 1]
-        out = (hi - lo) / (x_from[j + 1] - x_from[j]) * (x_to - x_from[j]) + lo
-        U = np.where(x_to == x_from[j], lo, np.where(x_to == x_from[j + 1], hi, out)).swapaxes(axis, -1)
-    return U
-
-
 def refine_solution(B: SymMatrix, solution: NeumannSolution, p: float,
                     grid_from: Grid, grid_to: Grid) -> NeumannSolution:
-    """Prolong a solution to a finer grid and Newton-polish it there."""
-    fine = _prolong(solution.field.components, grid_from, grid_to)
+    """Interpolate a 1-d solution linearly to a finer grid and Newton-polish it there."""
+    _require_line(grid_from, grid_to)
+    x_from, x_to = grid_from.axis(), grid_to.axis()
+    fine = np.stack([np.interp(x_to, x_from, u) for u in solution.field.components])
     polished, rnorm, converged = _newton_polish(B.entries, fine, p, grid_to)
     if not converged:
         raise ParameterError(f"refinement failed to converge, residual {rnorm:.2e}")
