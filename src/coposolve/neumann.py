@@ -8,11 +8,10 @@ _FieldState, evaluates both.  Critical points are located by Armijo gradient
 descent from a family of five seed fields (separated bumps and homotopy
 mixtures along a negative direction, drawn one field at a time), which
 reads the energy and, on acceptance, the gradient of each trial field from
-one evaluation.  A Newton-Krylov polish follows: each Newton step is one
-restart cycle of left-preconditioned GMRES on the matrix-free Jacobian, run
-in the package in scipy's arithmetic and independent of the installed
-scipy's ``gmres`` version, preconditioned mode by mode in the DCT-I
-basis that diagonalises the mirror Laplacian.
+one evaluation.  A damped Newton polish follows: each step solves the
+Jacobian system exactly by one banded LU, the unknowns laid out node-major
+so that the mirror Laplacian and the nodal coupling fill n sub- and
+super-diagonals.
 
 A 2-d solve is the 1-d solve on the same nodes tiled along y: every seed is
 y-constant, and a y-constant field solves the 2-d system exactly when its
@@ -155,13 +154,6 @@ COLLAPSE_RATIO = 0.75
 COLLAPSE_STEPS = 3
 STALL_RATIO = 0.95
 STALL_WINDOW = 5
-
-# GMRES per Newton step: relative tolerance and iteration cap (one restart
-# cycle); in the round-off tail the line search decides whether a step is taken.
-KRYLOV_RTOL = 1e-9
-KRYLOV_MAXITER = 30
-# Cap on n * k, the size of the preconditioner's low-mode Galerkin block.
-COARSE_SIZE = 256
 
 
 def _laplacian(U: np.ndarray, h: float) -> np.ndarray:
@@ -417,151 +409,41 @@ def theta_seeds(B: SymMatrix, d: ConeVector, grid: Grid,
         yield f"mixture ray=d t={t}", FieldTuple(homotopy_mixture(ray, t, profiles))
 
 
-def _jacobian_product(D: np.ndarray, V: np.ndarray, h: float) -> np.ndarray:
-    """(-L + D) V for a field V of shape (n, m)."""
-    return -_laplacian(V, h) + np.einsum("ijx,jx->ix", D, V)
+def _newton_step(D: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:
+    """The Newton step: (-L + D) delta = -r by one banded LU, for D of shape (n, n, m).
 
-
-@functools.cache
-def _dct_spectrum(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(eig, inverse): -L's eigenvalues on the line's modes, and the high-mode factor."""
-    m = grid.points_per_side
-    eig = (2.0 - 2.0 * np.cos(np.pi * np.arange(m) / (m - 1))) / grid.h**2
-    inverse = 1.0 / ((1.0 + eig) * (2.0 * (m - 1)))
-    eig.flags.writeable = inverse.flags.writeable = False
-    return eig, inverse
-
-
-@functools.cache
-def _dct_modes(m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) on m nodes: DCT-I coefficients 0..k-1 of a field, and those modes as fields."""
-    scale = 2.0 * (m - 1)
-    cosines = np.cos(np.pi * np.outer(np.arange(k), np.arange(m)) / (m - 1))
-    ends = np.r_[1.0, np.full(m - 2, 2.0), 1.0]
-    rows = cosines * ends
-    cols = cosines * ends[:k, None] / scale
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
-def _dct_preconditioner(D: np.ndarray, grid: Grid):
-    """x -> approximate inverse of the Jacobian -L + D, block diagonal in DCT-I modes.
-
-    -L has eigenvalue eig[k] on mode cos(pi j k / (m - 1)).  Modes with eig
-    above every |D| entry get (-L + I)^-1; the lowest k (at least the
-    constant mode, whose block is the trapezoid-weighted mean of D) get the
-    exact inverse of the Galerkin block of -L + D.
+    Node-major, (node x, component i) is unknown x n + i, so -L + D has n
+    sub- and super-diagonals.  A component whose rows of D and r vanish (one
+    identically zero, which stays zero for p > 2) has the block -L alone,
+    singular with a zero right side; it gets delta = 0 and the others are
+    solved without it.
     """
-    from scipy.fft import dct
+    from scipy.linalg import solve_banded
 
-    n, m = D.shape[0], grid.points_per_side
-    scale = 2.0 * (m - 1)  # DCT-I applied twice multiplies by this
-    eig, inverse = _dct_spectrum(grid)
-    k = min(int(np.searchsorted(eig, np.max(np.abs(D)))) + 1, max(1, COARSE_SIZE // n), m)
-    rows, cols = _dct_modes(m, k)
-    block = np.einsum("ax,ijx,cx->ijac", rows, D, cols, optimize=True)
-    block = block.transpose(0, 2, 1, 3).reshape(n * k, n * k)
-    block += np.diag(np.tile(eig[:k], n))
-    try:
-        coarse = np.linalg.inv(block)
-    except np.linalg.LinAlgError:
-        coarse = np.linalg.pinv(block)
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        C = dct(x.reshape(n, m), type=1)
-        low = coarse @ C[:, :k].ravel()
-        C *= inverse
-        C[:, :k] = low.reshape(n, k) / scale
-        return dct(C, type=1).ravel()
-
-    return apply
-
-
-def _gmres(matvec, psolve, b: np.ndarray) -> np.ndarray:
-    """One restart cycle of left-preconditioned GMRES for A x = b from x = 0.
-
-    The arithmetic of scipy 1.17's ``gmres(A, b, rtol=KRYLOV_RTOL,
-    restart=KRYLOV_MAXITER, maxiter=1, M=M)``, in the same order, so the
-    result is bit-identical to it: modified Gram-Schmidt on M A v, LAPACK
-    lartg Givens rotations, a stop once the preconditioned residual estimate
-    is at most ptol = |M b| min(1, rtol |b| / |b|) or on a lucky breakdown,
-    then back substitution.  The true residual b - A x, which scipy only
-    turns into its convergence flag, is not formed.
-    """
-    from scipy.linalg.lapack import dlartg
-
-    bnrm2 = np.linalg.norm(b)
-    if bnrm2 == 0:
-        return b
-    size = b.size
-    restart = min(KRYLOV_MAXITER, size)
-    eps = np.finfo(float).eps
-    v = np.empty((restart + 1, size))
-    v[0] = psolve(b)
-    mb_norm = np.linalg.norm(v[0])
-    ptol = mb_norm * min(1.0, max(0.0, KRYLOV_RTOL * float(bnrm2)) / bnrm2)
-    v[0] *= 1 / mb_norm
-    # Hessenberg columns (row col of h holds column col) and the rotated right side.
-    h = np.zeros((restart, restart + 1))
-    S = [mb_norm] + [0.0] * restart
-    givens: list[tuple[float, float]] = []
-    for col in range(restart):
-        w = psolve(matvec(v[col]))
-        h0 = np.linalg.norm(w)
-        column = []
-        for k in range(col + 1):
-            t = np.dot(v[k], w)
-            column.append(t)
-            w -= t * v[k]
-        h1 = np.linalg.norm(w)
-        breakdown = h1 <= eps * h0
-        if breakdown:
-            column.append(0.0)
-        else:
-            column.append(h1)
-            np.multiply(w, 1 / h1, out=v[col + 1])
-        for k, (c, s) in enumerate(givens):
-            n0, n1 = column[k], column[k + 1]
-            column[k] = c * n0 + s * n1
-            column[k + 1] = -s * n0 + c * n1
-        c, s, column[col] = dlartg(column[col], column[col + 1])
-        column[col + 1] = 0.0
-        givens.append((c, s))
-        h[col, :col + 2] = column
-        S[col], S[col + 1] = c * S[col], -s * S[col]
-        if abs(S[col + 1]) <= ptol or breakdown:
-            break
-    if h[col, col] == 0:
-        S[col] = 0
-    y = np.array(S[:col + 1])
-    for k in range(col, 0, -1):
-        if y[k] != 0:
-            y[k] /= h[k, k]
-            y[:k] -= y[k] * h[k, :k]
-    if y[0] != 0:
-        y[0] /= h[0, 0]
-    x = np.zeros(size)
-    x += y @ v[:col + 1]  # as scipy forms it: a -0.0 entry reads +0.0
-    return x
-
-
-def _krylov_step(D: np.ndarray, r: np.ndarray, grid: Grid) -> np.ndarray:
-    """Preconditioned GMRES for the Newton step: (-L + D) delta = -r."""
-    h = grid.h
-
-    def jacobian(v: np.ndarray) -> np.ndarray:
-        return _jacobian_product(D, v.reshape(r.shape), h).ravel()
-
-    return _gmres(jacobian, _dct_preconditioner(D, grid), -r.ravel()).reshape(r.shape)
+    delta = np.zeros_like(r)
+    live = np.flatnonzero(np.any(r != 0, axis=1) | np.any(D != 0, axis=(1, 2)))
+    n, m = live.size, r.shape[1]
+    # Band row n + I - J holds M[I, J]: a nodal block (x' = x) fills rows n + i - j.
+    ab = np.zeros((2 * n + 1, n * m))
+    i, j = np.indices((n, n))
+    ab[(n + i - j)[:, :, None], np.arange(n)[:, None] + n * np.arange(m)] = D[np.ix_(live, live)]
+    ab[n] += 2.0 / h**2
+    # Neighbour nodes; the mirror doubles the inward one at each end.
+    ab[0, n:] = ab[2 * n, :-n] = -1.0 / h**2
+    ab[0, n:2 * n] = ab[2 * n, -2 * n:-n] = -2.0 / h**2
+    rhs = -r[live].T.ravel()
+    delta[live] = solve_banded((n, n), ab, rhs, check_finite=False).reshape(m, n).T
+    return delta
 
 
 def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float,
                    grid: Grid) -> tuple[np.ndarray, float, bool]:
-    """Damped Newton-Krylov on the discrete Euler-Lagrange system.
+    """Damped Newton on the discrete Euler-Lagrange system of a 1-d grid.
 
-    Runs at most MAX_NEWTON_STEPS steps, each a GMRES solve and a residual
-    line search, and stops early at the improvement floor, on a collapse to
-    zero or on a stall (see COLLAPSE_RATIO and STALL_RATIO).
+    Runs at most MAX_NEWTON_STEPS steps, each an exact banded solve
+    (_newton_step) and a residual line search, and stops early at the
+    improvement floor, on a collapse to zero or on a stall (see
+    COLLAPSE_RATIO and STALL_RATIO), or unimproved on a singular Jacobian.
     Returns (field, residual_inf, converged).
     """
     h = grid.h
@@ -575,7 +457,7 @@ def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float,
         if rnorm == 0.0 or not np.isfinite(rnorm):
             break
         try:
-            delta = _krylov_step(state.nodal_block(), r, grid)
+            delta = _newton_step(state.nodal_block(), r, h)
         except np.linalg.LinAlgError:
             return U, rnorm, False
         if not np.all(np.isfinite(delta)):
@@ -805,11 +687,9 @@ def write_solution_csv(solution: NeumannSolution, grid: Grid, path: str | Path) 
     header = ("x," if grid.dim == 1 else "x,y,") + ",".join(
         f"u{i + 1}" for i in range(n)
     )
-    lines = [header]
-    nodes = np.stack(np.meshgrid(*[grid.axis()] * grid.dim, indexing="ij"), axis=-1)
-    for row in zip(nodes.reshape(-1, grid.dim), U.reshape(n, -1).T):
-        lines.append(",".join(repr(float(v)) for v in np.concatenate(row)))
-    path.write_text("\n".join(lines) + "\n")
+    nodes = np.meshgrid(*[grid.axis()] * grid.dim, indexing="ij")
+    rows = np.column_stack([*(x.ravel() for x in nodes), *U.reshape(n, -1)]).tolist()
+    path.write_text("\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n")
     sidecar = path.with_suffix(path.suffix + ".json")
     doc = {
         **asdict(solution.report),

@@ -1,4 +1,4 @@
-"""A fresh interpreter loads scipy only for the commands that run it.
+"""A fresh interpreter loads scipy only for the commands that run it, and only the parts they use.
 
 This test process has scipy loaded already (``tests/oracles.py`` imports it),
 so the checks run in a new interpreter.
@@ -31,6 +31,12 @@ PROBE = textwrap.dedent("""
         seen["liouville_rc"] = coposolve.cli.main(["liouville", sys.argv[2], "--dim", "3", "--p", "4"])
     seen["liouville"] = scipy_modules()
     seen["liouville_reason"] = json.loads(out.getvalue())["result"]["reason"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        seen["solve_rc"] = coposolve.cli.main(["solve", sys.argv[3], "--dim", "1", "--nodes", "33",
+                                               "--out", sys.argv[4]])
+    seen["solve"] = scipy_modules()
+    seen["solve_outcome"] = json.loads(out.getvalue())["result"]["outcome"]
     print(json.dumps(seen))
 """)
 
@@ -41,7 +47,10 @@ def test_import_and_face_sweep_commands_load_no_scipy(tmp_path):
                                                            [0, -1, 2, -1], [0.5, 0, -1, 2]]}))
     liouville_input = tmp_path / "not_copositive.json"
     liouville_input.write_text(json.dumps({"n": 3, "beta": [[1, -2, 0], [-2, 1, 0], [0, 0, 1]]}))
-    run = subprocess.run([sys.executable, "-c", PROBE, str(classify_input), str(liouville_input)],
+    solve_input = tmp_path / "witness.json"
+    solve_input.write_text(json.dumps({"n": 2, "beta": [[1, -2], [-2, 1]]}))
+    run = subprocess.run([sys.executable, "-c", PROBE, str(classify_input), str(liouville_input),
+                          str(solve_input), str(tmp_path / "witness.csv")],
                          capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(SRC)))
     seen = json.loads(run.stdout)
@@ -49,3 +58,7 @@ def test_import_and_face_sweep_commands_load_no_scipy(tmp_path):
     assert seen["classify_rc"] == 0 and seen["classify"] == []
     assert seen["liouville_rc"] == 0 and seen["liouville_reason"] == "Thm1.1"
     assert seen["liouville"] == []
+    # The Newton step is a banded LU: solving loads scipy.linalg, never scipy.fft.
+    assert seen["solve_rc"] == 0 and seen["solve_outcome"] == "solution"
+    assert "scipy.linalg" in seen["solve"]
+    assert not [m for m in seen["solve"] if m == "scipy.fft" or m.startswith("scipy.fft.")]

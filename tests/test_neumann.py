@@ -1,12 +1,15 @@
 """Neumann discretization and mountain-pass solver tests."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from coposolve import (
     CapacityError,
@@ -33,12 +36,8 @@ from coposolve import (
 from coposolve import neumann
 from coposolve.forms import cone_power, fsum_terms
 from coposolve.neumann import (
-    KRYLOV_MAXITER,
-    KRYLOV_RTOL,
-    _dct_preconditioner,
     _FieldState,
-    _gmres,
-    _jacobian_product,
+    _newton_step,
     _quadrature,
     bump_profiles,
     homotopy_mixture,
@@ -339,6 +338,29 @@ class TestSeedSkip:
         assert descent_starts == []
         assert out.seed_outcomes == ()
 
+    def test_each_mixture_is_built_when_the_search_reaches_it(self, monkeypatch):
+        # Mixtures built before each descent: a family drawn one field at a
+        # time has built none when the first bump seed runs and one at the
+        # first mixture; a materialised family has built all three.
+        built, at_descent = [], []
+        mixture = neumann.homotopy_mixture
+
+        def counted(*args):
+            built.append(None)
+            return mixture(*args)
+
+        def descend(A, U, p, grid):
+            at_descent.append(len(built))
+            return U, 0.0, 0.0, False
+
+        monkeypatch.setattr(neumann, "homotopy_mixture", counted)
+        monkeypatch.setattr(neumann, "_descend_energy", descend)
+        monkeypatch.setattr(neumann, "_newton_polish",
+                            lambda A, U, p, grid: (np.zeros_like(U), 0.0, True))
+        out = mountain_pass_solve(WITNESS, 4.0, Grid(1, 1.0, 65))
+        assert isinstance(out, TrivialOnly)
+        assert at_descent == [0, 0, 1, 2, 3]
+
     def test_seed_family_is_drawn_one_field_at_a_time(self, monkeypatch):
         # With descent and polish patched out, the search holds a few fields
         # at a time, well under a quarter of 4n + 8 fields.  The nodes are
@@ -370,6 +392,57 @@ class TestSeedSkip:
         assert np.all(np.abs(total) <= 1e-12 * scale)
 
 
+def jacobian_product(D, V, h):
+    """(-L + D) V for a field V of shape (n, m), from the oracle's mirror Laplacian."""
+    return -mirror_laplacian(V, h) + np.einsum("ijx,jx->ix", D, V)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+STEP_PROBE = textwrap.dedent("""
+    import numpy as np
+    from coposolve.neumann import _newton_step
+
+    rng = np.random.default_rng(83)
+    n, m = 16, 513
+    D = rng.standard_normal((n, n, m))
+    print(_newton_step(D, rng.standard_normal((n, m)), 1.0 / (m - 1)).tobytes().hex())
+""")
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("m", [17, 513])
+    def test_solves_the_newton_system(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        h = 1.0 / (m - 1)
+        D = rng.standard_normal((n, n, m))
+        r = rng.standard_normal((n, m))
+        delta = _newton_step(D, r, h)
+        # Relative to |-L + D| |delta| + |r|: the backward error of the solve.
+        scale = (4.0 / h**2 + np.abs(D).sum(axis=1).max()) * np.abs(delta).max() + np.abs(r).max()
+        assert np.max(np.abs(jacobian_product(D, delta, h) + r)) <= 1e-10 * scale
+
+    def test_zero_component_gets_zero_step(self):
+        # The zero component's block is -L alone, singular with a zero right
+        # side; the others are solved without it.
+        g = Grid(1, 1.0, 65)
+        U = signed_field(g, 79, n=3)
+        U[1] = 0.0
+        state = _FieldState(WITNESS_3.entries, U, 4.0)
+        D, r = state.nodal_block(), state.residual(g.h)
+        delta = _newton_step(D, r, g.h)
+        assert np.all(delta[1] == 0.0) and np.all(np.isfinite(delta))
+        assert np.max(np.abs(jacobian_product(D, delta, g.h) + r)) <= 1e-10 * np.max(np.abs(r))
+
+    def test_same_bits_at_one_and_two_blas_threads(self):
+        steps = [subprocess.run([sys.executable, "-c", STEP_PROBE], capture_output=True, text=True, check=True,
+                                env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads)).stdout
+                 for threads in ("1", "2")]
+        assert len(steps[0]) == 2 * 8 * 16 * 513 + 1
+        assert steps[0] == steps[1]
+
+
 class TestNewtonKrylov:
     @staticmethod
     def mixed_sign_field(grid, seed):
@@ -386,49 +459,15 @@ class TestNewtonKrylov:
         A = WITNESS.entries
         U = self.mixed_sign_field(g, 13)
         D = _FieldState(A, U, p).nodal_block()
-        # Dense Jacobian from matrix-free products with the unit vectors.
+        # Dense Jacobian from the oracle's products with the unit vectors.
         eye = np.eye(U.size).reshape((U.size,) + U.shape)
-        jac = np.stack([_jacobian_product(D, e, g.h).ravel() for e in eye], axis=1)
+        jac = np.stack([jacobian_product(D, e, g.h).ravel() for e in eye], axis=1)
         w = np.random.default_rng(17).standard_normal(U.size)
         fd = central_difference_gradient(
             lambda x: float(w @ _FieldState(A, x.reshape(U.shape), p).residual(g.h).ravel()),
             U.ravel(), 1e-6,
         )
         assert np.max(np.abs(fd - jac.T @ w)) <= 1e-6 * np.max(np.abs(fd))
-
-    @pytest.mark.parametrize("dim", [1])
-    def test_preconditioner_inverts_shifted_laplacian_on_mean_zero_fields(self, dim):
-        g = Grid(dim, 2.0, 17)
-        W = g.weights()
-        v = np.random.default_rng(19).standard_normal((2,) + g.shape)
-        v -= (np.sum(v * W, axis=tuple(range(1, dim + 1))) / W.sum()).reshape((2,) + (1,) * dim)
-        shifted = -mirror_laplacian(v, g.h) + v
-        # D = 0: the constant-mode block is singular, the mean-zero field never needs it.
-        precondition = _dct_preconditioner(np.zeros((2, 2) + g.shape), g)
-        back = precondition(shifted.ravel()).reshape(v.shape)
-        assert np.max(np.abs(back - v)) <= 1e-11 * np.max(np.abs(v))
-
-    @pytest.mark.parametrize("dim", [1])
-    def test_preconditioner_exact_when_every_mode_is_coarse(self, dim, monkeypatch):
-        monkeypatch.setattr(neumann, "COARSE_SIZE", 10**6)
-        g = Grid(dim, 1.0, 17)
-        rng = np.random.default_rng(23)
-        D = 1e5 * rng.standard_normal((2, 2) + g.shape)
-        v = rng.standard_normal((2,) + g.shape)
-        back = _jacobian_product(D, _dct_preconditioner(D, g)(v.ravel()).reshape(v.shape), g.h)
-        assert np.max(np.abs(back - v)) <= 1e-9
-
-    def test_preconditioner_constants_are_shared_read_only(self):
-        g = Grid(1, 1.0, 17)
-        D = np.ones((2, 2) + g.shape)
-        x = np.random.default_rng(29).standard_normal(2 * 17)
-        first = _dct_preconditioner(D, g)(x)
-        hits = neumann._dct_spectrum.cache_info().hits, neumann._dct_modes.cache_info().hits
-        assert np.array_equal(_dct_preconditioner(D, g)(x), first)
-        assert (neumann._dct_spectrum.cache_info().hits, neumann._dct_modes.cache_info().hits) == (
-            hits[0] + 1, hits[1] + 1)
-        cached = [*neumann._dct_spectrum(g), *neumann._dct_modes(17, 2)]
-        assert not any(a.flags.writeable for a in cached)
 
     def test_2d_existence_witness(self):
         g = Grid(2, 1.0, 25)
@@ -476,63 +515,6 @@ def signed_field(grid, seed, n=2):
 
 def bit_equal(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-SCIPY_VERSION = tuple(int(part) for part in scipy.__version__.split(".")[:2])
-
-
-@pytest.mark.skipif(SCIPY_VERSION < (1, 12),
-                    reason="scipy before 1.12 runs the Fortran GMRES, whose arithmetic differs")
-class TestGmresCycle:
-    """_gmres against scipy.sparse.linalg.gmres with the same operators, bit for bit."""
-
-    @staticmethod
-    def both(D, r, grid):
-        """(_gmres result, scipy result, Jacobian products _gmres took) for (-L + D) x = -r."""
-        products = []
-
-        def jac(v):
-            products.append(None)
-            return _jacobian_product(D, v.reshape(r.shape), grid.h).ravel()
-
-        precondition = _dct_preconditioner(D, grid)
-        ours = _gmres(jac, precondition, -r.ravel())
-        steps = len(products)
-        shape = (r.size, r.size)
-        theirs, _ = gmres(LinearOperator(shape, jac, dtype=float), -r.ravel(), rtol=KRYLOV_RTOL,
-                          restart=KRYLOV_MAXITER, maxiter=1,
-                          M=LinearOperator(shape, precondition, dtype=float))
-        return ours, theirs, steps
-
-    @pytest.mark.parametrize("dim, nodes", [(1, 65)])
-    @pytest.mark.parametrize("seed", [41, 47])
-    @pytest.mark.parametrize("scale, full_cycle", [(1.0, False), (30.0, True)])
-    def test_newton_systems(self, dim, nodes, seed, scale, full_cycle):
-        # At amplitude 1 the cycle stops early at the tolerance; at 30 it runs
-        # every iteration of the cycle.
-        g = Grid(dim, 1.0, nodes)
-        U = scale * signed_field(g, seed)
-        state = _FieldState(WITNESS.entries, U, 4.0)
-        ours, theirs, steps = self.both(state.nodal_block(), state.residual(g.h), g)
-        assert bit_equal(ours, theirs)
-        assert (steps == KRYLOV_MAXITER) == full_cycle
-
-    @pytest.mark.parametrize("dim, nodes", [(1, 65)])
-    def test_lucky_breakdown(self, dim, nodes):
-        # D = I: the preconditioner inverts -L + I exactly, so one step solves it.
-        g = Grid(dim, 1.0, nodes)
-        D = np.zeros((2, 2) + g.shape)
-        D[0, 0] = D[1, 1] = 1.0
-        ours, theirs, steps = self.both(D, np.random.default_rng(59).standard_normal((2,) + g.shape), g)
-        assert bit_equal(ours, theirs)
-        assert steps == 1
-
-    def test_zero_right_side(self):
-        g = Grid(1, 1.0, 65)
-        D = _FieldState(WITNESS.entries, signed_field(g, 61), 4.0).nodal_block()
-        ours, theirs, steps = self.both(D, np.zeros((2,) + g.shape), g)
-        assert bit_equal(ours, theirs)
-        assert steps == 0 and not np.any(ours)
 
 
 def two_call_descent(A, U0, p, grid):
@@ -613,16 +595,16 @@ class TestFusedEvaluation:
 
 
 @pytest.fixture
-def krylov_calls(monkeypatch):
-    """List that grows by one entry per Newton step (one GMRES solve each)."""
+def newton_calls(monkeypatch):
+    """List that grows by one entry per Newton step (one banded solve each)."""
     calls = []
-    solve = neumann._krylov_step
+    solve = neumann._newton_step
 
-    def counted(D, r, grid):
+    def counted(D, r, h):
         calls.append(None)
-        return solve(D, r, grid)
+        return solve(D, r, h)
 
-    monkeypatch.setattr(neumann, "_krylov_step", counted)
+    monkeypatch.setattr(neumann, "_newton_step", counted)
     return calls
 
 
@@ -633,22 +615,22 @@ def without_exits(monkeypatch):
 
 
 class TestNewtonExits:
-    def test_collapsing_seed_exits_early(self, krylov_calls, monkeypatch):
+    def test_collapsing_seed_exits_early(self, newton_calls, monkeypatch):
         g = Grid(1, 1.0, 33)
         d = find_direction_d(WITNESS, 4.0).components
         seed = 0.5 * d[:, None] * np.ones(g.shape)
         U, rnorm, converged = neumann._newton_polish(WITNESS.entries, seed, 4.0, g)
-        steps = len(krylov_calls)
+        steps = len(newton_calls)
         assert converged and rnorm < neumann.RESIDUAL_TOL
         assert np.max(np.abs(U)) <= neumann.NONTRIVIALITY_THRESHOLD
         assert steps <= neumann.MAX_NEWTON_STEPS // 2
         # Without the exit the cubic zero is approached at 2/3 per step to the cap.
         without_exits(monkeypatch)
-        krylov_calls.clear()
+        newton_calls.clear()
         _, _, converged = neumann._newton_polish(WITNESS.entries, seed, 4.0, g)
-        assert converged and len(krylov_calls) == neumann.MAX_NEWTON_STEPS
+        assert converged and len(newton_calls) == neumann.MAX_NEWTON_STEPS
 
-    def test_stalled_seed_exits_early(self, krylov_calls, monkeypatch):
+    def test_stalled_seed_exits_early(self, newton_calls, monkeypatch):
         # Start: the t = 0.5 mixture along the boundary ray e0 (one nonzero
         # component), from which Newton stalls.
         g = Grid(1, 1.0, 513)
@@ -663,23 +645,23 @@ class TestNewtonExits:
         assert not escaped
         _, rnorm, converged = neumann._newton_polish(WITNESS.entries, start, 4.0, g)
         assert not converged and rnorm > 1.0
-        assert len(krylov_calls) <= 3 * neumann.STALL_WINDOW
+        assert len(newton_calls) <= 3 * neumann.STALL_WINDOW
         without_exits(monkeypatch)
-        krylov_calls.clear()
+        newton_calls.clear()
         _, rnorm, converged = neumann._newton_polish(WITNESS.entries, start, 4.0, g)
         assert not converged and rnorm > 1.0
-        assert len(krylov_calls) == neumann.MAX_NEWTON_STEPS
+        assert len(newton_calls) == neumann.MAX_NEWTON_STEPS
 
-    def test_converging_refinement_takes_neither_exit(self, krylov_calls, monkeypatch):
+    def test_converging_refinement_takes_neither_exit(self, newton_calls, monkeypatch):
         coarse, fine = Grid(1, 1.0, 33), Grid(1, 1.0, 65)
         solution = mountain_pass_solve(WITNESS, 4.0, coarse)
-        krylov_calls.clear()
+        newton_calls.clear()
         refined = refine_solution(WITNESS, solution, 4.0, coarse, fine)
-        steps = len(krylov_calls)
+        steps = len(newton_calls)
         without_exits(monkeypatch)
-        krylov_calls.clear()
+        newton_calls.clear()
         reference = refine_solution(WITNESS, solution, 4.0, coarse, fine)
-        assert len(krylov_calls) == steps
+        assert len(newton_calls) == steps
         assert np.array_equal(refined.field.components, reference.field.components)
         assert refined.report == reference.report
 
