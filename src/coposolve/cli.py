@@ -6,19 +6,22 @@ prints one report document (schema coposolve-report/2) to standard output,
 holding the defaults and the parameter values the run actually used; its
 result block is the library's result passed through `reports.to_doc`.
 Nothing is random, so identical invocations at a fixed BLAS thread count
-produce byte-identical reports; the default `solve` runs (`--dim 2` is the
-`--dim 1` solve tiled along y) also match at 1 and 2 OpenBLAS threads in CI,
-measured, not proven, at large --nodes.  Any verdict, including Unknown,
-exits 0; only input and validation failures exit nonzero, with a one-line
-`error: <category>: <message>` on standard error.  Reading the file gives
-io, json, schema or matrix.  Every other input rule lives in the library:
-CATEGORIES names its errors parameter, capacity (n above 16) or precondition
-(a negative diagonal entry); any other is a fault, named by its type.
+produce byte-identical reports, also after other calls in the same process
+(the parser is built on the first `main` call and reused); the default
+`solve` runs (`--dim 2` is the `--dim 1` solve tiled along y) also match at
+1 and 2 OpenBLAS threads in CI, measured, not proven, at large --nodes.
+Any verdict, including Unknown, exits 0; only input and validation failures
+exit nonzero, with a one-line `error: <category>: <message>` on standard
+error.  Reading the file gives io, json, schema or matrix.  Every other
+input rule lives in the library: CATEGORIES names its errors parameter,
+capacity (n above 16) or precondition (a negative diagonal entry); any other
+is a fault, named by its type.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -163,7 +166,14 @@ def cmd_bepsilon(args) -> tuple[dict, dict]:
     return _input_doc(matrix.entries, f"b_epsilon({args.eps})", None), to_doc(result)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first call and reused by every later one.
+
+    Every caller shares it, so none may change it.  Parsing leaves it
+    unchanged, and each ``func`` default is a module function that looks up
+    the library at call time.
+    """
     parser = argparse.ArgumentParser(
         prog="coposolve",
         description="Cone-positivity classification and system solvability verdicts",

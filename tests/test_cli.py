@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from coposolve.errors import (
 )
 from coposolve.mu_search import b_epsilon
 from coposolve.reports import SCHEMA_VERSION, serialize_report
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_matrix(tmp_path, name, n, beta, label=None):
@@ -383,3 +389,43 @@ class TestErrors:
         code, _, err = run(capsys, ["classify", str(tmp_path / "none.json")])
         assert code == 1
         assert err.startswith("error: io:")
+
+
+class TestRepeatedCalls:
+    """Many `main` calls in one process: each report is the one a fresh process prints."""
+
+    BETA = [[1, -2, 0], [-2, 1, 0], [0, 0, 1]]
+
+    def test_parser_is_built_once(self):
+        assert cli.make_parser() is cli.make_parser()
+
+    def test_mixed_sequence(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "m.json", 3, self.BETA)
+        for command in ("classify", "liouville", "find-mu", "solve", "bepsilon"):
+            code, out, err = run(capsys, command_argv(command, path, tmp_path))
+            assert code == 0 and err == ""
+            assert json.loads(out)["command"] == command
+        with pytest.raises(SystemExit) as exit_info:
+            main(["liouville", str(path)])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "the following arguments are required: --dim" in captured.err
+        code, out, _ = run(capsys, ["liouville", str(path), "--dim", "2", "--p", "3", "--budget", "7"])
+        assert code == 0
+        assert json.loads(out)["effective"] == {"dim": 2, "p": 3.0, "budget": 7}
+        code, out, _ = run(capsys, ["liouville", str(path), "--dim", "2"])
+        assert code == 0
+        assert json.loads(out)["effective"] == {"dim": 2, "p": 4.0, "budget": 50}
+
+    @pytest.mark.parametrize("command", ["classify", "liouville", "solve"])
+    def test_matches_a_fresh_process(self, tmp_path, capsys, command):
+        path = write_matrix(tmp_path, "m.json", 3, self.BETA)
+        argv = command_argv(command, path, tmp_path)
+        # Other calls first, an override among them, so the parser is reused.
+        run(capsys, ["liouville", str(path), "--dim", "2", "--p", "3", "--budget", "7"])
+        run(capsys, command_argv("classify", path, tmp_path))
+        code, out, err = run(capsys, argv)
+        fresh = subprocess.run([sys.executable, "-m", "coposolve", *argv], capture_output=True,
+                               env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert (code, out.encode(), err.encode()) == (fresh.returncode, fresh.stdout, fresh.stderr)
