@@ -2,11 +2,11 @@
 
 One face sweep enumerates the vertices of the standard simplex and the
 face-interior stationary points of b, support size by support size in
-stacked batches.  Each batch's stationarity systems are solved first; only
-the faces whose solution is strictly positive then pay for a 1-norm
-condition number, read at unit scale so that no verdict depends on the units
-of beta, and the singular ones among them are skipped, as their
-minimum is also attained on a smaller face.  One pass over it finds the
+stacked batches.  Each batch's stationarity systems are solved together, and
+every face whose solution is strictly positive is kept: such a point is
+bounded and lies on the simplex to rounding, even on a singular face, whose
+minimum is also attained on a smaller face.  No threshold enters the sweep
+that could depend on the units of beta.  One pass over it finds the
 exact constant solutions (stationary points with multiplier zero) and else
 the minimum of b, which decides copositivity, since a quadratic attains its
 minimum over a compact polytope at a swept point; the minimum over the proper
@@ -31,11 +31,11 @@ from .simplex import barycentric_grid  # noqa: F401  (bench/spans.py wraps this 
 MAX_ENUMERATION_N = 16
 # Dead-band around zero of the copositivity trichotomy and the PSD check.
 DEAD_BAND = 1e-9
-FACE_CONDITION_LIMIT = 1e12
 CONSTANT_RESIDUAL_TOL = 1e-10
-# Supports per stacked solve.  The batch's temporaries (about 0.4 MB at 128
-# for n = 16) and the cached support masks (128 kB at n = 16) set the sweep's
-# peak memory, while the gain in speed of larger batches flattens out.
+# Supports per stacked solve.  The batch's temporaries (about 0.43 MB at 128
+# for n = 16, mostly the gathered systems and their flat indices) and the
+# cached support masks (128 kB at n = 16) set the sweep's peak memory, while
+# the gain in speed of larger batches flattens out.
 SWEEP_BATCH = 128
 
 
@@ -146,31 +146,31 @@ def _face_sweep(A: np.ndarray):
 
 def _sweep_batch(A: np.ndarray, K: np.ndarray, columns: np.ndarray, masks: np.ndarray,
                  rhs: np.ndarray):
-    """One batch of the face sweep: the regular interior faces among masks.
+    """One batch of the face sweep: the interior faces among masks.
 
     A function of its own so that one batch's temporaries are freed before
     the next batch's are made; they set the sweep's peak memory.  The
     bordered systems are taken from K, the flat _bordered(A) (halved
     throughout, so A_S itself fills the block and nothing overflows near the
-    float maximum), and solved together, each by its own LAPACK gesv.  A face
-    that is not interior is dropped whatever its condition, so the 1-norm
-    condition number (a full inverse) is computed only for the interior
-    ones.  An exactly singular face (a zero pivot) gets a NaN solution, which
-    is never interior.  Every other singular face is caught by the gate:
-    interior faces whose condition number is above FACE_CONDITION_LIMIT, inf
-    or NaN are skipped.  The gate reads each face's system at unit scale,
-    with A_S divided by the power of two that brings max |A_S| into [1, 2):
-    the border 1/2 does not scale with A_S, so the condition number of the
-    unscaled system grows like s^2 under A_S -> s A_S, while the gate's
-    verdict on a face should depend neither on the units of beta nor on the
-    entries outside A_S.  The solve stays unscaled, so the points keep their
-    bits.  A singular system has a null vector (d, nu) with d != 0 and
-    1'd = 0, so 2 A_S d = nu 1 and, through a stationary point c,
-    b(c + t d) = b(c) + t lambda 1'd + t^2 nu 1'd / 2 = b(c).  Moving along d
-    to the boundary of the face keeps the value, so the face minimum is also
-    attained on a proper sub-face, which the sweep visits anyway.  On a
-    nearly singular face b moves by only O(||K_S|| / cond) along d, about
-    1e-12 of max |A_S| at FACE_CONDITION_LIMIT.
+    float maximum), and solved together, each by its own LAPACK gesv.  An
+    exactly singular system (a zero pivot) gets a NaN solution, which is
+    never interior; every face whose solution is strictly positive is kept,
+    with no threshold that could depend on the units of beta.
+
+    An interior point lies on the simplex.  A singular system has a null
+    vector (d, nu) with d != 0 and 1'd = 0, so d has entries of both signs,
+    and a solve that picks up a large null component is not interior.  An
+    interior [c; lambda] is therefore bounded, and the backward-stable gesv
+    puts sum c at 1 to rounding: its value is one that b takes at a point of
+    the simplex, so folding it cannot push the minimum below the true one
+    beyond rounding.  The minimiser's face is still visited: through a
+    stationary point c, 2 A_S d = nu 1 gives
+    b(c + t d) = b(c) + t lambda 1'd + t^2 nu 1'd / 2 = b(c), so moving along
+    d to the boundary of a singular face keeps the value, and its minimum is
+    also attained on a proper sub-face, which the sweep visits anyway.  Nor
+    does a singular face come before the first constant solution: the
+    smallest support with a positive kernel vector has a regular system (see
+    scan_faces), and supports come by size.
     """
     n, k = A.shape[0], len(rhs) - 1
     # Each mask's indices in increasing order, then the border index n, read
@@ -185,20 +185,7 @@ def _sweep_batch(A: np.ndarray, K: np.ndarray, columns: np.ndarray, masks: np.nd
     with np.errstate(all="ignore"):
         c = _umath_linalg.solve(kkt, rhs, signature="dd->d")[:, :k, 0]
     interior = np.all(c > 0, axis=1)
-    rows, c = rows[interior], c[interior]
-    if len(rows):
-        gate = kkt[interior]
-        block = gate[:, :k, :k]
-        # ldexp is exact, and a zero block stays zero.
-        block[...] = np.ldexp(block, 1 - np.frexp(np.abs(block).max(axis=(1, 2)))[1][:, None, None])
-        # np.linalg.cond(gate, 1) without its checks and its NaN-to-inf
-        # pass: NaN, like inf, is not "not above the limit".
-        with np.errstate(all="ignore"):
-            inverse = _umath_linalg.inv(gate, signature="d->d")
-            cond = np.abs(gate).sum(-2).max(-1) * np.abs(inverse).sum(-2).max(-1)
-        regular = cond <= FACE_CONDITION_LIMIT
-        rows, c = rows[regular], c[regular]
-    idx = rows[:, :k]
+    idx, c = rows[interior, :k], c[interior]
     return idx, c, A[idx[:, :, None], idx[:, None, :]]
 
 
