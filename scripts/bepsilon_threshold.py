@@ -16,15 +16,12 @@ import numpy as np
 from scipy.optimize import linprog
 
 from coposolve import MuCertificate, MuViolation, b_epsilon, find_mu, verify_mu
-from coposolve.forms import cone_power
+from coposolve.forms import p_form_coefficients
 from coposolve.simplex import barycentric_grid
 
 
 def dense_lp_margin(B, p, resolution):
-    grid = barycentric_grid(B.n, resolution)
-    x = cone_power(grid, p / 2.0)
-    y = cone_power(grid, p / 2.0 - 1.0)
-    coef = y * (x @ B.entries)
+    coef = p_form_coefficients(B.entries, barycentric_grid(B.n, resolution), p)
     obj = np.zeros(B.n + 1)
     obj[-1] = -1.0
     res = linprog(

@@ -34,7 +34,7 @@ DEAD_BAND = 1e-9
 CONSTANT_RESIDUAL_TOL = 1e-10
 # Supports per stacked solve.  The batch's temporaries (about 0.43 MB at 128
 # for n = 16, mostly the gathered systems and their flat indices) and the
-# cached support masks (128 kB at n = 16) set the sweep's peak memory, while
+# cached support tables (0.56 MB at n = 16) set the sweep's peak memory, while
 # the gain in speed of larger batches flattens out.
 SWEEP_BATCH = 128
 
@@ -91,22 +91,21 @@ class ClosedFormResult:
 
 
 @functools.lru_cache(maxsize=MAX_ENUMERATION_N)
-def _support_masks(n: int) -> tuple[np.ndarray, ...]:
-    """The supports of sizes 2..n as bit masks, one read-only uint16 table per size.
+def _support_rows(n: int) -> tuple[np.ndarray, ...]:
+    """The supports of sizes 2..n, one read-only uint8 table per size.
 
-    Bit i of a mask is set when index i is in the support, and the masks come
-    in itertools.combinations order: the size k-1 supports whose least index
-    is above i are a suffix of their table, and prefixing i to that suffix,
-    for i in increasing order, gives the size k supports in order."""
+    A row holds a support's indices in increasing order, then the border
+    index n, and the rows come in itertools.combinations order: the size k-1
+    supports whose least index is above i are a suffix of their table, and
+    prefixing i to that suffix, for i in increasing order, gives the size k
+    supports in order."""
     tables = []
-    table = (1 << np.arange(n)).astype(np.uint16)
+    table = np.stack([np.arange(n), np.full(n, n)], axis=1).astype(np.uint8)
     for k in range(2, n + 1):
-        pieces, start = [], 0
-        for i in range(n - k + 1):
-            start += math.comb(n - 1 - i, k - 2)
-            pieces.append(table[start:] | np.uint16(1 << i))
-        # Little-endian, so the sweep reads a mask's low byte first.
-        table = np.concatenate(pieces).astype("<u2", copy=False)
+        # The suffix for least index i starts past the rows led by 0..i.
+        starts = np.cumsum([math.comb(n - 1 - i, k - 2) for i in range(n - k + 1)])
+        first = np.repeat(np.arange(len(starts), dtype=np.uint8), len(table) - starts)
+        table = np.column_stack([first, np.concatenate([table[s:] for s in starts])])
         table.flags.writeable = False
         tables.append(table)
     return tuple(tables)
@@ -129,30 +128,27 @@ def _face_sweep(A: np.ndarray):
     positive stationary points on them, c > 0 with 2 A_S c = lambda 1 and
     sum c = 1, and the principal blocks A_S.  The vertices come first as one
     batch of singletons, then the larger supports one size at a time in
-    itertools.combinations order, in batches of at most SWEEP_BATCH masks of
+    itertools.combinations order, in batches of at most SWEEP_BATCH rows of
     the cached support tables.
     """
     n = A.shape[0]
     yield np.arange(n)[:, None], np.ones((n, 1)), np.diag(A)[:, None, None]
-    # Flat, so each batch's systems are one take.
-    K = _bordered(A).ravel()
-    columns = np.tile(np.arange(n + 1), SWEEP_BATCH)
-    for k, table in enumerate(_support_masks(n), start=2):
+    K = _bordered(A)
+    for k, table in enumerate(_support_rows(n), start=2):
         rhs = np.zeros((k + 1, 1))
         rhs[k] = 0.5
         for start in range(0, len(table), SWEEP_BATCH):
-            yield _sweep_batch(A, K, columns, table[start:start + SWEEP_BATCH], rhs)
+            yield _sweep_batch(K, table[start:start + SWEEP_BATCH], rhs)
 
 
-def _sweep_batch(A: np.ndarray, K: np.ndarray, columns: np.ndarray, masks: np.ndarray,
-                 rhs: np.ndarray):
-    """One batch of the face sweep: the interior faces among masks.
+def _sweep_batch(K: np.ndarray, rows: np.ndarray, rhs: np.ndarray):
+    """One batch of the face sweep: the interior faces among the support rows.
 
     A function of its own so that one batch's temporaries are freed before
     the next batch's are made; they set the sweep's peak memory.  The
-    bordered systems are taken from K, the flat _bordered(A) (halved
-    throughout, so A_S itself fills the block and nothing overflows near the
-    float maximum), and solved together, each by its own LAPACK gesv.  An
+    bordered systems are taken from K = _bordered(A) (halved throughout, so
+    A_S itself fills the block and nothing overflows near the float
+    maximum), and solved together, each by its own LAPACK gesv.  An
     exactly singular system (a zero pivot) gets a NaN solution, which is
     never interior; every face whose solution is strictly positive is kept,
     with no threshold that could depend on the units of beta.
@@ -172,21 +168,16 @@ def _sweep_batch(A: np.ndarray, K: np.ndarray, columns: np.ndarray, masks: np.nd
     smallest support with a positive kernel vector has a regular system (see
     scan_faces), and supports come by size.
     """
-    n, k = A.shape[0], len(rhs) - 1
-    # Each mask's indices in increasing order, then the border index n, read
-    # off columns, which repeats 0..n once per mask.
-    bits = np.unpackbits(masks.view(np.uint8).reshape(-1, 2), axis=1, count=n + 1,
-                         bitorder="little")
-    bits[:, n] = 1
-    rows = columns[:bits.size][bits.ravel().view(bool)].reshape(-1, k + 1)
-    kkt = K.take(rows[:, :, None] * (n + 1) + rows[:, None, :])
+    k = len(rhs) - 1
+    # Each support's indices, then the border index n: one take of flat indices.
+    rows = rows.astype(np.intp)
+    kkt = K.take(rows[:, :, None] * len(K) + rows[:, None, :])
     # The gufunc behind np.linalg.solve, which writes NaN rows for exactly
     # singular systems instead of raising for the stack.
     with np.errstate(all="ignore"):
         c = _umath_linalg.solve(kkt, rhs, signature="dd->d")[:, :k, 0]
     interior = np.all(c > 0, axis=1)
-    idx, c = rows[interior, :k], c[interior]
-    return idx, c, A[idx[:, :, None], idx[:, None, :]]
+    return rows[interior, :k], c[interior], kkt[interior, :k, :k]
 
 
 def _batch_constant(A: np.ndarray, idx: np.ndarray, points: np.ndarray,

@@ -4,7 +4,7 @@ The quadratic form b(c) = sum_ij beta_ij c_i c_j and its weighted degree-(p-1)
 relative sum_ij beta_ij c_j^(p/2) c_i^(p/2-1) mu_i are the primitives every
 other module builds on.  Scalar evaluations use exact (fsum) compensated
 summation so certificate values do not depend on term order; batch evaluations
-rely on numpy's pairwise summation.
+of the weighted form all read the coefficient rows of p_form_coefficients.
 """
 
 from __future__ import annotations
@@ -162,11 +162,16 @@ def p_form(B: SymMatrix, c, mu, p: float) -> float:
     return fsum_terms(B.entries * np.outer(mv * y, x))
 
 
+def p_form_coefficients(A: np.ndarray, points: np.ndarray, p: float) -> np.ndarray:
+    """Rows a(c) = c^(p/2-1) * (A c^(p/2)) over rows c of ``points``, so that
+    the weighted form at c is a(c) . mu; the batched form, without input
+    validation."""
+    return cone_power(points, p / 2.0 - 1.0) * (cone_power(points, p / 2.0) @ A)
+
+
 def p_form_values(A: np.ndarray, points: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
     """Weighted form over rows of ``points``, without input validation."""
-    x = cone_power(points, p / 2.0)
-    y = cone_power(points, p / 2.0 - 1.0)
-    return np.sum((y * mu) * (x @ A), axis=1)
+    return p_form_coefficients(A, points, p) @ mu
 
 
 def p_form_batch(B: SymMatrix, points: np.ndarray, mu, p: float) -> np.ndarray:

@@ -31,10 +31,10 @@ from .errors import (
 from .forms import (
     ConeVector,
     SymMatrix,
-    cone_power,
     fsum_terms,
     negative_part_row_sums,
     p_form,
+    p_form_coefficients,
     p_form_values,
     require_nonnegative_diagonal,
     require_p,
@@ -169,10 +169,9 @@ def _corner_bounds(A: np.ndarray, mu: np.ndarray, p: float, cells: np.ndarray) -
     is least at the low corner of the cell's bounding box when beta_ij >= 0
     and at the high corner otherwise.
     """
-    lo, hi = cells.min(axis=1), cells.max(axis=1)
-    pos = (mu * cone_power(lo, p / 2.0 - 1.0)) * (cone_power(lo, p / 2.0) @ np.maximum(A, 0.0))
-    neg = (mu * cone_power(hi, p / 2.0 - 1.0)) * (cone_power(hi, p / 2.0) @ np.minimum(A, 0.0))
-    return (pos + neg).sum(axis=1)
+    lo = p_form_coefficients(np.maximum(A, 0.0), cells.min(axis=1), p)
+    hi = p_form_coefficients(np.minimum(A, 0.0), cells.max(axis=1), p)
+    return (lo + hi) @ mu
 
 
 def verify_mu(B: SymMatrix, mu, p: float) -> MuCertificate | MuViolation | None:
@@ -210,7 +209,9 @@ def verify_mu(B: SymMatrix, mu, p: float) -> MuCertificate | MuViolation | None:
     else:
         bound = partial(_corner_bounds, A, mv, p)
         # On the simplex each term is at most |beta_ij| mu_i; two powers, then
-        # fewer than 4n + 16 roundings.
+        # 2n + 2 roundings (the n-term product with beta, the lower power, the
+        # sum of the corners, the n-term product with mu), under the 4n + 16
+        # charged.
         margin = (2.5 * power_error(p) + _gamma(4 * n + 16)) * np.abs(mv[:, None] * A).sum()
 
     cap = MAX_CELL_BYTES // (8 * (n * n + 2))
@@ -265,13 +266,6 @@ def verify_mu(B: SymMatrix, mu, p: float) -> MuCertificate | MuViolation | None:
     return None
 
 
-def _lp_coefficients(B: SymMatrix, point: np.ndarray, p: float) -> np.ndarray:
-    """Per-component coefficients a_i(c) so the form equals sum_i mu_i a_i(c)."""
-    x = cone_power(point, p / 2.0)
-    y = cone_power(point, p / 2.0 - 1.0)
-    return y * (B.entries @ x)
-
-
 def linprog(*args, **kwargs):
     """scipy.optimize.linprog, imported on the first weight LP rather than with the package."""
     from scipy.optimize import linprog as scipy_linprog
@@ -288,7 +282,7 @@ def _weight_lp(B: SymMatrix, points: list[np.ndarray], p: float) -> tuple[np.nda
     unscaled margin by the same factor.
     """
     n = B.n
-    coef = np.array([_lp_coefficients(B, c, p) for c in points])
+    coef = p_form_coefficients(B.entries, np.array(points), p)
     objective = np.zeros(n + 1)
     objective[-1] = -1.0
     a_ub = np.hstack([-coef, np.ones((len(points), 1))])

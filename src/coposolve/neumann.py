@@ -236,6 +236,7 @@ class _FieldState:
 
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
         """((U^+)^(p/2-1), sum_j beta_ij (u_j^+)^(p/2)), computed on first use."""
+        # Not forms.p_form_coefficients: the Jacobian reads both factors apart, on components x nodes.
         if self._lowered is None:
             U = self.U
             self._lowered = cone_power(self.plus, self.p / 2.0 - 1.0)

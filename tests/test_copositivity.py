@@ -364,11 +364,11 @@ class TestFacePass:
 class TestSupportMasks:
     def test_masks_follow_combinations(self):
         for n in range(1, copositivity.MAX_ENUMERATION_N + 1):
-            tables = copositivity._support_masks(n)
+            tables = copositivity._support_rows(n)
             assert len(tables) == max(n - 1, 0)
             for k, table in enumerate(tables, start=2):
-                assert table.dtype == np.uint16 and not table.flags.writeable
-                assert table.tolist() == [sum(1 << i for i in s) for s in itertools.combinations(range(n), k)]
+                assert table.dtype == np.uint8 and not table.flags.writeable
+                assert table.tolist() == [[*s, n] for s in itertools.combinations(range(n), k)]
 
 
 def full_fold_minimum(B: SymMatrix) -> copositivity.SimplexMinimum:

@@ -152,11 +152,17 @@ class TestPForm:
         rng = np.random.default_rng(29)
         B = mat([[1, -0.9, -0.9], [-0.9, 1, 1], [-0.9, 1, 1]])
         pts = rng.uniform(0.0, 1.0, (50, 3))
+        # Exact zero components: pts[3] has one, pts[1] two, pts[6] three.
+        pts[::3, 0] = 0.0
+        pts[1::5, 1:] = 0.0
         mu = ConeVector([1.0, 0.8, 0.6])
-        batch = p_form_batch(B, pts, mu, 4.0)
-        for k in range(0, 50, 7):
-            scalar = p_form(B, ConeVector(pts[k]), mu, 4.0)
-            assert batch[k] == pytest.approx(scalar, rel=1e-12, abs=1e-14)
+        # p/2 - 1 takes every path of cone_power: half-integer (3), general
+        # (3.5) and integer (4, 6).
+        for p in (3.0, 3.5, 4.0, 6.0):
+            batch = p_form_batch(B, pts, mu, p)
+            for k in [*range(0, 50, 7), 1, 3, 6]:
+                scalar = p_form(B, ConeVector(pts[k]), mu, p)
+                assert batch[k] == pytest.approx(scalar, rel=1e-12, abs=1e-14)
 
 
 class TestNegativePartRowSums:

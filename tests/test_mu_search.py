@@ -28,7 +28,7 @@ from coposolve import (
     verify_mu,
 )
 from coposolve import cli, mu_search
-from coposolve.forms import cone_power, p_form_batch
+from coposolve.forms import cone_power, p_form_batch, p_form_coefficients
 from coposolve.simplex import barycentric_grid
 
 from oracles import (
@@ -289,6 +289,22 @@ class TestFindMu:
         scaled = SymMatrix(np.outer(mu**2, mu**2) * np.array([[1, -1.9], [-1.9, 4.0]]))
         transported = verify_mu(scaled, ConeVector(np.ones(2)), 4.0)
         assert isinstance(transported, MuCertificate)
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    def test_weight_lp_rows_are_the_form_coefficients(self, monkeypatch, p):
+        B = b_epsilon(0.02)
+        points = np.vstack([np.eye(3), barycentric_grid(3, 5)])
+        captured, package_linprog = [], mu_search.linprog
+
+        def recording(*args, **kwargs):
+            captured.append(kwargs["A_ub"])
+            return package_linprog(*args, **kwargs)
+
+        monkeypatch.setattr(mu_search, "linprog", recording)
+        mu_search._weight_lp(B, list(points), p)
+        (a_ub,) = captured
+        expected = p_form_coefficients(B.entries, points, p)
+        assert (-a_ub[:, :3]).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("max_iterations", [0, -3])
     def test_rejects_budget_below_one(self, max_iterations):
