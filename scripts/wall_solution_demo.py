@@ -14,6 +14,7 @@ import numpy as np
 from coposolve import (
     Grid,
     NeumannSolution,
+    ParameterError,
     SymMatrix,
     energy,
     mountain_pass_solve,
@@ -46,10 +47,14 @@ def main() -> int:
 
     fine_nodes = 2 * (args.nodes - 1) + 1
     finest_nodes = 4 * (args.nodes - 1) + 1
-    fine = refine_solution(B, solution, 4.0, grid, Grid(1, 1.0, fine_nodes))
-    finest = refine_solution(
-        B, fine, 4.0, Grid(1, 1.0, fine_nodes), Grid(1, 1.0, finest_nodes)
-    )
+    try:
+        fine = refine_solution(B, solution, 4.0, grid, Grid(1, 1.0, fine_nodes))
+        finest = refine_solution(
+            B, fine, 4.0, Grid(1, 1.0, fine_nodes), Grid(1, 1.0, finest_nodes)
+        )
+    except ParameterError as exc:
+        print(exc)
+        return 1
     e1, e2, e3 = report.energy, fine.report.energy, finest.report.energy
     print(f"refinement energies: {e1:.8f} -> {e2:.8f} -> {e3:.8f}")
     print(f"successive-difference ratio: {(e1 - e2) / (e2 - e3):.3f} (exact h^2 gives 4)")

@@ -61,7 +61,7 @@ class SimplexMinimum(NamedTuple):
 
 @dataclass(frozen=True)
 class ConstantSolutionCertificate:
-    """Exact constant field u with componentwise equation residual below tol."""
+    """Constant field u whose compensated componentwise residual is below CONSTANT_RESIDUAL_TOL."""
 
     u: ConeVector
     support: tuple[int, ...]

@@ -108,12 +108,13 @@ class MuViolation:
 
 @dataclass(frozen=True)
 class MuSearchFailure:
-    """The finitely-cut relaxation is blocked: no weight clears the margin.
+    """The finitely-cut relaxation is blocked: the weight LP found no weight clearing the margin.
 
-    adversarial_set jointly forces the LP optimum at or below the margin
-    tolerance for every admissible mu, which is a rigorous obstruction up to
-    the mu lower bound.  final_mu is normalized to max component 1 and
-    best_margin is the least form value over the set at final_mu.
+    The LP over adversarial_set ended with its margin at or below
+    LP_MARGIN_TOL.  No obstruction (a nonnegative combination of the set's
+    coefficient rows with no positive entry) is checked.  final_mu is
+    normalized to max component 1 and best_margin is the least form value
+    over the set at final_mu.
     """
 
     adversarial_set: tuple[ConeVector, ...]

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .copositivity import ConstantSolutionCertificate, SimplexMinimum, scan_faces
+from .copositivity import SimplexMinimum, scan_faces
 from .copositivity import simplex_min_quadratic  # noqa: F401  (bench/spans.py wraps this attribute)
 from .errors import CapacityError, DimensionError, NotApplicableError, ParameterError
 from .forms import ConeVector, SymMatrix, cone_power, fsum_terms, quadratic_form
@@ -549,17 +549,26 @@ def _descend_energy(A: np.ndarray, U0: np.ndarray, p: float,
     return best_U, best_g, g0, escaped
 
 
-def _constant_shortcut(B: SymMatrix, cert: ConstantSolutionCertificate,
-                       p: float, grid: Grid) -> NeumannSolution:
-    U = np.stack([np.full(grid.shape, v) for v in cert.u.components])
-    field = FieldTuple(U)
+def _accept(B: SymMatrix, U: np.ndarray, rnorm: float, threshold: float, p: float,
+            grid: Grid, provenance: str) -> NeumannSolution | tuple[str, float | None]:
+    """Accept a converged polish U, or give its seed-outcome text and pending residual.
+
+    The checks, in order: amplitude above threshold (else collapsed, pending
+    None), no node below -NEGATIVITY_TOL, clamped residual below RESIDUAL_TOL.
+    """
+    amp = float(np.max(np.abs(U)))
+    if amp <= threshold:
+        return f"{provenance}: collapsed to trivial", None
+    if U.min() < -NEGATIVITY_TOL:
+        return f"{provenance}: negative part {U.min():.2e}", rnorm
+    clamped = np.maximum(U, 0.0)
+    field = FieldTuple(clamped)
     report = energy(B, field, p, grid)
-    return NeumannSolution(
-        field=field,
-        report=report,
-        classification="Constant",
-        seed_provenance="constant-kernel shortcut",
-    )
+    if report.residual_inf >= RESIDUAL_TOL:
+        return f"{provenance}: clamped residual {report.residual_inf:.2e}", report.residual_inf
+    variation = max(float(clamped[i].max() - clamped[i].min()) for i in range(B.n))
+    classification = "Nonconstant" if variation > 1e-6 * (1.0 + amp) else "Constant"
+    return NeumannSolution(field, report, classification, provenance)
 
 
 def mountain_pass_solve(B: SymMatrix, p: float,
@@ -591,7 +600,8 @@ def mountain_pass_solve(B: SymMatrix, p: float,
 
     cert, minimum = scan_faces(B, p)  # also rejects p <= 2
     if cert is not None:
-        return _constant_shortcut(B, cert, p, grid)
+        field = FieldTuple(np.stack([np.full(grid.shape, v) for v in cert.u.components]))
+        return NeumannSolution(field, energy(B, field, p, grid), "Constant", "constant-kernel shortcut")
 
     try:
         d = _interior_direction(B, p, minimum)
@@ -600,47 +610,31 @@ def mountain_pass_solve(B: SymMatrix, p: float,
         # family is still well defined, and no run should be accepted.
         d = ConeVector(np.ones(B.n))
 
-    accepted: list[tuple[float, float, NeumannSolution]] = []
+    accepted: list[NeumannSolution] = []
     outcomes: list[str] = []
     # Residuals of the seeds that leave the outcome undecided.
     pending: list[float] = []
     for provenance, seed in theta_seeds(B, d, grid, p):
-        seed_amp = max(1.0, seed.amplitude)
-        threshold = NONTRIVIALITY_THRESHOLD * seed_amp
+        threshold = NONTRIVIALITY_THRESHOLD * max(1.0, seed.amplitude)
         start, dip_g, g0, escaped = _descend_energy(A, seed.components, p, grid)
         U, rnorm, converged = _newton_polish(A, start, p, grid)
-        amp = float(np.max(np.abs(U))) if np.all(np.isfinite(U)) else 0.0
-        if converged and amp <= threshold:
-            outcomes.append(f"{provenance}: collapsed to trivial")
+        if converged:
+            verdict = _accept(B, U, rnorm, threshold, p, grid, provenance)
+        elif escaped:
+            verdict = f"{provenance}: escaped (dip not polishable)", None
+        else:
+            verdict = f"{provenance}: newton stalled at residual {rnorm:.2e}", rnorm
+        if isinstance(verdict, NeumannSolution):
+            accepted.append(verdict)
+            outcomes.append(f"{provenance}: accepted residual {verdict.report.residual_inf:.2e}")
             continue
-        if not converged:
-            if escaped:
-                outcomes.append(f"{provenance}: escaped (dip not polishable)")
-            else:
-                outcomes.append(f"{provenance}: newton stalled at residual {rnorm:.2e}")
-                pending.append(rnorm)
-            continue
-        if U.min() < -NEGATIVITY_TOL:
-            outcomes.append(f"{provenance}: negative part {U.min():.2e}")
-            pending.append(rnorm)
-            continue
-        clamped = np.maximum(U, 0.0)
-        field = FieldTuple(clamped)
-        report = energy(B, field, p, grid)
-        if report.residual_inf >= RESIDUAL_TOL:
-            outcomes.append(f"{provenance}: clamped residual {report.residual_inf:.2e}")
-            pending.append(report.residual_inf)
-            continue
-        variation = max(
-            float(clamped[i].max() - clamped[i].min()) for i in range(B.n)
-        )
-        classification = "Nonconstant" if variation > 1e-6 * (1.0 + amp) else "Constant"
-        solution = NeumannSolution(field, report, classification, provenance)
-        accepted.append((report.energy, report.residual_inf, solution))
-        outcomes.append(f"{provenance}: accepted residual {report.residual_inf:.2e}")
+        outcomes.append(verdict[0])
+        if verdict[1] is not None:
+            pending.append(verdict[1])
 
     if accepted:
-        return min(accepted, key=lambda a: (a[0], a[1], tuple(a[2].field.components.ravel())))[2]
+        return min(accepted, key=lambda s: (s.report.energy, s.report.residual_inf,
+                                            tuple(s.field.components.ravel())))
     if not pending:
         return TrivialOnly(tuple(outcomes))
     best_residual = min((r for r in pending if np.isfinite(r)), default=np.inf)
@@ -649,16 +643,19 @@ def mountain_pass_solve(B: SymMatrix, p: float,
 
 def refine_solution(B: SymMatrix, solution: NeumannSolution, p: float,
                     grid_from: Grid, grid_to: Grid) -> NeumannSolution:
-    """Interpolate a 1-d solution linearly to a finer grid and Newton-polish it there."""
+    """Interpolate a 1-d solution linearly to a finer grid, Newton-polish it there
+    and accept it as mountain_pass_solve does; ParameterError names a failed check."""
     _require_line(grid_from, grid_to)
     x_from, x_to = grid_from.axis(), grid_to.axis()
     fine = np.stack([np.interp(x_to, x_from, u) for u in solution.field.components])
     polished, rnorm, converged = _newton_polish(B.entries, fine, p, grid_to)
     if not converged:
         raise ParameterError(f"refinement failed to converge, residual {rnorm:.2e}")
-    field = FieldTuple(np.maximum(polished, 0.0))
-    report = energy(B, field, p, grid_to)
-    return NeumannSolution(field, report, solution.classification, solution.seed_provenance)
+    threshold = NONTRIVIALITY_THRESHOLD * max(1.0, float(np.max(np.abs(fine))))
+    verdict = _accept(B, polished, rnorm, threshold, p, grid_to, solution.seed_provenance)
+    if not isinstance(verdict, NeumannSolution):
+        raise ParameterError(f"refinement rejected: {verdict[0]}")
+    return verdict
 
 
 def reflect_tile(u: FieldTuple, grid: Grid, copies: int) -> tuple[FieldTuple, Grid]:

@@ -361,8 +361,8 @@ class TestFacePass:
             assert sweep_reads(a) == expected
 
 
-class TestSupportMasks:
-    def test_masks_follow_combinations(self):
+class TestSupportRows:
+    def test_rows_follow_combinations(self):
         for n in range(1, copositivity.MAX_ENUMERATION_N + 1):
             tables = copositivity._support_rows(n)
             assert len(tables) == max(n - 1, 0)
@@ -414,7 +414,7 @@ class TestScaleInvariance:
                 assert np.ldexp(m.min_value, -e) == pytest.approx(base.min_value, rel=1e-12, abs=0)
                 assert m.argmin.components == pytest.approx(base.argmin.components, rel=0, abs=1e-12)
 
-    def test_each_face_is_gated_at_its_own_scale(self):
+    def test_huge_entry_elsewhere_keeps_the_minimum_face(self):
         # A threshold read at one scale for the whole matrix would let the
         # huge entry decide whether face {0, 1}, with the minimum, is kept.
         B = np.diag([1.0, 1.0, 1e14, 1.0])
@@ -498,14 +498,14 @@ class TestSolveFirstSweep:
             assert blocks.shape == ref_blocks.shape and blocks.tobytes() == ref_blocks.tobytes()
 
     @pytest.mark.parametrize("n", range(2, 10))
-    def test_matches_cond_first_order_on_random_matrices(self, n):
+    def test_matches_every_face_sweep_on_random_matrices(self, n):
         rng = np.random.default_rng(100 + n)
         for nonneg_diag in (True, False):
             for _ in range(3):
                 self.assert_same_sweep(random_symmetric(rng, n, nonneg_diag).entries)
 
     @pytest.mark.parametrize("case", ["ones", "b_epsilon", "rank2_integer"])
-    def test_matches_cond_first_order_on_exactly_singular_faces(self, case):
+    def test_matches_every_face_sweep_on_exactly_singular_faces(self, case):
         A = singular_face_cases()[case]
         assert exactly_singular_faces(A) > 0
         self.assert_same_sweep(A)

@@ -672,6 +672,21 @@ class TestRefine:
         with pytest.raises(ParameterError):
             refine_solution(BOUNDARY, solution, 4.0, g, Grid(2, 1.0, 65))
 
+    # A polish that converges to zero, to a field with a negative node, or
+    # to a non-solution (the interpolated field grown by half): refinement
+    # applies the acceptance rule of mountain_pass_solve and names its check.
+    @pytest.mark.parametrize("polished, check", [
+        (np.zeros_like, "collapsed to trivial"),
+        (lambda U: U - U.min() - 1e-3, "negative part -1.00e-03"),
+        (lambda U: 1.5 * U, "clamped residual"),
+    ], ids=["zero", "negative", "non-solution"])
+    def test_rejected_polish_is_a_parameter_error(self, monkeypatch, polished, check):
+        coarse, fine = Grid(1, 1.0, 33), Grid(1, 1.0, 65)
+        solution = mountain_pass_solve(WITNESS, 4.0, coarse)
+        monkeypatch.setattr(neumann, "_newton_polish", lambda A, U, p, grid: (polished(U), 0.0, True))
+        with pytest.raises(ParameterError, match=f"refinement rejected: .*: {check}"):
+            refine_solution(WITNESS, solution, 4.0, coarse, fine)
+
 
 class TestReflectTile:
     def test_constant_field_unchanged(self):
