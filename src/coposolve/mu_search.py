@@ -4,11 +4,12 @@ A matrix passes the weighted-positivity test when some strictly positive
 weight vector mu makes g(c) = sum_ij beta_ij c_j^(p/2) c_i^(p/2-1) mu_i
 positive on the whole cone minus the origin.  Existence is decided by a
 cutting-plane loop: the form is linear in mu, so finitely many adversarial
-cone points give a linear program over mu.  For each candidate weight,
-verify_mu bounds g on the standard simplex by branch and bound over
-simplicial cells: it either proves g > 0 with bounds checked against their
-own rounding error, or returns a cone point where g <= 0, which becomes the
-next adversarial point.  Nothing here is random.
+cone points give a linear program over mu, which linprog, a dense tableau
+simplex, solves without scipy.  For each candidate weight, verify_mu bounds
+g on the standard simplex by branch and bound over simplicial cells: it
+either proves g > 0 with bounds checked against their own rounding error,
+or returns a cone point where g <= 0, which becomes the next adversarial
+point.  Nothing here is random.
 """
 
 from __future__ import annotations
@@ -48,6 +49,12 @@ MAX_ITERATIONS = 50
 MU_LOWER_BOUND = 1e-6
 # The LP relaxation counts as blocked when its margin is at most this.
 LP_MARGIN_TOL = 1e-7
+# linprog: reduced costs and pivot entries within PIVOT_TOL of zero count as
+# zero; it pivots by Dantzig's rule, by Bland's (which cannot cycle) after
+# BLAND_AFTER pivots, and gives up after MAX_PIVOTS.
+PIVOT_TOL = 1e-12
+BLAND_AFTER = 50
+MAX_PIVOTS = 1000
 # verify_mu: relative accuracy of the reported minimum, cells split per step,
 # bytes the open cells may hold (which caps their count at any n), and the
 # largest n^(p-1) Bernstein tensor (p = 4 up to n = 16).
@@ -267,32 +274,65 @@ def verify_mu(B: SymMatrix, mu, p: float) -> MuCertificate | MuViolation | None:
     return None
 
 
-def linprog(*args, **kwargs):
-    """scipy.optimize.linprog, imported on the first weight LP rather than with the package."""
-    from scipy.optimize import linprog as scipy_linprog
+def linprog(c: np.ndarray, A_ub: np.ndarray, b_ub: np.ndarray) -> np.ndarray:
+    """argmax c . x subject to A_ub x <= b_ub, x >= 0, for b_ub >= 0: a dense tableau simplex.
 
-    return scipy_linprog(*args, **kwargs)
+    The slack basis is feasible, so no phase 1 is needed.  The entering column
+    is the most negative reduced cost for the first BLAND_AFTER pivots, then
+    the lowest-index negative one (Bland's rule, which cannot cycle); ratio
+    ties leave by the lowest basis index.  Raises InternalConsistencyError on
+    an unbounded LP or past MAX_PIVOTS pivots.
+    """
+    m, n = A_ub.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A_ub
+    T[:m, n:-1] = np.eye(m)
+    T[:m, -1] = b_ub
+    T[m, :n] = -c
+    basis = np.arange(n, n + m)
+    pivots = 0
+    while (entering := np.flatnonzero(T[m, :-1] < -PIVOT_TOL)).size:
+        if pivots == MAX_PIVOTS:
+            raise InternalConsistencyError(f"simplex took more than {MAX_PIVOTS} pivots")
+        col = entering[np.argmin(T[m, entering])] if pivots < BLAND_AFTER else entering[0]
+        rows = np.flatnonzero(T[:m, col] > PIVOT_TOL)
+        if rows.size == 0:
+            raise InternalConsistencyError("LP is unbounded")
+        ratios = T[rows, -1] / T[rows, col]
+        ties = rows[ratios == ratios.min()]
+        row = ties[np.argmin(basis[ties])]
+        T[row] /= T[row, col]
+        pivot_row = T[row].copy()
+        T -= np.outer(T[:, col], pivot_row)
+        T[row] = pivot_row
+        basis[row] = col
+        pivots += 1
+    x = np.zeros(n + m)
+    x[basis] = T[:m, -1]
+    return x[:n]
 
 
 def _weight_lp(B: SymMatrix, points: list[np.ndarray], p: float) -> tuple[np.ndarray, float]:
     """max t subject to form(c; mu) >= t for c in points, MU_LOWER_BOUND <= mu_i <= 1.
 
-    Returns the optimal mu scaled to max component 1, as certificates report
-    it, and the margin min over points of form(c; mu) at that scaled mu.  A
-    blocked LP drives every mu_i toward the lower bound, which would shrink an
-    unscaled margin by the same factor.
+    Solved by linprog after the shift mu = lb + x (box rows x_i <= 1 - lb) and
+    t = t0 + s, where v_k = lb * sum_i a(c_k)_i is the form at mu = lb and
+    t0 = min_k v_k; the cut rows -a(c_k) . x + s <= v_k - t0 then have a
+    nonnegative right side, and t >= t0 at the optimum since mu = lb is
+    feasible.  Returns the optimal mu scaled to max component 1, as
+    certificates report it, and the margin min over points of form(c; mu) at
+    that scaled mu.  A blocked LP drives every mu_i toward the lower bound,
+    which would shrink an unscaled margin by the same factor.
     """
-    n = B.n
+    n, lb = B.n, MU_LOWER_BOUND
     coef = p_form_coefficients(B.entries, np.array(points), p)
+    v = lb * coef.sum(axis=1)
+    a_ub = np.block([[-coef, np.ones((len(points), 1))], [np.eye(n), np.zeros((n, 1))]])
+    b_ub = np.concatenate([v - v.min(), np.full(n, 1.0 - lb)])
     objective = np.zeros(n + 1)
-    objective[-1] = -1.0
-    a_ub = np.hstack([-coef, np.ones((len(points), 1))])
-    b_ub = np.zeros(len(points))
-    bounds = [(MU_LOWER_BOUND, 1.0)] * n + [(None, None)]
-    res = linprog(objective, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if res.status != 0:
-        raise InternalConsistencyError(f"weight LP failed with status {res.status}")
-    mu = np.asarray(res.x[:n], dtype=float)
+    objective[-1] = 1.0
+    x = linprog(objective, A_ub=a_ub, b_ub=b_ub)
+    mu = lb + np.clip(x[:n], 0.0, 1.0 - lb)
     mu = mu / mu.max()
     margin = float(min(fsum_terms(coef[k] * mu) for k in range(len(points))))
     return mu, margin

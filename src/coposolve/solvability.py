@@ -31,15 +31,16 @@ from .mu_search import (
 
 
 def __getattr__(name: str):
-    # Served only for bench/spans.py; retire with ROADMAP item 4.
+    # Served only for bench/spans.py, whose TARGETS still name both attributes
+    # and whose SpanRecorder.install looks each one up; retire with ROADMAP item 4.
     if name == "null_space":
         from scipy.linalg import null_space
 
         return null_space
     if name == "linprog":
-        from scipy.optimize import linprog
+        from . import mu_search
 
-        return linprog
+        return mu_search.linprog
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -11,6 +11,8 @@ import sys
 import textwrap
 from pathlib import Path
 
+from coposolve import b_epsilon
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 PROBE = textwrap.dedent("""
@@ -31,6 +33,15 @@ PROBE = textwrap.dedent("""
         seen["liouville_rc"] = coposolve.cli.main(["liouville", sys.argv[2], "--dim", "3", "--p", "4"])
     seen["liouville"] = scipy_modules()
     seen["liouville_reason"] = json.loads(out.getvalue())["result"]["reason"]
+    # The weight search: its LP is the package's own simplex.
+    for command, argv in (("weight_liouville", ["liouville", sys.argv[5], "--dim", "3", "--p", "4"]),
+                          ("find_mu", ["find-mu", sys.argv[5], "--p", "4"]),
+                          ("bepsilon", ["bepsilon", "--eps", "0.1", "--dim", "3"])):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            seen[command + "_rc"] = coposolve.cli.main(argv)
+        seen[command] = scipy_modules()
+        seen[command + "_doc"] = json.loads(out.getvalue())["result"]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         seen["solve_rc"] = coposolve.cli.main(["solve", sys.argv[3], "--dim", "1", "--nodes", "33",
@@ -41,7 +52,7 @@ PROBE = textwrap.dedent("""
 """)
 
 
-def test_import_and_face_sweep_commands_load_no_scipy(tmp_path):
+def test_import_face_sweep_and_weight_search_load_no_scipy(tmp_path):
     classify_input = tmp_path / "n4.json"
     classify_input.write_text(json.dumps({"n": 4, "beta": [[2, -1, 0, 0.5], [-1, 2, -1, 0],
                                                            [0, -1, 2, -1], [0.5, 0, -1, 2]]}))
@@ -49,8 +60,10 @@ def test_import_and_face_sweep_commands_load_no_scipy(tmp_path):
     liouville_input.write_text(json.dumps({"n": 3, "beta": [[1, -2, 0], [-2, 1, 0], [0, 0, 1]]}))
     solve_input = tmp_path / "witness.json"
     solve_input.write_text(json.dumps({"n": 2, "beta": [[1, -2], [-2, 1]]}))
+    weight_input = tmp_path / "b_epsilon_0.1.json"
+    weight_input.write_text(json.dumps({"n": 3, "beta": b_epsilon(0.1).entries.tolist()}))
     run = subprocess.run([sys.executable, "-c", PROBE, str(classify_input), str(liouville_input),
-                          str(solve_input), str(tmp_path / "witness.csv")],
+                          str(solve_input), str(tmp_path / "witness.csv"), str(weight_input)],
                          capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(SRC)))
     seen = json.loads(run.stdout)
@@ -58,6 +71,12 @@ def test_import_and_face_sweep_commands_load_no_scipy(tmp_path):
     assert seen["classify_rc"] == 0 and seen["classify"] == []
     assert seen["liouville_rc"] == 0 and seen["liouville_reason"] == "Thm1.1"
     assert seen["liouville"] == []
+    assert seen["weight_liouville_rc"] == 0 and seen["weight_liouville_doc"]["reason"] == "Prop1.2"
+    assert seen["weight_liouville"] == []
+    assert seen["find_mu_rc"] == 0 and seen["find_mu_doc"]["type"] == "certificate"
+    assert seen["find_mu"] == []
+    assert seen["bepsilon_rc"] == 0 and seen["bepsilon_doc"]["solvability"]["reason"] == "Prop1.2"
+    assert seen["bepsilon"] == []
     # The Newton step is a banded LU: solving loads scipy.linalg, never scipy.fft.
     assert seen["solve_rc"] == 0 and seen["solve_outcome"] == "solution"
     assert "scipy.linalg" in seen["solve"]

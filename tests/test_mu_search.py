@@ -2,10 +2,12 @@
 and exact re-checks of the branch-and-bound verifier."""
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog as highs_linprog
 
 from coposolve import (
     CapacityError,
@@ -27,7 +29,7 @@ from coposolve import (
     sufficient_condition,
     verify_mu,
 )
-from coposolve import cli, mu_search
+from coposolve import InternalConsistencyError, cli, mu_search
 from coposolve.forms import cone_power, p_form_batch, p_form_coefficients
 from coposolve.simplex import barycentric_grid
 
@@ -303,8 +305,10 @@ class TestFindMu:
         monkeypatch.setattr(mu_search, "linprog", recording)
         mu_search._weight_lp(B, list(points), p)
         (a_ub,) = captured
+        # One cut row per point, then the three box rows of mu.
+        assert a_ub.shape == (len(points) + 3, 4)
         expected = p_form_coefficients(B.entries, points, p)
-        assert (-a_ub[:, :3]).tobytes() == expected.tobytes()
+        assert (-a_ub[:len(points), :3]).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("max_iterations", [0, -3])
     def test_rejects_budget_below_one(self, max_iterations):
@@ -318,6 +322,104 @@ class TestFindMu:
     def test_rejects_negative_diagonal(self):
         with pytest.raises(PreconditionError):
             find_mu(SymMatrix([[-1, 0], [0, 1]]), 4.0)
+
+
+def highs_weight_lp_margin(coef):
+    """max t s.t. coef @ mu >= t, MU_LOWER_BOUND <= mu <= 1 by HiGHS: the least row value at its mu."""
+    m, n = coef.shape
+    res = highs_linprog(np.r_[np.zeros(n), -1.0], A_ub=np.hstack([-coef, np.ones((m, 1))]),
+                        b_ub=np.zeros(m), bounds=[(mu_search.MU_LOWER_BOUND, 1.0)] * n + [(None, None)],
+                        method="highs")
+    assert res.status == 0
+    return min(math.fsum(row * res.x[:n]) for row in coef)
+
+
+def package_weight_lp_margin(B, points, p):
+    """The same LP through _weight_lp: the least row value at its unscaled mu = lb + x."""
+    solutions, package_linprog = [], mu_search.linprog
+
+    def recording(c, A_ub, b_ub):
+        solutions.append(package_linprog(c, A_ub=A_ub, b_ub=b_ub))
+        return solutions[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mu_search, "linprog", recording)
+        mu_search._weight_lp(B, points, p)
+    lb = mu_search.MU_LOWER_BOUND
+    mu = lb + np.clip(solutions[-1][:B.n], 0.0, 1.0 - lb)
+    coef = p_form_coefficients(B.entries, np.array(points), p)
+    return min(math.fsum(row * mu) for row in coef), coef
+
+
+def b_epsilon_cut_sets():
+    """Every cut set find_mu hands the weight LP on b_epsilon, eps = 0.1 ... 0.004, p = 4."""
+    sets, package_weight_lp = [], mu_search._weight_lp
+
+    def recording(B, points, p):
+        sets.append((B, [c.copy() for c in points], p))
+        return package_weight_lp(B, points, p)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mu_search, "_weight_lp", recording)
+        for eps in (0.1, 0.05, 0.02, 0.01, 0.008, 0.007, 0.006, 0.005, 0.004):
+            find_mu(b_epsilon(eps), 4.0)
+    return sets
+
+
+def random_cut_sets(count=50, seed=11):
+    """Random symmetric matrices with positive diagonal, n = 2-8, cut at the
+    vertices, the centroid and one to six random simplex points."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        g = rng.standard_normal((n, n))
+        a = (g + g.T) / 2.0
+        np.fill_diagonal(a, np.abs(np.diag(a)) + 0.5)
+        points = [*np.eye(n), np.full(n, 1.0 / n), *rng.dirichlet(np.ones(n), int(rng.integers(1, 7)))]
+        sets.append((SymMatrix(a), points, float(rng.choice([3.0, 3.5, 4.0, 6.0]))))
+    return sets
+
+
+class TestWeightLP:
+    """The package's tableau simplex against HiGHS, and its pivot rules."""
+
+    @pytest.mark.parametrize("cut_sets", [b_epsilon_cut_sets, random_cut_sets])
+    def test_margin_matches_highs(self, cut_sets):
+        sets = cut_sets()
+        assert len(sets) >= 50
+        for B, points, p in sets:
+            ours, coef = package_weight_lp_margin(B, points, p)
+            theirs = highs_weight_lp_margin(coef)
+            # Relative to the margin, or to the coefficients where the margin
+            # is within rounding of zero (blocked b_epsilon sets reach 1e-12).
+            assert abs(ours - theirs) <= 1e-12 * max(abs(theirs), np.abs(coef).max())
+
+    BEALE = (np.array([0.75, -150.0, 0.02, -6.0]),
+             np.array([[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]]),
+             np.array([0.0, 0.0, 1.0]))
+
+    def test_beale_cycling_example_ends_at_its_optimum(self):
+        # Beale (1955), degenerate at the origin: Dantzig's rule cycles there
+        # (next test) until Bland's rule takes over and reaches x = (1/25, 0, 1, 0).
+        c, a, b = self.BEALE
+        x = mu_search.linprog(c, A_ub=a, b_ub=b)
+        assert x == pytest.approx([0.04, 0.0, 1.0, 0.0], abs=1e-15)
+        assert c @ x == pytest.approx(0.05, rel=1e-14)
+
+    def test_beale_cycles_under_dantzig_rule_alone(self, monkeypatch):
+        monkeypatch.setattr(mu_search, "BLAND_AFTER", mu_search.MAX_PIVOTS)
+        with pytest.raises(InternalConsistencyError):
+            mu_search.linprog(*self.BEALE)
+
+    def test_unbounded_lp_raises(self):
+        with pytest.raises(InternalConsistencyError):
+            mu_search.linprog(np.array([1.0, 1.0]), A_ub=np.array([[1.0, -1.0]]), b_ub=np.array([1.0]))
+
+    def test_pivot_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(mu_search, "MAX_PIVOTS", 1)
+        with pytest.raises(InternalConsistencyError):
+            find_mu(b_epsilon(0.1), 4.0)
 
 
 class TestConstructiveMu:
