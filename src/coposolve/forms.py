@@ -170,7 +170,10 @@ def p_form_coefficients(A: np.ndarray, points: np.ndarray, p: float) -> np.ndarr
 
 
 def p_form_values(A: np.ndarray, points: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
-    """Weighted form over rows of ``points``, without input validation."""
+    """Weighted form over rows of ``points``, without input validation.
+
+    A one-row batch goes through BLAS's matrix-vector path, which can round
+    differently from the same row inside a batch of two or more."""
     return p_form_coefficients(A, points, p) @ mu
 
 

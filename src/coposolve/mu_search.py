@@ -56,8 +56,8 @@ PIVOT_TOL = 1e-12
 BLAND_AFTER = 50
 MAX_PIVOTS = 1000
 # verify_mu: relative accuracy of the reported minimum, cells split per step,
-# bytes the open cells may hold (which caps their count at any n), and the
-# largest n^(p-1) Bernstein tensor (p = 4 up to n = 16).
+# bytes the cell store may grow to (which caps the count of cells at any n),
+# and the largest n^(p-1) Bernstein tensor (p = 4 up to n = 16).
 GAP = 1e-9
 BATCH = 256
 MAX_CELL_BYTES = 1 << 26
@@ -222,8 +222,11 @@ def verify_mu(B: SymMatrix, mu, p: float) -> MuCertificate | MuViolation | None:
         # charged.
         margin = (2.5 * power_error(p) + _gamma(4 * n + 16)) * np.abs(mv[:, None] * A).sum()
 
+    # The store starts with room for a few rounds and doubles in place, up to
+    # cap cells, so a search holds only about what it has opened.
     cap = MAX_CELL_BYTES // (8 * (n * n + 2))
-    verts, low, depth = np.empty((cap, n, n)), np.empty(cap), np.zeros(cap, dtype=int)
+    size = min(cap, 4 * BATCH)
+    verts, low, depth = np.empty((size, n, n)), np.empty(size), np.zeros(size, dtype=int)
     verts[0] = np.eye(n)
     low[0] = bound(verts[:1])[0] - margin
     count = 1
@@ -234,34 +237,47 @@ def verify_mu(B: SymMatrix, mu, p: float) -> MuCertificate | MuViolation | None:
     while n > 1 and (bernstein or U > 0):
         live = low[:count]
         floor = U - GAP * abs(U) - margin if bernstein else -np.inf
-        rows = np.flatnonzero((live < floor) | ((live <= 0) & (U > 0)))
+        # Split a cell below the floor, or any nonpositive one while U > 0: one
+        # of the two sets holds the other, as the floor is positive or not.
+        rows = (live <= 0 if U > 0 >= floor else live < floor).nonzero()[0]
         take = min(rows.size, BATCH, cap - count)
         if take == 0:
             break
         if rows.size > take:
-            rows = rows[np.argpartition(live[rows], take - 1)[:take]]
-        cells = verts[rows]
-        edges = cells[:, pairs[0]] - cells[:, pairs[1]]
-        longest = np.argmax(np.einsum("mek,mek->me", edges, edges), axis=1)
-        i, j, r = pairs[0][longest], pairs[1][longest], np.arange(take)
+            rows = rows[live[rows].argpartition(take - 1)[:take]]
+        del live  # resize refuses an array that a view still references
+        if count + take > size:
+            size = min(cap, 2 * size)
+            verts.resize((size, n, n))
+            low.resize(size)
+            depth.resize(size)
+        cells, r = verts[rows], np.arange(take)
+        if n == 2:
+            i, j = 0, 1  # the only edge
+        else:
+            edges = cells.take(pairs[0], axis=1) - cells.take(pairs[1], axis=1)
+            longest = np.einsum("mek,mek->me", edges, edges).argmax(axis=1)
+            i, j = pairs[0][longest], pairs[1][longest]
         ends_i, ends_j = cells[r, i], cells[r, j]
         total = ends_i + ends_j
-        if np.any(total - np.maximum(ends_i, ends_j) != np.minimum(ends_i, ends_j)):
+        if (total - np.maximum(ends_i, ends_j) != np.minimum(ends_i, ends_j)).any():
             break
         mid = 0.5 * total
         vals = p_form_values(A, mid, mv, p)
         k = int(np.argmin(vals))
         if vals[k] < U:
             U, worst = float(vals[k]), mid[k]
-        left = cells.copy()
-        left[r, i] = mid
-        cells[r, j] = mid
-        new = slice(count, count + take)
-        verts[rows], verts[new] = left, cells
-        depth[rows] += 1
-        depth[new] = depth[rows]
-        bounds = bound(np.concatenate([left, cells])) - margin
-        low[rows], low[new] = bounds[:take], bounds[take:]
+        # Both children in one array: vertex i moved to the midpoint in the
+        # first, which replaces its parent, and vertex j in the second, which
+        # is stored after the open cells.
+        kids = np.concatenate([cells, cells])
+        kids[r, i] = mid
+        kids[r + take, j] = mid
+        bounds = bound(kids) - margin
+        slots = np.concatenate([rows, np.arange(count, count + take)])
+        verts[slots], low[slots] = kids, bounds
+        d = depth[rows] + 1
+        depth[slots] = np.concatenate([d, d])
         count += take
 
     info = VerificationInfo(count, int(depth[:count].max()))

@@ -3,6 +3,7 @@ and exact re-checks of the branch-and-bound verifier."""
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +202,67 @@ class TestBranchAndBound:
         result = json.loads(capsys.readouterr().out)["result"]
         assert result["reason"] == "OpenGap"
         assert result["audit"]["type"] == "inconclusive"
+
+
+# verify_mu outcomes recorded before the cell store grew with the search:
+# (matrix, weight, p, VerificationInfo fields, kappa, min_on_simplex).  They
+# pin that refactor, the same subdivision and the same floating-point bounds,
+# not a mathematical fact; a change to the splitting or the bounds may move
+# them.  The last two open more cells than the store starts with.
+STORE_PINS = {
+    "b-epsilon-0.1-p4": (b_epsilon(0.1), np.ones(3), 4.0, (192, 32),
+                         "0x1.a281a37acc444p-7", "0x1.a281a38000000p-7"),
+    "identity-5-p4": (SymMatrix(np.eye(5)), np.ones(5), 4.0, (11985, 70),
+                      "0x1.47ae1478a3a80p-5", "0x1.47ae147bd70a0p-5"),
+    "b-epsilon-0.1-p3-corner": (b_epsilon(0.1), np.ones(3), 3.0, (4221, 17),
+                                "0x1.a454f4cef5333p-17", "0x1.d2a7e9276e5f4p-7"),
+}
+
+
+def traced_peak(call):
+    """call() and the peak of the memory tracemalloc saw during it, in bytes."""
+    tracemalloc.start()
+    try:
+        out = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestCellStore:
+    def test_small_search_allocates_little(self):
+        # The store grows with the search: a 2x2 proof holds a few cells,
+        # not room for the whole cell cap.
+        B = SymMatrix([[1.0, -0.5], [-0.5, 2.0]])
+        out, peak = traced_peak(lambda: verify_mu(B, constructive_mu_n2(B, 4.0), 4.0))
+        assert isinstance(out, MuCertificate)
+        assert peak < 1 << 20
+
+    def test_store_grows_in_place_up_to_the_cap(self, monkeypatch):
+        # b_epsilon(0.02) with unit weight at p = 5, padded by an identity
+        # block to n = 6: no vertex is nonpositive and the corner bounds stay
+        # below zero, so the search runs to its cap, here 16384 cells, which
+        # the store reaches after several doublings.
+        n = 6
+        A = np.eye(n)
+        A[:3, :3] = b_epsilon(0.02).entries
+        monkeypatch.setattr(mu_search, "MAX_CELL_BYTES", 16384 * 8 * (n * n + 2))
+        out, peak = traced_peak(lambda: verify_mu(SymMatrix(A), np.ones(n), 5.0))
+        assert out is None
+        # Slack for one round's temporaries: the selection's index arrays,
+        # at most 25 bytes a cell against the 304 a cell holds at n = 6, and
+        # BATCH cells' edge arrays, under 1 MiB.  A growth step that copied
+        # the store would hold its old half next to the new whole.
+        assert peak <= mu_search.MAX_CELL_BYTES * 9 // 8 + (1 << 20)
+
+    @pytest.mark.parametrize("case", list(STORE_PINS))
+    def test_outcome_pinned_across_growth(self, case):
+        B, mu, p, info, kappa, minimum = STORE_PINS[case]
+        out = verify_mu(B, mu, p)
+        assert isinstance(out, MuCertificate)
+        assert (out.verification.cells, out.verification.max_depth) == info
+        assert (out.kappa.hex(), out.min_on_simplex.hex()) == (kappa, minimum)
 
 
 class TestFindMu:
