@@ -31,7 +31,7 @@ import numpy as np
 from .copositivity import DEAD_BAND, check_psd, classify_copositivity, strict_copositivity_closed_form
 from .errors import CapacityError, CoposolveError, ParameterError, PreconditionError
 from .forms import ConeVector, SymMatrix
-from .mu_search import MAX_ITERATIONS, appendix_limit_form, b_epsilon, find_mu
+from .mu_search import MAX_ITERATIONS, MuCertificate, appendix_limit_form, b_epsilon, find_mu
 from .neumann import Grid, mountain_pass_solve, write_solution_csv, NeumannSolution
 from .reports import build_report, serialize_report, to_doc
 from .solvability import ProblemParams, classify_solvability
@@ -149,12 +149,11 @@ def cmd_bepsilon(args) -> tuple[dict, dict]:
     matrix = b_epsilon(args.eps)
     verdict = classify_solvability(matrix, ProblemParams(args.dim, args.p), args.budget)
     # The decision tree already ran find_mu with this budget when it reached
-    # the weight search; search here only when it stopped before that.
-    if verdict.reason in ("Prop1.2", "Prop4.3"):
-        outcome = verdict.certificate
-    elif verdict.audit is not None:
-        outcome = verdict.audit
-    else:
+    # the weight search: its outcome is a weight certificate (b_epsilon is 3x3,
+    # so no two-component one) or the audit.  Search here only when it stopped
+    # before that.
+    outcome = verdict.certificate if isinstance(verdict.certificate, MuCertificate) else verdict.audit
+    if outcome is None:
         outcome = find_mu(matrix, args.p, args.budget)
     result = {
         "eps": args.eps,

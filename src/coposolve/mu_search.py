@@ -410,15 +410,22 @@ def find_mu(B: SymMatrix, p: float, max_iterations: int = MAX_ITERATIONS
 def constructive_mu_n2(B: SymMatrix, p: float) -> ConeVector:
     """Explicit weight (beta_11^(-1/p), beta_22^(-1/p)) for strictly copositive n=2.
 
-    Valid for every p > 2; callers should confirm with verify_mu.
+    Valid for every p > 2; callers should confirm with verify_mu.  The
+    decision tree takes the same diagonal_weight without the closed-form
+    check here: its face pass has already decided strict copositivity.
     """
     if B.n != 2:
         raise CapacityError(f"constructive weight exists only for n=2, got {B.n}")
     require_p(p)
     if not strict_copositivity_closed_form(B).strict:
         raise PreconditionError("matrix is not strictly copositive")
+    return diagonal_weight(B, p)
+
+
+def diagonal_weight(B: SymMatrix, p: float) -> ConeVector:
+    """The weight (beta_11^(-1/p), ..., beta_nn^(-1/p)); the diagonal must be positive."""
     a = B.entries
-    return ConeVector([a[0, 0] ** (-1.0 / p), a[1, 1] ** (-1.0 / p)])
+    return ConeVector([a[i, i] ** (-1.0 / p) for i in range(B.n)])
 
 
 def sufficient_condition(B: SymMatrix) -> float | None:

@@ -22,7 +22,7 @@ from .forms import SymMatrix, require_int, require_nonnegative_diagonal, require
 from .mu_search import (
     MAX_ITERATIONS,
     MuCertificate,
-    constructive_mu_n2,
+    diagonal_weight,
     find_mu,
     require_budget,
     sufficient_condition,
@@ -49,6 +49,10 @@ OPEN_GAP_NOTE = (
     "the degree-(p-1) form was found; for dimension >= 3 with 3 or more "
     "components, nonexistence under strict copositivity alone is an open case"
 )
+
+# Each route's cubic reason (Section 1) and its general-p counterpart (Section 4).
+GENERAL_P_REASONS = {"Thm1.1": "Thm4.1", "Thm1.6": "Thm4.6", "Cor1.3": "Cor4.5",
+                     "Prop1.7": "Prop4.7", "Prop1.2": "Prop4.3"}
 
 
 class SolvabilityKind(Enum):
@@ -118,10 +122,14 @@ def classify_solvability(
 ) -> SolvabilityVerdict:
     """Decision tree for existence of nontrivial nonnegative entire solutions.
 
-    Order: exact constant solutions and failed strict copositivity (existence,
-    both from one face pass), the low-dimension strict-copositivity route, the
-    two-component constructive weight, the row-dominance bound, and finally
-    the cutting plane weight search; anything left is the open gap.
+    Order: exact constant solutions and failed strict copositivity (existence),
+    the low-dimension strict-copositivity route, the two-component diagonal
+    weight, the row-dominance bound, and finally the cutting plane weight
+    search; anything left is the open gap.  Strict copositivity is read once,
+    from the simplex minimum of the face pass that looked for the constant
+    solutions; the later routes do not decide it again.  A route's reason is
+    the cubic one of the paper's Section 1 at p = 4 and its Section 4
+    counterpart from GENERAL_P_REASONS at any other p.
 
     On entry it raises ParameterError for a budget below 1, even when the
     tree stops before the weight search, and PreconditionError for a negative
@@ -129,7 +137,6 @@ def classify_solvability(
     """
     require_budget(max_iterations)
     require_nonnegative_diagonal(B)
-    cubic = params.p == 4.0
 
     cs, minimum = scan_faces(B, params.p)
     if cs is not None:
@@ -139,64 +146,34 @@ def classify_solvability(
         return SolvabilityVerdict(SolvabilityKind.EXISTS, reason, cs)
 
     verdict = copositivity_verdict(B, minimum)
-    strictly_copositive = verdict.min_value > 0
-    if not strictly_copositive:
-        return SolvabilityVerdict(
-            SolvabilityKind.EXISTS,
-            "Thm1.1" if cubic else "Thm4.1",
-            certificate=verdict.witness,
-            boundary_case=verdict.boundary_case,
-        )
-    boundary = verdict.boundary_case
+    kind, reason, certificate, audit = SolvabilityKind.NO_NONTRIVIAL, None, None, None
+    if verdict.min_value <= 0:
+        kind, reason, certificate = SolvabilityKind.EXISTS, "Thm1.1", verdict.witness
+    elif params.dim <= 2 and Fraction(params.p) <= 4:
+        reason = "Thm1.6"
+    elif _within_weighted_range(params):
+        reason, certificate, audit = _weight_route(B, params.p, max_iterations)
+    if reason is None:
+        kind, reason = SolvabilityKind.UNKNOWN, "OpenGap"
+    elif params.p != 4.0:
+        reason = GENERAL_P_REASONS[reason]
+    note = OPEN_GAP_NOTE if kind is SolvabilityKind.UNKNOWN else ""
+    return SolvabilityVerdict(kind, reason, certificate, verdict.boundary_case, note, audit)
 
-    if params.dim <= 2 and Fraction(params.p) <= 4:
-        return SolvabilityVerdict(
-            SolvabilityKind.NO_NONTRIVIAL,
-            "Thm1.6" if cubic else "Thm4.6",
-            boundary_case=boundary,
-        )
 
-    weighted_ok = _within_weighted_range(params)
+def _weight_route(B: SymMatrix, p: float, max_iterations: int) -> tuple[str | None, object, object]:
+    """(reason, certificate, audit) of the first weight route that holds; reason None if none.
 
-    if B.n == 2 and weighted_ok:
-        mu = constructive_mu_n2(B, params.p)
-        cert = verify_mu(B, mu, params.p)
+    The n = 2 weight is constructive_mu_n2's without its closed-form check,
+    and verify_mu proves or refutes it.  The audit is find_mu's failure."""
+    if B.n == 2:
+        cert = verify_mu(B, diagonal_weight(B, p), p)
         if isinstance(cert, MuCertificate):
-            return SolvabilityVerdict(
-                SolvabilityKind.NO_NONTRIVIAL,
-                "Cor1.3" if cubic else "Cor4.5",
-                certificate=cert,
-                boundary_case=boundary,
-            )
-
-    if weighted_ok:
-        kappa0 = sufficient_condition(B)
-        if kappa0 is not None:
-            return SolvabilityVerdict(
-                SolvabilityKind.NO_NONTRIVIAL,
-                "Prop1.7" if cubic else "Prop4.7",
-                certificate=SufficientConditionCertificate(kappa0),
-                boundary_case=boundary,
-            )
-        outcome = find_mu(B, params.p, max_iterations)
-        if isinstance(outcome, MuCertificate):
-            return SolvabilityVerdict(
-                SolvabilityKind.NO_NONTRIVIAL,
-                "Prop1.2" if cubic else "Prop4.3",
-                certificate=outcome,
-                boundary_case=boundary,
-            )
-        return SolvabilityVerdict(
-            SolvabilityKind.UNKNOWN,
-            "OpenGap",
-            boundary_case=boundary,
-            note=OPEN_GAP_NOTE,
-            audit=outcome,
-        )
-
-    return SolvabilityVerdict(
-        SolvabilityKind.UNKNOWN,
-        "OpenGap",
-        boundary_case=boundary,
-        note=OPEN_GAP_NOTE,
-    )
+            return "Cor1.3", cert, None
+    kappa0 = sufficient_condition(B)
+    if kappa0 is not None:
+        return "Prop1.7", SufficientConditionCertificate(kappa0), None
+    outcome = find_mu(B, p, max_iterations)
+    if isinstance(outcome, MuCertificate):
+        return "Prop1.2", outcome, None
+    return None, None, outcome

@@ -138,6 +138,16 @@ class TestLiouville:
         assert result["reason"] == "OpenGap"
         assert result["note"]
 
+    def test_boundary_pair_is_exit_zero(self, tmp_path, capsys):
+        # Copositive, not strictly, by the closed form, with a positive
+        # diagonal: a verdict, not a precondition error.
+        beta = [[26667962.233527064, -30140383.217575062], [-30140383.217575062, 34064946.2657549]]
+        path = write_matrix(tmp_path, "boundary2.json", 2, beta)
+        code, out, err = run(capsys, ["liouville", str(path), "--dim", "3"])
+        assert code == 0 and err == ""
+        result = json.loads(out)["result"]
+        assert (result["kind"], result["reason"], result["boundary_case"]) == ("Unknown", "OpenGap", True)
+
     def test_supercritical_rejected(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "m.json", 2, [[1, 0], [0, 1]])
         code, out, err = run(capsys, ["liouville", str(path), "--dim", "3", "--p", "6"])
@@ -277,6 +287,15 @@ class TestBEpsilon:
         # the search certifies and the verdict is nonexistence.
         assert result["find_mu"]["type"] == "certificate"
         assert result["solvability"]["kind"] == "NoNontrivial"
+
+    @pytest.mark.parametrize("p", ["4", "3"])
+    def test_find_mu_reuses_the_certificate(self, capsys, p):
+        # Prop1.2 at p = 4, Prop4.3 at p = 3: the tree's weight search certified.
+        code, out, _ = run(capsys, ["bepsilon", "--eps", "0.1", "--dim", "3", "--p", p])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["find_mu"]["type"] == "certificate"
+        assert result["find_mu"] == result["solvability"]["certificate"]
 
     def test_find_mu_reuses_the_audit(self, capsys):
         # Below the weight-existence threshold the decision tree ends in the

@@ -7,6 +7,7 @@ from scipy.linalg import block_diag
 from coposolve import (
     Copositivity,
     MuCertificate,
+    MuSearchFailure,
     ParameterError,
     PreconditionError,
     ProblemParams,
@@ -23,6 +24,12 @@ from oracles import kernel_scan_constant_support, mirror_residual
 
 def mat(rows):
     return SymMatrix(rows)
+
+
+# A 2x2 whose simplex minimum (9.3e-10) lies in the dead band, while the
+# closed form reads it as not strictly copositive: CopositiveNotStrict, with
+# a positive diagonal.
+BOUNDARY_2X2 = [[26667962.233527064, -30140383.217575062], [-30140383.217575062, 34064946.2657549]]
 
 
 class TestProblemParams:
@@ -220,6 +227,16 @@ class TestClassifySolvability:
         assert v.note
         assert v.audit is not None
 
+    def test_boundary_pair_without_a_verified_weight_is_the_open_gap(self):
+        # The face pass reads this input as strictly copositive in the dead
+        # band; the n = 2 weight does not verify, and nothing re-checks the
+        # closed form, so the tree ends in the open gap instead of raising.
+        v = classify_solvability(mat(BOUNDARY_2X2), ProblemParams(3, 4.0))
+        assert v.kind is SolvabilityKind.UNKNOWN
+        assert v.reason == "OpenGap"
+        assert v.boundary_case
+        assert isinstance(v.audit, MuSearchFailure)
+
     def test_general_p_reason_tags(self):
         v = classify_solvability(mat(np.eye(2)), ProblemParams(3, 3.0))
         assert v.reason == "Cor4.5"
@@ -229,6 +246,8 @@ class TestClassifySolvability:
         assert v.reason == "Thm4.1"
         v = classify_solvability(mat(np.eye(3)), ProblemParams(2, 5.0))
         assert v.reason == "Prop4.7"
+        v = classify_solvability(b_epsilon(0.1), ProblemParams(3, 3.0))
+        assert v.reason == "Prop4.3"
 
     def test_weighted_range_gate(self):
         # dim 4 allows p in (2, 8/3); the weighted routes stop at 2*(4)-2/2 = 3,
