@@ -10,8 +10,11 @@ that could depend on the units of beta.  One pass over it finds the
 exact constant solutions (stationary points with multiplier zero) and else
 the minimum of b, which decides copositivity, since a quadratic attains its
 minimum over a compact polytope at a swept point; the minimum over the proper
-faces decides boundary positivity.  Closed-form strict-copositivity tests
-exist for n in {2, 3} and are run as a redundant cross-check."""
+faces decides boundary positivity.  A pass for the minimum alone skips every
+face on which b is not convex, and so every face that contains one: there the
+stationary point is a saddle and cannot hold the minimum.  A pass that looks
+for constant solutions sweeps every face.  Closed-form strict-copositivity
+tests exist for n in {2, 3} and are run as a redundant cross-check."""
 
 from __future__ import annotations
 
@@ -34,9 +37,14 @@ DEAD_BAND = 1e-9
 CONSTANT_RESIDUAL_TOL = 1e-10
 # Supports per stacked solve.  The batch's temporaries (about 0.43 MB at 128
 # for n = 16, mostly the gathered systems and their flat indices) and the
-# cached support tables (0.56 MB at n = 16) set the sweep's peak memory, while
-# the gain in speed of larger batches flattens out.
+# cached support tables and masks (0.69 MB at n = 16) set the sweep's peak
+# memory, while the gain in speed of larger batches flattens out.
 SWEEP_BATCH = 128
+# Shift of the convexity test of the minimum-only sweep (see _face_sweep):
+# far above the rounding of forming and factoring a block of the scaled
+# matrix, below 4e-13 for n <= 16, so a failed factorization proves an exact
+# negative eigenvalue.
+SADDLE_SHIFT = 2.0 ** -30
 
 
 class Copositivity(Enum):
@@ -111,6 +119,17 @@ def _support_rows(n: int) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
+@functools.lru_cache(maxsize=MAX_ENUMERATION_N)
+def _support_masks(n: int) -> tuple[np.ndarray, ...]:
+    """The bit masks of the rows of _support_rows(n), one read-only uint16 array per size."""
+    masks = []
+    for table in _support_rows(n):
+        mask = np.left_shift(np.uint16(1), table[:, :-1]).sum(axis=1, dtype=np.uint16)
+        mask.flags.writeable = False
+        masks.append(mask)
+    return tuple(masks)
+
+
 def _bordered(A: np.ndarray) -> np.ndarray:
     """[[A, -1/2 1], [1/2 1', 0]], every face's halved bordered system at once."""
     n = A.shape[0]
@@ -121,7 +140,7 @@ def _bordered(A: np.ndarray) -> np.ndarray:
     return K
 
 
-def _face_sweep(A: np.ndarray):
+def _face_sweep(A: np.ndarray, minimum_only: bool = False):
     """Stationary points of b interior to the faces of the simplex, in batches.
 
     Yields (supports, points, blocks): supports of shape (m, k), the strictly
@@ -130,15 +149,86 @@ def _face_sweep(A: np.ndarray):
     batch of singletons, then the larger supports one size at a time in
     itertools.combinations order, in batches of at most SWEEP_BATCH rows of
     the cached support tables.
+
+    With minimum_only, only the faces that can hold the minimum of b are
+    solved.  Call A_S conditionally PSD when Z'A_S Z is PSD, with
+    Z = [I; -1'] a basis of the sum-zero directions on S.  If Z'A_S Z has a
+    negative eigenvalue, so has Z'A_T Z for every T containing S, since a
+    sum-zero direction on S, padded with zeros, is one on T.  Along such a
+    direction b is strictly concave, so the stationary point inside face T is
+    a strict saddle: its value lies above the face's minimum, and hence above
+    the global one.  A minimiser's face and all of its sub-faces are
+    conditionally PSD.  So the sweep keeps a table of 2^n flags for the
+    supports proven conditionally PSD (every singleton is), tests a support
+    of size k only if each of its k sub-supports of size k - 1 is flagged,
+    and solves it only if it passes too.  A singular face that holds the
+    minimum has it also on a proper sub-face (see _sweep_batch), which is
+    solved as well.  The solved faces get the same systems, solutions and
+    order as in the full sweep, and the minimum's fold does not depend on
+    the batches, so the minimum and its witness are the full sweep's, unless
+    rounding ties or inverts the values of a skipped saddle and the minimum.
+
+    The test is a Cholesky factorization of Z'A_S Z + SADDLE_SHIFT I, formed
+    on A 2^-e with max |A 2^-e| in [1/2, 1): the scaling is exact, so the
+    flags do not change under A -> 2^e A, nothing overflows, and an all-zero
+    A skips no face.  Then Z'A_S Z has order at most 15 and entries of size
+    at most 4, each formed by three roundings, and the rounding of forming
+    and factoring it is below 4e-13 in the spectral norm (about k^2 eps
+    times its largest entry), far below the shift, 2^-30 or about 9.3e-10.
+    So a conditionally PSD block always factors, and a block that fails to
+    has an exactly negative eigenvalue.
     """
     n = A.shape[0]
     yield np.arange(n)[:, None], np.ones((n, 1)), np.diag(A)[:, None, None]
     K = _bordered(A)
+    if minimum_only:
+        # Indexed by the bit mask of a support; a singleton has no sum-zero direction.
+        flagged = np.zeros(1 << n, dtype=bool)
+        flagged[1 << np.arange(n)] = True
+        # Z'A_S Z + SADDLE_SHIFT I for every last index l of S, on the scaled
+        # matrix: reduced[l, i, j] = a_ij - a_lj - (a_il - a_ll) + shift [i = j].
+        scaled = np.ldexp(A, -int(np.frexp(np.abs(A).max())[1]))
+        reduced = (scaled - scaled[:, None, :]) - (scaled[:, :, None] - np.diag(scaled)[:, None, None])
+        reduced += SADDLE_SHIFT * np.eye(n)
     for k, table in enumerate(_support_rows(n), start=2):
         rhs = np.zeros((k + 1, 1))
         rhs[k] = 0.5
+        if minimum_only:
+            masks = _support_masks(n)[k - 2]
+            # Keep the supports whose sub-supports of size k - 1 are all
+            # flagged, dropping one index at a time.
+            tested = np.arange(len(table))
+            for j in range(k):
+                tested = tested[flagged[masks[tested] ^ np.left_shift(np.uint16(1), table[tested, j])]]
+            table, masks = table[tested], masks[tested]
+            psd = _conditionally_psd(reduced, table)
+            if not psd.any():
+                return  # nothing of size k is flagged, so nothing larger is tested
+            flagged[masks[psd]] = True
+            table = table[psd]
         for start in range(0, len(table), SWEEP_BATCH):
             yield _sweep_batch(K, table[start:start + SWEEP_BATCH], rhs)
+
+
+def _conditionally_psd(reduced: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Flags the support rows of one size whose Z'A_S Z + SADDLE_SHIFT I factors.
+
+    The blocks are taken from reduced (see _face_sweep) at each support's
+    last index, SWEEP_BATCH supports at a time, and factored by one stacked
+    Cholesky factorization each, which writes NaN where it fails.
+    """
+    n, k = len(reduced), table.shape[1] - 1
+    psd = np.zeros(len(table), dtype=bool)
+    for start in range(0, len(table), SWEEP_BATCH):
+        rows = table[start:start + SWEEP_BATCH].astype(np.intp)
+        head = rows[:, :k - 1]
+        # Flat indices into reduced: the last index, then each pair of the others.
+        lead = rows[:, k - 1, None] * (n * n) + head * n
+        blocks = reduced.take(lead[:, :, None] + head[:, None, :])
+        with np.errstate(all="ignore"):
+            factors = _umath_linalg.cholesky_lo(blocks, signature="d->d")
+        psd[start:start + SWEEP_BATCH] = ~np.isnan(factors[:, 0, 0])
+    return psd
 
 
 def _sweep_batch(K: np.ndarray, rows: np.ndarray, rhs: np.ndarray):
@@ -228,7 +318,10 @@ def scan_faces(B: SymMatrix, p: float | None = None, max_size: int | None = None
     of at most max_size components (default n), ties going to the smaller
     witness tuple, a total order, so the winner does not depend on the
     batches.  The reported minimum is recomputed through the compensated
-    scalar path, so it reproduces exactly from the witness.
+    scalar path, so it reproduces exactly from the witness.  This pass solves
+    only the faces that can hold the minimum (see _face_sweep); the pass with
+    p solves every face, since the face of a constant solution need not be
+    conditionally PSD.
     """
     if p is not None:
         require_p(p)
@@ -237,7 +330,7 @@ def scan_faces(B: SymMatrix, p: float | None = None, max_size: int | None = None
         raise CapacityError(f"face enumeration supports n <= {MAX_ENUMERATION_N}, got {n}")
     A = B.entries
     best = (np.inf, ())
-    for idx, points, blocks in _face_sweep(A):
+    for idx, points, blocks in _face_sweep(A, minimum_only=p is None):
         if max_size is not None and idx.shape[1] > max_size:
             break
         if p is not None and (cert := _batch_constant(A, idx, points, blocks, p)):

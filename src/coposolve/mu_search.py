@@ -235,22 +235,23 @@ def verify_mu(B: SymMatrix, mu, p: float) -> MuCertificate | MuViolation | None:
     pairs = np.triu_indices(n, 1)
     # A nonpositive vertex settles the sign; only Bernstein bounds go on to the minimum.
     while n > 1 and (bernstein or U > 0):
-        live = low[:count]
         floor = U - GAP * abs(U) - margin if bernstein else -np.inf
         # Split a cell below the floor, or any nonpositive one while U > 0: one
         # of the two sets holds the other, as the floor is positive or not.
-        rows = (live <= 0 if U > 0 >= floor else live < floor).nonzero()[0]
+        rows = (low[:count] <= 0 if U > 0 >= floor else low[:count] < floor).nonzero()[0]
         take = min(rows.size, BATCH, cap - count)
         if take == 0:
             break
         if rows.size > take:
-            rows = rows[live[rows].argpartition(take - 1)[:take]]
-        del live  # resize refuses an array that a view still references
+            rows = rows[low[rows].argpartition(take - 1)[:take]]
         if count + take > size:
+            # In place, without the reference check: no view of the store is
+            # held here, and a trace or profile hook adds references to the
+            # arrays themselves, which would make the check refuse.
             size = min(cap, 2 * size)
-            verts.resize((size, n, n))
-            low.resize(size)
-            depth.resize(size)
+            verts.resize((size, n, n), refcheck=False)
+            low.resize(size, refcheck=False)
+            depth.resize(size, refcheck=False)
         cells, r = verts[rows], np.arange(take)
         if n == 2:
             i, j = 0, 1  # the only edge

@@ -9,8 +9,8 @@ scipy's null_space on every support, plus an LP where a kernel has dimension
 two or more.
 
 The exact checkers at the end work in fractions.Fraction arithmetic: one
-finds the simplex minimum of the quadratic form, two settle the cubic (p = 4)
-weight question.  Every float input is converted exactly, so a proof holds for
+finds the simplex minimum of the quadratic form, one decides whether it is
+convex on a face, two settle the cubic (p = 4) weight question.  Every float input is converted exactly, so a proof holds for
 the very matrix, weight and points the package produced.
 """
 
@@ -235,6 +235,27 @@ def exact_simplex_min(A) -> Fraction:
                 point[i] = x
             values.append(exact_quadratic_form(beta, point))
     return min(values)
+
+
+def exact_conditionally_psd(A, support) -> bool:
+    """Whether c'A_S c >= 0 for every c on S with sum c = 0, exactly.
+
+    The form in the basis e_i - e_r of those directions, r the first index
+    of S, is reduced by symmetric Gaussian elimination: it is PSD iff every
+    pivot is nonnegative and every zero pivot has a zero row.
+    """
+    beta = _exact_matrix(A)
+    r, rest = support[0], support[1:]
+    M = [[beta[i][j] - beta[i][r] - beta[r][j] + beta[r][r] for j in rest] for i in rest]
+    for col in range(len(M)):
+        pivot = M[col][col]
+        if pivot < 0 or (pivot == 0 and any(M[col][col + 1:])):
+            return False
+        if pivot > 0:
+            for i in range(col + 1, len(M)):
+                factor = M[i][col] / pivot
+                M[i][col + 1:] = [a - factor * b for a, b in zip(M[i][col + 1:], M[col][col + 1:])]
+    return True
 
 
 def _cubic_coefficients(A, point: list[Fraction]) -> list[Fraction]:

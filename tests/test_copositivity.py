@@ -36,6 +36,7 @@ from coposolve.mu_search import b_epsilon
 
 from oracles import (
     dense_min_quadratic,
+    exact_conditionally_psd,
     exact_quadratic_form,
     exact_simplex_min,
     kernel_scan_constant_support,
@@ -52,6 +53,29 @@ def random_symmetric(rng, n, nonneg_diag=True):
     if nonneg_diag:
         np.fill_diagonal(raw, np.abs(np.diag(raw)))
     return SymMatrix(raw)
+
+
+ORACLE_FAMILIES = ["flat", "low_rank", "duplicated_rows", "integer", "random"]
+
+
+def oracle_family(family: str) -> list[np.ndarray]:
+    """The matrices of one family checked against the exact simplex minimum."""
+    rng = np.random.default_rng(17)
+    if family == "flat":
+        return [np.ones((2, 2)), np.ones((4, 4))]
+    if family == "low_rank":
+        cases = [g @ g.T for g in (rng.normal(size=(n, 3)) for n in (5, 6, 7))]
+        return cases + [g @ g.T for g in (rng.uniform(0.2, 1.0, size=(n, 3)) for n in (5, 6))]
+    if family == "duplicated_rows":
+        cases = []
+        for n in (3, 4, 5, 6):
+            a = random_symmetric(rng, n).entries.copy()
+            a[1], a[:, 1] = a[0], a[:, 0]
+            cases.append(a)
+        return cases
+    if family == "integer":
+        return [np.round(random_symmetric(rng, n).entries * 2) for n in (2, 3, 4, 5, 6) for _ in range(3)]
+    return [random_symmetric(rng, n, nonneg_diag=False).entries for n in (2, 3, 4, 5, 6, 7)]
 
 
 class TestSimplexMinimum:
@@ -79,25 +103,9 @@ class TestSimplexMinimum:
         assert tuple(m.argmin.components) == (0.0, 1.0)
         assert not m.grid_assisted
 
-    @pytest.mark.parametrize("family", ["flat", "low_rank", "duplicated_rows", "integer", "random"])
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
     def test_matches_exact_oracle(self, family):
-        rng = np.random.default_rng(17)
-        if family == "flat":
-            cases = [np.ones((2, 2)), np.ones((4, 4))]
-        elif family == "low_rank":
-            cases = [g @ g.T for g in (rng.normal(size=(n, 3)) for n in (5, 6, 7))]
-            cases += [g @ g.T for g in (rng.uniform(0.2, 1.0, size=(n, 3)) for n in (5, 6))]
-        elif family == "duplicated_rows":
-            cases = []
-            for n in (3, 4, 5, 6):
-                a = random_symmetric(rng, n).entries.copy()
-                a[1], a[:, 1] = a[0], a[:, 0]
-                cases.append(a)
-        elif family == "integer":
-            cases = [np.round(random_symmetric(rng, n).entries * 2) for n in (2, 3, 4, 5, 6) for _ in range(3)]
-        else:
-            cases = [random_symmetric(rng, n, nonneg_diag=False).entries for n in (2, 3, 4, 5, 6, 7)]
-        for a in cases:
+        for a in oracle_family(family):
             B = SymMatrix(a)
             m = simplex_min_quadratic(B)
             exact_min = exact_simplex_min(a)
@@ -274,9 +282,9 @@ def count_sweeps(monkeypatch) -> list:
     calls = []
     for name, module in list(sys.modules.items()):
         if name.startswith("coposolve.") and hasattr(module, "_face_sweep"):
-            def counted(A, sweep=module._face_sweep, name=name):
+            def counted(A, *args, sweep=module._face_sweep, name=name, **kwargs):
                 calls.append(name)
-                return sweep(A)
+                return sweep(A, *args, **kwargs)
             monkeypatch.setattr(module, "_face_sweep", counted)
     return calls
 
@@ -395,6 +403,132 @@ class TestFoldSkip:
             m, expected = simplex_min_quadratic(B), full_fold_minimum(B)
             assert np.float64(m.min_value).tobytes() == np.float64(expected.min_value).tobytes()
             assert m.argmin.components.tobytes() == expected.argmin.components.tobytes()
+
+
+def minimum_pass_supports(monkeypatch, A: np.ndarray) -> tuple[list, list]:
+    """The supports of size >= 2 that the minimum-only pass tests, and those it solves."""
+    tested, solved = [], []
+
+    def test(reduced, table, inner=copositivity._conditionally_psd):
+        tested.extend(tuple(row[:-1]) for row in table.tolist())
+        return inner(reduced, table)
+
+    def solve(K, rows, rhs, inner=copositivity._sweep_batch):
+        solved.extend(tuple(row[:-1]) for row in rows.tolist())
+        return inner(K, rows, rhs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(copositivity, "_conditionally_psd", test)
+        patch.setattr(copositivity, "_sweep_batch", solve)
+        copositivity.scan_faces(SymMatrix(A))
+    return tested, solved
+
+
+def convexity_cases() -> list[np.ndarray]:
+    """Small matrices for the exact convexity oracle: random, a duplicated
+    row, integer G G' of rank 2 and 3 (conditionally PSD faces with a zero
+    eigenvalue), the singular-face fuzz and a flat matrix."""
+    rng = np.random.default_rng(31)
+    cases = [np.ones((5, 5))]
+    for n in (4, 5, 6):
+        a = random_symmetric(rng, n).entries.copy()
+        cases.append(a.copy())
+        a[1], a[:, 1] = a[0], a[:, 0]
+        cases.append(a)
+    cases += [(g @ g.T).astype(float) for g in (rng.integers(-2, 3, size=(n, r)) for n, r in ((6, 2), (7, 3)))]
+    return cases + [A for A, _ in singular_face_fuzz()[:12]]
+
+
+class TestMinimumOnlySweep:
+    """scan_faces without p solves only the faces whose form is convex (conditionally PSD)."""
+
+    def test_minimum_is_the_full_pass_minimum(self):
+        cases = sweep_cases() + [a for family in ORACLE_FAMILIES for a in oracle_family(family)]
+        compared = 0
+        for a in cases:
+            B = SymMatrix(a)
+            m, full = copositivity.scan_faces(B).minimum, copositivity.scan_faces(B, 4.0)
+            expected = [full_fold_minimum(B)] + ([full.minimum] if full.constant is None else [])
+            for other in expected:
+                assert np.float64(m.min_value).tobytes() == np.float64(other.min_value).tobytes()
+                assert m.argmin.components.tobytes() == other.argmin.components.tobytes()
+            compared += full.constant is None
+        assert compared >= 40
+
+    def test_solved_supports_are_the_conditionally_psd_ones(self, monkeypatch):
+        for A in convexity_cases():
+            n = len(A)
+            psd = {s for k in range(2, n + 1) for s in itertools.combinations(range(n), k)
+                   if exact_conditionally_psd(A, s)}
+            candidates = [s for k in range(2, n + 1) for s in itertools.combinations(range(n), k)
+                          if len(s) == 2 or all(t in psd for t in itertools.combinations(s, len(s) - 1))]
+            tested, solved = minimum_pass_supports(monkeypatch, A)
+            assert tested == candidates
+            assert solved == sorted(psd, key=lambda s: (len(s), s))
+
+    def test_zero_eigenvalues_and_the_zero_matrix_keep_every_face(self, monkeypatch):
+        n = 6
+        every = [s for k in range(2, n + 1) for s in itertools.combinations(range(n), k)]
+        for A in (np.zeros((n, n)), np.ones((n, n)), np.diag(np.arange(1.0, n + 1))):
+            assert minimum_pass_supports(monkeypatch, A)[1] == every
+
+    @pytest.mark.parametrize("e", [-30, 30])
+    def test_supports_do_not_change_under_power_of_two_scaling(self, monkeypatch, e):
+        for A in convexity_cases() + sweep_cases():
+            assert minimum_pass_supports(monkeypatch, np.ldexp(A, e)) == minimum_pass_supports(monkeypatch, A)
+
+    @pytest.mark.parametrize("kind", [Copositivity.NOT_COPOSITIVE, Copositivity.STRICTLY_COPOSITIVE])
+    def test_solves_fewer_systems_than_the_full_pass(self, monkeypatch, kind):
+        n, rng = 12, np.random.default_rng(12)
+        g = rng.standard_normal((n, n))
+        nonnegative = np.abs(rng.standard_normal((n, n)))
+        A = g @ g.T / n + 0.2 * np.eye(n) + (nonnegative + nonnegative.T) / 4 * (1 - np.eye(n))
+        if kind is Copositivity.NOT_COPOSITIVE:
+            # Off-diagonal mass removed along an interior direction d, so d'Ad < 0.
+            d = rng.uniform(0.5, 1.5, n)
+            off = np.outer(d, d) - np.diag(d * d)
+            A = A - 1.2 * (d @ A @ d) / (d @ off @ d) * off
+        _, solved = minimum_pass_supports(monkeypatch, A)
+        assert len(solved) < 2 ** n - 1 - n
+        B = SymMatrix(A)
+        m = simplex_min_quadratic(B)
+        assert m.min_value == full_fold_minimum(B).min_value
+        assert classify_copositivity(B).kind is kind
+
+    def test_private_cholesky_writes_nan_for_blocks_that_fail(self):
+        # The convexity test relies on this gufunc behaviour of numpy.linalg.
+        stack = np.stack([np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros((2, 2))])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(stack)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                factors = _umath_linalg.cholesky_lo(stack, signature="d->d")
+        assert factors[0].tobytes() == np.linalg.cholesky(stack[0]).tobytes()
+        assert np.isnan(factors[1:]).all()
+
+    def test_constant_scan_still_solves_every_face(self, monkeypatch):
+        # B = Q R Q with Q the projection along c > 0: c is a positive kernel
+        # vector of the whole support, which is not conditionally PSD for
+        # the cases kept, so only the full pass can return its certificate.
+        rng = np.random.default_rng(1)
+        kept = 0
+        for n in (3, 4, 5):
+            for _ in range(100):
+                R = rng.standard_normal((n, n))
+                c = rng.uniform(0.5, 1.5, n)
+                Q = np.eye(n) - np.outer(c, c) / (c @ c)
+                B = Q @ ((R + R.T) / 2) @ Q
+                B = (B + B.T) / 2
+                reference = kernel_scan_constant_support(B, 4.0)
+                everything = tuple(range(n))
+                if (np.any(np.diag(B) <= 0) or reference is None or reference[0] != everything
+                        or exact_conditionally_psd(B, everything)):
+                    continue
+                kept += 1
+                assert everything not in minimum_pass_supports(monkeypatch, B)[1]
+                assert copositivity.scan_faces(SymMatrix(B), 4.0).constant.support == everything
+        assert kept >= 5
 
 
 class TestScaleInvariance:

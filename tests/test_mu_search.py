@@ -3,6 +3,7 @@ and exact re-checks of the branch-and-bound verifier."""
 
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from coposolve import (
 )
 from coposolve import InternalConsistencyError, cli, mu_search
 from coposolve.forms import cone_power, p_form_batch, p_form_coefficients
+from coposolve.reports import to_doc
 from coposolve.simplex import barycentric_grid
 
 from oracles import (
@@ -45,6 +47,14 @@ from oracles import (
 
 B_EPS_LIMIT = SymMatrix([[1, -1, -1], [-1, 1, 1], [-1, 1, 1]])
 PROP_MATRIX = SymMatrix([[1, -0.4, -0.4], [-0.4, 1, 0.5], [-0.4, 0.5, 1]])
+# The 4x4 weight-search item of the liouville-mix benchmark at seed 1: each
+# of its verifications opens more cells than the store starts with.
+SEARCH_4 = SymMatrix([
+    [1.0000000000000002, -0.23330434099726474, -0.5343271811264716, -0.35747215394518556],
+    [-0.23330434099726474, 0.9999999999999998, -0.014531470737530767, 0.12439800398621506],
+    [-0.5343271811264716, -0.014531470737530767, 0.9999999999999999, 0.06149390826316205],
+    [-0.35747215394518556, 0.12439800398621506, 0.06149390826316205, 1.0],
+])
 
 
 def random_strictly_copositive_2x2(rng):
@@ -58,6 +68,21 @@ def random_strictly_copositive_2x2(rng):
 
 
 class TestVerifyMu:
+    def test_store_grows_under_a_trace_hook(self):
+        # A tracer's snapshot of the frame's locals holds extra references
+        # to the cell store, which an in-place resize refuses.
+        cert = find_mu(SEARCH_4, 4.0)
+        assert isinstance(cert, MuCertificate)
+        assert cert.verification.cells > 4 * mu_search.BATCH
+        untraced = verify_mu(SEARCH_4, cert.mu, 4.0)
+        previous = sys.gettrace()
+        sys.settrace(lambda *args: None)
+        try:
+            traced = verify_mu(SEARCH_4, cert.mu, 4.0)
+        finally:
+            sys.settrace(previous)
+        assert to_doc(traced) == to_doc(untraced) == to_doc(cert)
+
     def test_identity_two_certificate(self):
         out = verify_mu(SymMatrix(np.eye(2)), ConeVector([1, 1]), 4.0)
         assert isinstance(out, MuCertificate)
