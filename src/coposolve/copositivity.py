@@ -12,7 +12,9 @@ the minimum of b, which decides copositivity, since a quadratic attains its
 minimum over a compact polytope at a swept point; the minimum over the proper
 faces decides boundary positivity.  A pass for the minimum alone skips every
 face on which b is not convex, and so every face that contains one: there the
-stationary point is a saddle and cannot hold the minimum.  A pass that looks
+stationary point is a saddle and cannot hold the minimum.  It also skips every
+convex face whose minimum a sub-face's minimiser already holds, because b
+increases from that minimiser towards the rest of the face.  A pass that looks
 for constant solutions sweeps every face.  Closed-form strict-copositivity
 tests exist for n in {2, 3} and are run as a redundant cross-check."""
 
@@ -45,6 +47,12 @@ SWEEP_BATCH = 128
 # matrix, below 4e-13 for n <= 16, so a failed factorization proves an exact
 # negative eigenvalue.
 SADDLE_SHIFT = 2.0 ** -30
+# Supports per step of the minimum-only sweep's state update, which bounds
+# its temporaries (about 0.2 MB at n = 16).
+INHERIT_ROWS = 1024
+# Least excess (A m)_j - b(m) of a face minimiser m, on the scaled matrix,
+# that the minimum-only sweep reads as an exit towards j (see _face_sweep).
+EXIT_MARGIN = 2.0 ** -30
 
 
 class Copositivity(Enum):
@@ -150,44 +158,74 @@ def _face_sweep(A: np.ndarray, minimum_only: bool = False):
     itertools.combinations order, in batches of at most SWEEP_BATCH rows of
     the cached support tables.
 
-    With minimum_only, only the faces that can hold the minimum of b are
-    solved.  Call A_S conditionally PSD when Z'A_S Z is PSD, with
+    With minimum_only, only the faces that can hold the minimum of b inside
+    are solved.  Call A_S conditionally PSD when Z'A_S Z is PSD, with
     Z = [I; -1'] a basis of the sum-zero directions on S.  If Z'A_S Z has a
     negative eigenvalue, so has Z'A_T Z for every T containing S, since a
     sum-zero direction on S, padded with zeros, is one on T.  Along such a
     direction b is strictly concave, so the stationary point inside face T is
     a strict saddle: its value lies above the face's minimum, and hence above
     the global one.  A minimiser's face and all of its sub-faces are
-    conditionally PSD.  So the sweep keeps a table of 2^n flags for the
-    supports proven conditionally PSD (every singleton is), tests a support
-    of size k only if each of its k sub-supports of size k - 1 is flagged,
-    and solves it only if it passes too.  A singular face that holds the
-    minimum has it also on a proper sub-face (see _sweep_batch), which is
-    solved as well.  The solved faces get the same systems, solutions and
-    order as in the full sweep, and the minimum's fold does not depend on
-    the batches, so the minimum and its witness are the full sweep's, unless
-    rounding ties or inverts the values of a skipped saddle and the minimum.
+    conditionally PSD.  A singular face that holds the minimum has it also
+    on a proper sub-face (see _sweep_batch).
+
+    On a conditionally PSD (convex) face a stationary point inside is a
+    minimiser, and the sweep also skips the faces whose minimum lies on their
+    boundary, read off a sub-face.  Let m minimise b on a convex face S, and
+    call j outside S an exit of m when (A m)_j > b(m): b increases from m
+    towards the vertex e_j.  On T = S + {j}, m then meets the optimality
+    conditions ((A m)_i >= b(m) on T, with equality on the support of m), so
+    it minimises b on T if T is convex; and no point x inside T does, since
+    the slope of b from m towards x, 2 sum_i x_i ((A m)_i - b(m)), is at
+    least 2 x_j ((A m)_j - b(m)) > 0, while b would be constant between two
+    minimisers.  Every minimiser of S is then one of T, so the exits of T
+    are those of all facets that pass it their minimiser.  If S or T is not
+    convex, T holds no minimum inside either.
+
+    So the sweep keeps 2^n states, one per support: dead (shown not
+    conditionally PSD, or containing a support that is), or the exits of
+    its face's minimiser as a bit mask.  A vertex e_i exits towards the j
+    with a_ij > a_ii, and a solved face with a point inside has the exits of
+    that point; other faces have none.  For each size k, a support with a
+    dead facet is dead, a support whose facet without j exits towards j
+    inherits the union of those facets' exits, and only the remaining
+    supports are tested, and solved if the test passes.  The solved faces
+    get the same systems, solutions and order as in the full sweep, and the
+    minimum's fold does not depend on the batches, so the minimum and its
+    witness are the full sweep's, unless rounding ties or inverts the values
+    of a skipped face and the minimum.
 
     The test is a Cholesky factorization of Z'A_S Z + SADDLE_SHIFT I, formed
     on A 2^-e with max |A 2^-e| in [1/2, 1): the scaling is exact, so the
-    flags do not change under A -> 2^e A, nothing overflows, and an all-zero
-    A skips no face.  Then Z'A_S Z has order at most 15 and entries of size
-    at most 4, each formed by three roundings, and the rounding of forming
-    and factoring it is below 4e-13 in the spectral norm (about k^2 eps
-    times its largest entry), far below the shift, 2^-30 or about 9.3e-10.
-    So a conditionally PSD block always factors, and a block that fails to
-    has an exactly negative eigenvalue.
+    test does not change under A -> 2^e A, nothing overflows, and an
+    all-zero A skips no face.  Then Z'A_S Z has order at most 15 and entries
+    of size at most 4, each formed by three roundings, and the rounding of
+    forming and factoring it is below 4e-13 in the spectral norm (about
+    k^2 eps times its largest entry), far below the shift, 2^-30 or about
+    9.3e-10.  So a conditionally PSD block always factors, and a block that
+    fails to has an exactly negative eigenvalue.  An exit counts when
+    (A m)_j - b(m), computed from the solved point, exceeds EXIT_MARGIN
+    (also 2^-30) on the same scale: exact ties, such as those of duplicated
+    rows, never count, nor does the rounding of the point on any face but a
+    badly conditioned one.  A false exit can hide only values within twice
+    its error below b(m), since b(m) - b(x) <= -2 sum_i x_i ((A m)_i - b(m))
+    by convexity, which is the order of the error of that face's solve.
     """
     n = A.shape[0]
     yield np.arange(n)[:, None], np.ones((n, 1)), np.diag(A)[:, None, None]
     K = _bordered(A)
     if minimum_only:
-        # Indexed by the bit mask of a support; a singleton has no sum-zero direction.
-        flagged = np.zeros(1 << n, dtype=bool)
-        flagged[1 << np.arange(n)] = True
+        # Indexed by the bit mask of a support: bit n marks a support shown
+        # not conditionally PSD, bits j < n the exits of its face's minimiser.
+        # A vertex e_i is its face's minimiser and exits where a_ij > a_ii.
+        dead = np.uint32(1 << n)
+        e = int(np.frexp(np.abs(A).max())[1])
+        margin = np.ldexp(EXIT_MARGIN, e)
+        state = np.zeros(1 << n, dtype=np.uint32)
+        state[1 << np.arange(n)] = _exit_masks(A - np.diag(A)[:, None], margin)
         # Z'A_S Z + SADDLE_SHIFT I for every last index l of S, on the scaled
         # matrix: reduced[l, i, j] = a_ij - a_lj - (a_il - a_ll) + shift [i = j].
-        scaled = np.ldexp(A, -int(np.frexp(np.abs(A).max())[1]))
+        scaled = np.ldexp(A, -e)
         reduced = (scaled - scaled[:, None, :]) - (scaled[:, :, None] - np.diag(scaled)[:, None, None])
         reduced += SADDLE_SHIFT * np.eye(n)
     for k, table in enumerate(_support_rows(n), start=2):
@@ -195,19 +233,48 @@ def _face_sweep(A: np.ndarray, minimum_only: bool = False):
         rhs[k] = 0.5
         if minimum_only:
             masks = _support_masks(n)[k - 2]
-            # Keep the supports whose sub-supports of size k - 1 are all
-            # flagged, dropping one index at a time.
-            tested = np.arange(len(table))
-            for j in range(k):
-                tested = tested[flagged[masks[tested] ^ np.left_shift(np.uint16(1), table[tested, j])]]
-            table, masks = table[tested], masks[tested]
-            psd = _conditionally_psd(reduced, table)
-            if not psd.any():
-                return  # nothing of size k is flagged, so nothing larger is tested
-            flagged[masks[psd]] = True
-            table = table[psd]
+            tested = _inherit_states(state, table, masks, dead)
+            psd = _conditionally_psd(reduced, table[tested])
+            state[masks[tested][~psd]] = dead
+            if state[masks].min() == dead:
+                return  # every support of size k is dead, so is every larger one
+            table = table[tested][psd]
         for start in range(0, len(table), SWEEP_BATCH):
-            yield _sweep_batch(K, table[start:start + SWEEP_BATCH], rhs)
+            idx, points, blocks = _sweep_batch(K, table[start:start + SWEEP_BATCH], rhs)
+            if minimum_only and len(idx):
+                witnesses = np.zeros((len(idx), n))
+                np.put_along_axis(witnesses, idx, points, axis=1)
+                gradients = witnesses @ A
+                excess = gradients - np.einsum("mi,mi->m", witnesses, gradients)[:, None]
+                state[np.left_shift(1, idx).sum(axis=1)] = _exit_masks(excess, margin)
+            yield idx, points, blocks
+
+
+def _inherit_states(state: np.ndarray, table: np.ndarray, masks: np.ndarray, dead: np.uint32) -> np.ndarray:
+    """Sets the states of the support rows of one size from their facets' (see _face_sweep).
+
+    A support is dead if a facet is, and otherwise inherits the union of the
+    exits of every facet whose minimiser exits towards the support's index
+    that the facet lacks.  Returns the rows that inherit nothing: those are
+    tested.  Rows go INHERIT_ROWS at a time, which bounds the temporaries.
+    """
+    k = table.shape[1] - 1
+    tested = np.zeros(len(table), dtype=bool)
+    for start in range(0, len(table), INHERIT_ROWS):
+        rows = slice(start, start + INHERIT_ROWS)
+        # Row j: the facet without the j-th index, which counts if it is
+        # dead or its minimiser exits towards that index.
+        bits = np.left_shift(np.uint32(1), table[rows, :k].T)
+        facets = state[masks[rows] ^ bits]
+        inherited = np.bitwise_or.reduce(np.where(facets & (bits | dead), facets, 0), axis=0)
+        state[masks[rows]] = np.minimum(inherited, dead)
+        tested[rows] = inherited == 0
+    return tested
+
+
+def _exit_masks(excess: np.ndarray, margin: float) -> np.ndarray:
+    """Bit masks of the columns j of each row of (A m)_j - b(m) with an excess above margin."""
+    return (excess > margin) @ np.left_shift(np.uint32(1), np.arange(excess.shape[1], dtype=np.uint32))
 
 
 def _conditionally_psd(reduced: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -210,31 +210,38 @@ def _exact_solve(M: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]
     return [row[k] for row in rows]
 
 
+def exact_face_point(A, support) -> list[Fraction] | None:
+    """The stationary point of c'Ac inside the face on support, exactly, if it is strictly positive.
+
+    The bordered stationarity system 2 A_S c = lam 1, sum c = 1 is solved in
+    Fractions; an exactly singular system gives None, as does a solution
+    with a component <= 0.  The point is returned with all n components.
+    """
+    beta = _exact_matrix(A)
+    size = len(support)
+    kkt = [[2 * beta[i][j] for j in support] + [Fraction(-1)] for i in support]
+    kkt.append([Fraction(1)] * size + [Fraction(0)])
+    solution = _exact_solve(kkt, [Fraction(0)] * size + [Fraction(1)])
+    if solution is None or any(x <= 0 for x in solution[:size]):
+        return None
+    point = [Fraction(0)] * len(beta)
+    for i, x in zip(support, solution):
+        point[i] = x
+    return point
+
+
 def exact_simplex_min(A) -> Fraction:
     """Minimum of c'Ac over the standard simplex, exactly.
 
-    Every support S is visited (singletons are the vertices).  The bordered
-    stationarity system 2 A_S c = lam 1, sum c = 1 is solved in Fractions and
-    its strictly positive solutions are the candidates.  Only exactly
-    singular systems are skipped: a null vector (d, nu) has d != 0 and
-    sum d = 0, so c'Ac is constant along d through a stationary point and the
-    face minimum is also reached on a smaller face.
+    Every support S is visited (singletons are the vertices) and the
+    strictly positive stationary points (exact_face_point) are the
+    candidates.  Only exactly singular systems are skipped: a null vector
+    (d, nu) has d != 0 and sum d = 0, so c'Ac is constant along d through a
+    stationary point and the face minimum is also reached on a smaller face.
     """
-    beta = _exact_matrix(A)
-    n = len(beta)
-    values = []
-    for size in range(1, n + 1):
-        for support in combinations(range(n), size):
-            kkt = [[2 * beta[i][j] for j in support] + [Fraction(-1)] for i in support]
-            kkt.append([Fraction(1)] * size + [Fraction(0)])
-            solution = _exact_solve(kkt, [Fraction(0)] * size + [Fraction(1)])
-            if solution is None or any(x <= 0 for x in solution[:size]):
-                continue
-            point = [Fraction(0)] * n
-            for i, x in zip(support, solution):
-                point[i] = x
-            values.append(exact_quadratic_form(beta, point))
-    return min(values)
+    n = len(A)
+    points = (exact_face_point(A, support) for size in range(1, n + 1) for support in combinations(range(n), size))
+    return min(exact_quadratic_form(A, point) for point in points if point is not None)
 
 
 def exact_conditionally_psd(A, support) -> bool:
