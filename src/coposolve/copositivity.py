@@ -53,6 +53,18 @@ INHERIT_ROWS = 1024
 # Least excess (A m)_j - b(m) of a face minimiser m, on the scaled matrix,
 # that the minimum-only sweep reads as an exit towards j (see _face_sweep).
 EXIT_MARGIN = 2.0 ** -30
+# Least n at which scan_faces without p runs the minimum-only sweep; below it
+# the sweep's fixed cost (the tables of Z'A_S Z, the 2^n states, one state
+# update, convexity test and exit read per size) exceeds what it saves, and
+# the plain fold, which solves every face, gives the same minimum.  Per call,
+# best of 3 alternated passes over default_rng(0) matrices of the bench
+# families Gaussian + 2I, not_copositive, strictly_copositive and
+# row_dominant, pruned against plain: n = 2: 0.29-0.38 against 0.11-0.15 ms;
+# n = 8: 0.89-1.30 against 0.47-0.56 ms; n = 10: 1.17-3.83 against
+# 1.32-2.89 ms (pruning ahead on strictly_copositive only); n = 11, family
+# by family: 1.75, 2.54, 1.41 and 6.12 against 2.46, 2.57, 2.47 and 3.38 ms;
+# n = 12: pruning 1.4-2.6x ahead except on row_dominant (11.1 against 6.5 ms).
+PRUNED_SWEEP_MIN_N = 11
 
 
 class Copositivity(Enum):
@@ -385,10 +397,11 @@ def scan_faces(B: SymMatrix, p: float | None = None, max_size: int | None = None
     of at most max_size components (default n), ties going to the smaller
     witness tuple, a total order, so the winner does not depend on the
     batches.  The reported minimum is recomputed through the compensated
-    scalar path, so it reproduces exactly from the witness.  This pass solves
-    only the faces that can hold the minimum (see _face_sweep); the pass with
-    p solves every face, since the face of a constant solution need not be
-    conditionally PSD.
+    scalar path, so it reproduces exactly from the witness.  From n =
+    PRUNED_SWEEP_MIN_N on, this pass solves only the faces that can hold the
+    minimum (see _face_sweep); below it, it solves every face, which is
+    faster there.  The pass with p solves every face, since the face of a
+    constant solution need not be conditionally PSD.
     """
     if p is not None:
         require_p(p)
@@ -397,7 +410,7 @@ def scan_faces(B: SymMatrix, p: float | None = None, max_size: int | None = None
         raise CapacityError(f"face enumeration supports n <= {MAX_ENUMERATION_N}, got {n}")
     A = B.entries
     best = (np.inf, ())
-    for idx, points, blocks in _face_sweep(A, minimum_only=p is None):
+    for idx, points, blocks in _face_sweep(A, minimum_only=p is None and n >= PRUNED_SWEEP_MIN_N):
         if max_size is not None and idx.shape[1] > max_size:
             break
         if p is not None and (cert := _batch_constant(A, idx, points, blocks, p)):

@@ -4,11 +4,13 @@ Second-order uniform grid with mirror (ghost-node) closure of the Laplacian.
 The discrete energy uses cell-midpoint differences for the gradient term and
 trapezoid weights for the mass terms, which makes the assembled Euler-Lagrange
 residual exactly the weighted gradient of the discrete energy; one class,
-_FieldState, evaluates both.  Critical points are located by Armijo gradient
-descent from a family of five seed fields (separated bumps and homotopy
-mixtures along a negative direction, drawn one field at a time), which
-reads the energy and, on acceptance, the gradient of each trial field from
-one evaluation.  A damped Newton polish follows: each step solves the
+_FieldState, evaluates both, for a stack of fields at once.  Critical points
+are located by Armijo gradient descent from a family of five seed fields
+(separated bumps and homotopy mixtures along a negative direction, drawn one
+stack at a time, see DESCENT_STACK_VALUES).  The descent of a stack reads the
+energies and, on acceptance, the gradients of its trial fields from one
+evaluation, while each seed keeps its own step and ends where it would end
+alone.  A damped Newton polish of each seed follows: each step solves the
 Jacobian system exactly by one banded LU, the unknowns laid out node-major
 so that the mirror Laplacian and the nodal coupling fill n sub- and
 super-diagonals.
@@ -21,6 +23,7 @@ profile solves the 1-d one (the mirror closure zeroes the y-difference).
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from collections.abc import Iterator
@@ -33,7 +36,7 @@ import numpy as np
 from .copositivity import SimplexMinimum, scan_faces
 from .copositivity import simplex_min_quadratic  # noqa: F401  (bench/spans.py wraps this attribute)
 from .errors import CapacityError, DimensionError, NotApplicableError, ParameterError
-from .forms import ConeVector, SymMatrix, cone_power, fsum_terms, quadratic_form
+from .forms import ConeVector, SymMatrix, cone_power, quadratic_form
 from .forms import require_int, require_nonnegative_diagonal, require_p
 from .solvability import constant_solution  # noqa: F401  (bench/spans.py wraps this attribute)
 
@@ -154,14 +157,26 @@ COLLAPSE_RATIO = 0.75
 COLLAPSE_STEPS = 3
 STALL_RATIO = 0.95
 STALL_WINDOW = 5
+# Values (seeds x components x nodes) in one stack of the Armijo descent;
+# a stack always holds at least one seed.  8192 doubles are 64 KiB per
+# stacked array.  On small fields numpy's per-call cost, not arithmetic, sets
+# the time of a trial, and a stack pays it once for all its seeds: the
+# five-seed family at 3 x 513 and 3 x 257 nodes took 0.63x and 0.62x the
+# time of five stacks of one.  Past about 10,000 values the temporaries of a
+# trial cross glibc's trim and mmap thresholds and their pages fault in
+# again: at 3 x 1025 nodes a stack of 5 (15,375 values) took 21,509 minor
+# faults and a stack of 2 none; at 3 x 2049 a stack of 5 took 74,480 faults,
+# 0.16 s of system time and 1.39x the time of stacks of one.  Medians of 4
+# alternated runs on a 2-vCPU x86-64 host, numpy 2.4.
+DESCENT_STACK_VALUES = 8192
 
 
 def _laplacian(U: np.ndarray, h: float) -> np.ndarray:
-    """Ghost-node Neumann Laplacian of each component of U (shape (n, *grid))."""
+    """Ghost-node Neumann Laplacian of each component of a stack U (shape (S, n, *grid))."""
     flat = U.reshape(-1)
-    stride = flat.size // U.shape[0]
+    stride = flat.size // (U.shape[0] * U.shape[1])
     out = None
-    for axis in range(1, U.ndim):
+    for axis in range(2, U.ndim):
         # u[k-1] - 2 u[k] + u[k+1], mirrored across each face.  The neighbours
         # are U shifted by one node's stride in memory, with the faces redone.
         stride //= U.shape[axis]
@@ -199,13 +214,15 @@ def _quadrature(grid: Grid) -> _Quadrature:
 
 
 class _FieldState:
-    """One field U and the pieces its energy, residual and Jacobian share.
+    """A stack of fields U, shape (S, n, *grid), and the pieces their energy, residual and Jacobian share.
 
     The package's only implementation of the discrete energy: cell-midpoint
     differences for the Dirichlet integrand, trapezoid weights W for the mass
     terms, so that W times the residual is exactly the energy's gradient.
     U^+, U^- and (U^+)^(p/2) are computed once; the residual and the nodal
     Jacobian block share (U^+)^(p/2-1) and sum_j beta_ij (u_j^+)^(p/2).
+    Every sum runs within one field and every product is per field, so a
+    field of a stack gets the bits it gets in a stack of one.
     """
 
     def __init__(self, A: np.ndarray, U: np.ndarray, p: float) -> None:
@@ -215,32 +232,35 @@ class _FieldState:
         self.powered = cone_power(self.plus, p / 2.0)
         self._lowered = self._coupled = None
 
-    def parts(self, q: _Quadrature) -> tuple[float, float]:
-        """(Dirichlet term, Phi): the integrals of |grad u|^2 + |u^-|^2 and of b(u^+)/p."""
-        U, n = self.U, self.U.shape[0]
-        if U.ndim == 2:
-            diff = U[:, 1:] - U[:, :-1]
-            dirichlet = sum((np.square(diff).sum(axis=1) / q.h).tolist())
+    def parts(self, q: _Quadrature) -> list[tuple[float, float]]:
+        """Per field, (Dirichlet term, Phi): the integrals of |grad u|^2 + |u^-|^2 and of b(u^+)/p."""
+        U = self.U
+        S, n = U.shape[:2]
+        if U.ndim == 3:
+            gradient = (np.square(U[:, :, 1:] - U[:, :, :-1]).sum(axis=2) / q.h).tolist()
         else:
-            rows = np.square(U[:, 1:] - U[:, :-1]).sum(axis=1)
-            cols = np.square(U[:, :, 1:] - U[:, :, :-1]).sum(axis=2)
-            dirichlet = sum(float(rows[i] @ q.w + q.w @ cols[i]) / q.h for i in range(n))
-        dirichlet += float((q.W * self.neg**2).sum())
-        flat = self.powered.reshape(n, -1)
-        overlap = (flat * q.W.ravel()) @ flat.T
-        return dirichlet, fsum_terms(self.A * overlap) / self.p
+            rows = np.square(U[:, :, 1:] - U[:, :, :-1]).sum(axis=2)
+            cols = np.square(U[:, :, :, 1:] - U[:, :, :, :-1]).sum(axis=3)
+            gradient = [[float(rows[s, i] @ q.w + q.w @ cols[s, i]) / q.h for i in range(n)]
+                        for s in range(S)]
+        mass = (q.W * self.neg**2).reshape(S, -1).sum(axis=1).tolist()
+        flat = self.powered.reshape(S, n, -1)
+        overlap = (flat * q.W.ravel()) @ flat.transpose(0, 2, 1)
+        terms = (self.A * overlap).reshape(S, -1).tolist()
+        # Each field sums its components' Dirichlet terms in order and takes its own exact fsum for Phi.
+        return [(sum(g) + m, math.fsum(t) / self.p) for g, m, t in zip(gradient, mass, terms)]
 
-    def energy(self, q: _Quadrature) -> float:
-        dirichlet, phi = self.parts(q)
-        return dirichlet / 2.0 - phi
+    def energies(self, q: _Quadrature) -> list[float]:
+        return [dirichlet / 2.0 - phi for dirichlet, phi in self.parts(q)]
 
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
         """((U^+)^(p/2-1), sum_j beta_ij (u_j^+)^(p/2)), computed on first use."""
         # Not forms.p_form_coefficients: the Jacobian reads both factors apart, on components x nodes.
         if self._lowered is None:
             U = self.U
-            self._lowered = cone_power(self.plus, self.p / 2.0 - 1.0)
-            self._coupled = np.dot(self.A, self.powered.reshape(U.shape[0], -1)).reshape(U.shape)
+            # (U^+)^1 is U^+ itself.
+            self._lowered = self.plus if self.p == 4.0 else cone_power(self.plus, self.p / 2.0 - 1.0)
+            self._coupled = np.matmul(self.A, self.powered.reshape(U.shape[:2] + (-1,))).reshape(U.shape)
         return self._lowered, self._coupled
 
     def nonlinear(self) -> np.ndarray:
@@ -249,18 +269,21 @@ class _FieldState:
         return lowered * coupled
 
     def residual(self, h: float) -> np.ndarray:
-        """Euler-Lagrange residual -L u + u^- - nonlinear term."""
-        return -_laplacian(self.U, h) + self.neg - self.nonlinear()
+        """Euler-Lagrange residual -L u + u^- - nonlinear term, as u^- - L u - nonlinear term."""
+        r = _laplacian(self.U, h)
+        np.subtract(self.neg, r, out=r)
+        r -= self.nonlinear()
+        return r
 
     def nodal_block(self) -> np.ndarray:
-        """Zeroth-order part of the Jacobian: D[i, j] is the nodal diagonal of block (i, j)."""
+        """Zeroth-order part of the Jacobian: D[s, i, j] is the nodal diagonal of block (i, j) of field s."""
         U, p = self.U, self.p
         lowered, coupled = self._factors()
         z = np.zeros_like(U)
         z[U > 0] = U[U > 0] ** (p / 2.0 - 2.0)
-        D = -(p / 2.0) * self.A[:, :, None] * lowered[:, None] * lowered[None, :]
-        diag = np.arange(U.shape[0])
-        D[diag, diag] += (U < 0).astype(float) - (p / 2.0 - 1.0) * z * coupled
+        D = -(p / 2.0) * self.A[:, :, None] * lowered[:, :, None] * lowered[:, None, :]
+        diag = np.arange(U.shape[1])
+        D[:, diag, diag] += (U < 0).astype(float) - (p / 2.0 - 1.0) * z * coupled
         return D
 
 
@@ -273,10 +296,10 @@ def energy(B: SymMatrix, u: FieldTuple, p: float, grid: Grid) -> EnergyReport:
             f"field shape {U.shape} does not match n={B.n}, grid {grid.shape}"
         )
     q = _quadrature(grid)
-    state = _FieldState(B.entries, U, p)
-    dirichlet, phi = state.parts(q)
-    nonlinear = state.nonlinear()
-    residual = state.residual(q.h)
+    state = _FieldState(B.entries, U[None], p)
+    [(dirichlet, phi)] = state.parts(q)
+    nonlinear = state.nonlinear()[0]
+    residual = state.residual(q.h)[0]
     defects = tuple(
         float(np.sum(q.W * nonlinear[i])) for i in range(B.n)
     )
@@ -361,7 +384,7 @@ def homotopy_mixture(c: np.ndarray, t: float, profiles: np.ndarray) -> np.ndarra
 
 def _ridge_scale(A: np.ndarray, V: np.ndarray, p: float, grid: Grid) -> float:
     """Amplitude s maximizing E(sV) along the ray, or 1.0 when E has no ridge."""
-    quad, phi = _FieldState(A, V, p).parts(_quadrature(grid))
+    [(quad, phi)] = _FieldState(A, V[None], p).parts(_quadrature(grid))
     if phi <= 0 or quad <= 0:
         return 1.0
     return float((quad / (p * phi)) ** (1.0 / (p - 2.0)))
@@ -369,12 +392,14 @@ def _ridge_scale(A: np.ndarray, V: np.ndarray, p: float, grid: Grid) -> float:
 
 def theta_seeds(B: SymMatrix, d: ConeVector, grid: Grid,
                 p: float = 4.0) -> Iterator[tuple[str, FieldTuple]]:
-    """The seed fields of the mountain-pass search on a 1-d grid with provenance labels, one at a time.
+    """The seed fields of the mountain-pass search on a 1-d grid with provenance labels, built lazily.
 
-    For n >= 2, five fields, each nonconstant with every component nonzero:
-    the combined separated bumps at 0.9 and 1.5 times their ridge amplitude,
-    and the homotopy mixtures at t in {1/4, 1/2, 3/4} between the ray along d
-    and the bump images.  A field with one nonzero component can only reach
+    mountain_pass_solve draws them one stack at a time (see
+    DESCENT_STACK_VALUES), so the fields of a stack are built when that stack
+    is drawn.  For n >= 2, five fields, each nonconstant with every component
+    nonzero: the combined separated bumps at 0.9 and 1.5 times their ridge
+    amplitude, and the homotopy mixtures at t in {1/4, 1/2, 3/4} between the
+    ray along d and the bump images.  A field with one nonzero component can only reach
     u = 0, so the family is empty for n = 1.  Past scan_faces every beta_ii
     is positive (a zero diagonal is a singleton constant solution) and a zero
     component stays zero (p > 2), so such a run ends at a critical point of
@@ -449,8 +474,8 @@ def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float,
     """
     h = grid.h
     U = U0.copy()
-    state = _FieldState(A, U, p)
-    r = state.residual(h)
+    state = _FieldState(A, U[None], p)
+    r = state.residual(h)[0]
     rnorm = float(np.max(np.abs(r)))
     residuals = [rnorm]
     amplitudes = [float(np.max(np.abs(U)))]
@@ -458,7 +483,7 @@ def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float,
         if rnorm == 0.0 or not np.isfinite(rnorm):
             break
         try:
-            delta = _newton_step(state.nodal_block(), r, h)
+            delta = _newton_step(state.nodal_block()[0], r, h)
         except np.linalg.LinAlgError:
             return U, rnorm, False
         if not np.all(np.isfinite(delta)):
@@ -467,8 +492,8 @@ def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float,
         improved = False
         while step > 1e-6:
             cand = U + step * delta
-            trial = _FieldState(A, cand, p)
-            rc = trial.residual(h)
+            trial = _FieldState(A, cand[None], p)
+            rc = trial.residual(h)[0]
             rcnorm = float(np.abs(rc).max())
             if np.isfinite(rcnorm) and rcnorm < (1.0 - 0.25 * step) * rnorm:
                 U, r, rnorm, state = cand, rc, rcnorm, trial
@@ -501,52 +526,102 @@ def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float,
     return U, rnorm, rnorm < RESIDUAL_TOL
 
 
-def _descend_energy(A: np.ndarray, U0: np.ndarray, p: float,
-                    grid: Grid) -> tuple[np.ndarray, float, float, bool]:
-    """Armijo gradient descent on the energy.
+def _norms(grad: np.ndarray) -> list[float]:
+    """Euclidean norm of each field of a stack."""
+    return [math.sqrt(s) for s in np.square(grad).reshape(len(grad), -1).sum(axis=1).tolist()]
 
-    Returns (best iterate, its gradient norm, initial gradient norm, escaped).
-    The best iterate is where the gradient norm dipped lowest (the
-    saddle-passage candidate).  The energy is unbounded below, so a
-    trajectory that falls past every seed scale is flagged as escaped: it
-    carries no critical point beyond the dip already recorded.  Each trial
-    field is evaluated once: its energy, and on acceptance its gradient
-    W r, come from the same _FieldState.
+
+def _descend_energy(A: np.ndarray, U0: np.ndarray, p: float,
+                    grid: Grid) -> list[tuple[np.ndarray, float, float, bool]]:
+    """Armijo gradient descent on the energy from each seed of a stack U0 (shape (S, n, m)).
+
+    Returns per seed, in stack order, (best iterate, its gradient norm,
+    initial gradient norm, escaped).  The best iterate is where the gradient
+    norm dipped lowest (the saddle-passage candidate).  The energy is
+    unbounded below, so a trajectory that falls past every seed scale is
+    flagged as escaped: it carries no critical point beyond the dip already
+    recorded.  Each trial stack is evaluated once: its energies, and when
+    some seed's step is accepted its gradients W r, come from the same
+    _FieldState.  The seeds share the evaluations and nothing else: each
+    keeps its own Armijo state (energy, gradient norm, step and floors as
+    Python floats, and its best iterate) and leaves the stack when it
+    finishes, at the trial cap, the gradient floor, a step underflow or an
+    escape.  So every seed gets the bits it gets in a stack of one.
     """
     q = _quadrature(grid)
-    U = U0.copy()
+    U, best = U0, U0.copy()
     state = _FieldState(A, U, p)
-    E = state.energy(q)
-    grad = q.W * state.residual(q.h)
-    gnorm = math.sqrt((grad**2).sum())
-    best_U, best_g = U.copy(), gnorm
-    step = 0.1 / max(1.0, gnorm)
-    floor = 1e-10 * max(1.0, float(np.max(np.abs(U0))))
-    g0 = gnorm
-    energy_floor = -30.0 * (1.0 + abs(E))
-    amp_ceiling = 8.0 * (1.0 + float(np.max(np.abs(U0))))
-    escaped = False
+    E = state.energies(q)
+    grad = state.residual(q.h)
+    grad *= q.W
+    gnorm = _norms(grad)
+    amp0 = np.abs(U0).reshape(len(U0), -1).max(axis=1).tolist()
+    # Per stack row: its seed's index and Armijo state.
+    seed = list(range(len(U0)))
+    step = [0.1 / max(1.0, g) for g in gnorm]
+    floor = [1e-10 * max(1.0, a) for a in amp0]
+    g0, best_g = list(gnorm), list(gnorm)
+    energy_floor = [-30.0 * (1.0 + abs(e)) for e in E]
+    amp_ceiling = [8.0 * (1.0 + a) for a in amp0]
+    escaped = [False] * len(U0)
+    per_row = (seed, E, gnorm, step, floor, g0, best_g, energy_floor, amp_ceiling, escaped)
+    results: list = [None] * len(U0)
+
+    def finish(rows: list[int]) -> None:
+        """Record the seeds on these rows and drop them from the stack."""
+        nonlocal U, grad, best
+        for row in rows:
+            results[seed[row]] = best[row].copy(), best_g[row], g0[row], escaped[row]
+        keep = [row for row in range(len(seed)) if row not in rows]
+        U, grad, best = U[keep], grad[keep], best[keep]
+        for values in per_row:
+            values[:] = [values[row] for row in keep]
+
+    if done := [row for row in range(len(seed)) if gnorm[row] < floor[row]]:
+        finish(done)
     for _ in range(MAX_DESCENT_STEPS):
-        if gnorm < floor:
+        if not seed:
             break
-        cand = U - step * grad
+        cand = np.multiply(np.array(step)[:, None, None], grad)
+        np.subtract(U, cand, out=cand)
         trial = _FieldState(A, cand, p)
-        Ec = trial.energy(q)
-        if Ec < E - 1e-4 * step * gnorm**2:
-            U, E = cand, Ec
-            grad = q.W * trial.residual(q.h)
-            gnorm = math.sqrt((grad**2).sum())
-            if gnorm < best_g:
-                best_U, best_g = U.copy(), gnorm
-            step *= 1.3
-            if E < energy_floor or np.abs(U).max() > amp_ceiling:
-                escaped = True
-                break
-        else:
-            step *= 0.5
-            if step < 1e-14:
-                break
-    return best_U, best_g, g0, escaped
+        Ec = trial.energies(q)
+        accepted = [Ec[row] < E[row] - 1e-4 * step[row] * gnorm[row]**2 for row in range(len(seed))]
+        if any(accepted):
+            cand_grad = trial.residual(q.h)
+            cand_grad *= q.W
+            cand_g = _norms(cand_grad)
+            amp = np.abs(cand).reshape(len(seed), -1).max(axis=1).tolist()
+        improved, done = [], []
+        for row, ok in enumerate(accepted):
+            if ok:
+                E[row], gnorm[row] = Ec[row], cand_g[row]
+                if gnorm[row] < best_g[row]:
+                    best_g[row] = gnorm[row]
+                    improved.append(row)
+                step[row] *= 1.3
+                if E[row] < energy_floor[row] or amp[row] > amp_ceiling[row]:
+                    escaped[row] = True
+                    done.append(row)
+                elif gnorm[row] < floor[row]:
+                    done.append(row)
+            else:
+                step[row] *= 0.5
+                if step[row] < 1e-14:
+                    done.append(row)
+        if all(accepted):
+            U, grad = cand, cand_grad
+        elif any(accepted):
+            mask = np.array(accepted)[:, None, None]
+            U, grad = np.where(mask, cand, U), np.where(mask, cand_grad, grad)
+        if len(improved) == len(seed):
+            np.copyto(best, cand)
+        elif improved:
+            best[improved] = cand[improved]
+        if done:
+            finish(done)
+    finish(list(range(len(seed))))
+    return results
 
 
 def _accept(B: SymMatrix, U: np.ndarray, rnorm: float, threshold: float, p: float,
@@ -576,13 +651,15 @@ def mountain_pass_solve(B: SymMatrix, p: float,
     """Locate a nontrivial nonnegative critical point of the discrete energy.
 
     Pipeline: constant shortcut from one face pass; otherwise descend from
-    each field of the theta_seeds family, drawn one field at a time, and
-    Newton-polish the iterate where the gradient was smallest (five seeds for
-    n >= 2, none for n = 1).  A field is accepted when its residual,
-    negativity and nontriviality pass RESIDUAL_TOL, NEGATIVITY_TOL and
-    NONTRIVIALITY_THRESHOLD; the accepted field with the least energy wins
-    (ties by residual, then lexicographic comparison).  Residuals of accepted
-    fields differ by round-off only, so ranking by them would pick by noise.
+    each field of the theta_seeds family, drawn one stack at a time (as many
+    seeds as DESCENT_STACK_VALUES holds, at least one), and Newton-polish the
+    iterate where each seed's gradient was smallest, one seed at a time in
+    family order (five seeds for n >= 2, none for n = 1).  A field is
+    accepted when its residual, negativity and nontriviality pass
+    RESIDUAL_TOL, NEGATIVITY_TOL and NONTRIVIALITY_THRESHOLD; the accepted
+    field with the least energy wins (ties by residual, then lexicographic
+    comparison).  Residuals of accepted fields differ by round-off only, so
+    ranking by them would pick by noise.
     With no accepted field the outcome is TrivialOnly when every seed
     collapsed or escaped, otherwise SolveInconclusive with the least finite
     residual among the seeds that stalled, kept a negative part or failed
@@ -614,23 +691,26 @@ def mountain_pass_solve(B: SymMatrix, p: float,
     outcomes: list[str] = []
     # Residuals of the seeds that leave the outcome undecided.
     pending: list[float] = []
-    for provenance, seed in theta_seeds(B, d, grid, p):
-        threshold = NONTRIVIALITY_THRESHOLD * max(1.0, seed.amplitude)
-        start, dip_g, g0, escaped = _descend_energy(A, seed.components, p, grid)
-        U, rnorm, converged = _newton_polish(A, start, p, grid)
-        if converged:
-            verdict = _accept(B, U, rnorm, threshold, p, grid, provenance)
-        elif escaped:
-            verdict = f"{provenance}: escaped (dip not polishable)", None
-        else:
-            verdict = f"{provenance}: newton stalled at residual {rnorm:.2e}", rnorm
-        if isinstance(verdict, NeumannSolution):
-            accepted.append(verdict)
-            outcomes.append(f"{provenance}: accepted residual {verdict.report.residual_inf:.2e}")
-            continue
-        outcomes.append(verdict[0])
-        if verdict[1] is not None:
-            pending.append(verdict[1])
+    seeds = theta_seeds(B, d, grid, p)
+    size = max(1, DESCENT_STACK_VALUES // (B.n * grid.points_per_side))
+    while stack := list(itertools.islice(seeds, size)):
+        descents = _descend_energy(A, np.stack([seed.components for _, seed in stack]), p, grid)
+        for (provenance, seed), (start, _, _, escaped) in zip(stack, descents):
+            threshold = NONTRIVIALITY_THRESHOLD * max(1.0, seed.amplitude)
+            U, rnorm, converged = _newton_polish(A, start, p, grid)
+            if converged:
+                verdict = _accept(B, U, rnorm, threshold, p, grid, provenance)
+            elif escaped:
+                verdict = f"{provenance}: escaped (dip not polishable)", None
+            else:
+                verdict = f"{provenance}: newton stalled at residual {rnorm:.2e}", rnorm
+            if isinstance(verdict, NeumannSolution):
+                accepted.append(verdict)
+                outcomes.append(f"{provenance}: accepted residual {verdict.report.residual_inf:.2e}")
+                continue
+            outcomes.append(verdict[0])
+            if verdict[1] is not None:
+                pending.append(verdict[1])
 
     if accepted:
         return min(accepted, key=lambda s: (s.report.energy, s.report.residual_inf,

@@ -239,7 +239,7 @@ class TestSolve:
         # A Newton polish that stalls at a finite residual leaves no seed
         # accepted and some not collapsed.  The seeds that run all escape in
         # the descent at 17 nodes; pin the descent so each reaches the polish.
-        monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: (U, 0.0, 0.0, False))
+        monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: [(V, 0.0, 0.0, False) for V in U])
         monkeypatch.setattr(neumann, "_newton_polish", lambda A, U, p, grid: (U, 0.5, False))
         path = write_matrix(tmp_path, "m.json", 2, [[1, -2], [-2, 1]])
         out_csv = tmp_path / "s.csv"

@@ -324,6 +324,12 @@ def sweep_reads(a: np.ndarray) -> tuple:
     return m.min_value, tuple(m.argmin.components), boundary_positive(B), constant
 
 
+@pytest.fixture
+def pruned_sweep_at_every_n(monkeypatch):
+    """scan_faces without p takes the minimum-only sweep at every n, not only from PRUNED_SWEEP_MIN_N on."""
+    monkeypatch.setattr(copositivity, "PRUNED_SWEEP_MIN_N", 1)
+
+
 class TestFacePass:
     WITNESS = SymMatrix([[1, -2], [-2, 1]])
 
@@ -361,13 +367,38 @@ class TestFacePass:
         assert calls == []
 
     @pytest.mark.parametrize("batch", [1, 7])
-    def test_batch_size_invariance(self, monkeypatch, batch):
+    def test_batch_size_invariance(self, monkeypatch, pruned_sweep_at_every_n, batch):
         cases = sweep_cases()
         default = [sweep_reads(a) for a in cases]
         assert default[-1][3][1] == PLANTED_SUPPORT
         monkeypatch.setattr(copositivity, "SWEEP_BATCH", batch)
         for a, expected in zip(cases, default):
             assert sweep_reads(a) == expected
+
+    def test_plain_fold_below_the_pruned_sweep_threshold(self, monkeypatch):
+        # Without p, scan_faces takes the minimum-only sweep from
+        # PRUNED_SWEEP_MIN_N on and the plain fold below; both give the same
+        # minimum, bit for bit.
+        threshold = copositivity.PRUNED_SWEEP_MIN_N
+        flags, sweep = [], copositivity._face_sweep
+
+        def recorded(A, minimum_only=False):
+            flags.append(minimum_only)
+            return sweep(A, minimum_only)
+
+        monkeypatch.setattr(copositivity, "_face_sweep", recorded)
+        rng = np.random.default_rng(61)
+        for n in (1, 2, 3, threshold - 1, threshold):
+            B = random_symmetric(rng, n)
+            flags.clear()
+            default = copositivity.scan_faces(B).minimum
+            assert flags == [n >= threshold]
+            for pruned_from in (1, 17):
+                monkeypatch.setattr(copositivity, "PRUNED_SWEEP_MIN_N", pruned_from)
+                other = copositivity.scan_faces(B).minimum
+                assert np.float64(other.min_value).tobytes() == np.float64(default.min_value).tobytes()
+                assert other.argmin.components.tobytes() == default.argmin.components.tobytes()
+            monkeypatch.setattr(copositivity, "PRUNED_SWEEP_MIN_N", threshold)
 
 
 class TestSupportRows:
@@ -452,6 +483,7 @@ def convexity_cases() -> list[np.ndarray]:
     return cases + [A for A, _ in singular_face_fuzz()[:12]]
 
 
+@pytest.mark.usefixtures("pruned_sweep_at_every_n")
 class TestMinimumOnlySweep:
     """scan_faces without p solves only the faces whose form is convex (conditionally PSD)."""
 

@@ -120,7 +120,7 @@ class TestEnergy:
         U = rng.uniform(0.2, 1.2, (2, 17))
         U[1, 3:6] = -rng.uniform(0.2, 0.5, 3)
         W, q = g.weights(), _quadrature(g)
-        analytic = W * _FieldState(A, U, 4.0).residual(g.h)
+        analytic = W * _FieldState(A, U[None], 4.0).residual(g.h)[0]
         fd = np.zeros_like(U)
         h = 1e-6
         for i in range(2):
@@ -130,7 +130,7 @@ class TestEnergy:
                 up[i, k] += h
                 um[i, k] -= h
                 fd[i, k] = (
-                    _FieldState(A, up, 4.0).energy(q) - _FieldState(A, um, 4.0).energy(q)
+                    _FieldState(A, up[None], 4.0).energies(q)[0] - _FieldState(A, um[None], 4.0).energies(q)[0]
                 ) / (2 * h)
         scale = float(np.max(np.abs(fd)))
         assert np.max(np.abs(analytic - fd)) / scale < 1e-8
@@ -251,7 +251,7 @@ class TestMountainPass:
     def test_stalled_newton_is_inconclusive(self, monkeypatch):
         # The seeds that run all escape in the descent at 17 nodes; pin the
         # descent so each reaches the stalled Newton polish.
-        monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: (U, 0.0, 0.0, False))
+        monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: [(V, 0.0, 0.0, False) for V in U])
         monkeypatch.setattr(neumann, "_newton_polish", lambda A, U, p, grid: (U, 0.5, False))
         out = mountain_pass_solve(WITNESS, 4.0, Grid(1, 1.0, 17))
         assert isinstance(out, SolveInconclusive)
@@ -269,7 +269,7 @@ class TestMountainPass:
                 return U - 1e-3, 0.25, True
             return U, 1e-12, True
 
-        monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: (U, 0.0, 0.0, False))
+        monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: [(V, 0.0, 0.0, False) for V in U])
         monkeypatch.setattr(neumann, "_newton_polish", polish)
         out = mountain_pass_solve(WITNESS, 4.0, Grid(1, 1.0, 17))
         assert isinstance(out, SolveInconclusive)
@@ -288,7 +288,7 @@ class TestMountainPass:
                 return np.zeros_like(U), 1e-33, True
             return U, 0.5, False
 
-        monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: (U, 0.0, 0.0, False))
+        monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: [(V, 0.0, 0.0, False) for V in U])
         monkeypatch.setattr(neumann, "_newton_polish", polish)
         out = mountain_pass_solve(WITNESS, 4.0, Grid(1, 1.0, 17))
         assert isinstance(out, SolveInconclusive)
@@ -308,7 +308,7 @@ class TestSeedSkip:
         descend = neumann._descend_energy
 
         def recorded(A, U0, p, grid):
-            starts.append(U0.copy())
+            starts.extend(U.copy() for U in U0)
             return descend(A, U0, p, grid)
 
         monkeypatch.setattr(neumann, "_descend_energy", recorded)
@@ -339,9 +339,10 @@ class TestSeedSkip:
         assert out.seed_outcomes == ()
 
     def test_each_mixture_is_built_when_the_search_reaches_it(self, monkeypatch):
-        # Mixtures built before each descent: a family drawn one field at a
-        # time has built none when the first bump seed runs and one at the
-        # first mixture; a materialised family has built all three.
+        # (stack size, mixtures built) at each descent: a stack's mixtures are
+        # built when that stack is drawn, and no later stack's.  The two bump
+        # seeds come first, then the three mixtures; at 65 nodes the bound
+        # holds the whole family.
         built, at_descent = [], []
         mixture = neumann.homotopy_mixture
 
@@ -350,22 +351,29 @@ class TestSeedSkip:
             return mixture(*args)
 
         def descend(A, U, p, grid):
-            at_descent.append(len(built))
-            return U, 0.0, 0.0, False
+            at_descent.append((len(U), len(built)))
+            return [(V, 0.0, 0.0, False) for V in U]
 
         monkeypatch.setattr(neumann, "homotopy_mixture", counted)
         monkeypatch.setattr(neumann, "_descend_energy", descend)
         monkeypatch.setattr(neumann, "_newton_polish",
                             lambda A, U, p, grid: (np.zeros_like(U), 0.0, True))
-        out = mountain_pass_solve(WITNESS, 4.0, Grid(1, 1.0, 65))
-        assert isinstance(out, TrivialOnly)
-        assert at_descent == [0, 0, 1, 2, 3]
+        bound = neumann.DESCENT_STACK_VALUES
+        for seeds_per_stack, drawn in ((None, [(5, 3)]), (2, [(2, 0), (2, 2), (1, 3)]),
+                                       (1, [(1, 0), (1, 0), (1, 1), (1, 2), (1, 3)])):
+            values = bound if seeds_per_stack is None else seeds_per_stack * WITNESS.n * 65
+            monkeypatch.setattr(neumann, "DESCENT_STACK_VALUES", values)
+            built.clear()
+            at_descent.clear()
+            out = mountain_pass_solve(WITNESS, 4.0, Grid(1, 1.0, 65))
+            assert isinstance(out, TrivialOnly)
+            assert at_descent == drawn
 
     def test_seed_family_is_drawn_one_field_at_a_time(self, monkeypatch):
         # With descent and polish patched out, the search holds a few fields
         # at a time, well under a quarter of 4n + 8 fields.  The nodes are
         # many enough that the fields, not the face pass, set the peak.
-        monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: (U, 0.0, 0.0, False))
+        monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: [(V, 0.0, 0.0, False) for V in U])
         monkeypatch.setattr(neumann, "_newton_polish",
                             lambda A, U, p, grid: (np.zeros_like(U), 0.0, True))
         n, g = 12, Grid(1, 1.0, 4097)
@@ -386,7 +394,7 @@ class TestSeedSkip:
         # family at n = 1, rests on sum W L u = 0 (mirror closure).
         g = Grid(dim, 1.0, 65 if dim == 1 else 33)
         U = np.random.default_rng(31).uniform(-1.0, 1.0, (3,) + g.shape)
-        weighted = g.weights() * neumann._laplacian(U, g.h)
+        weighted = g.weights() * neumann._laplacian(U[None], g.h)[0]
         total = weighted.reshape(3, -1).sum(axis=1)
         scale = np.abs(weighted).reshape(3, -1).sum(axis=1)
         assert np.all(np.abs(total) <= 1e-12 * scale)
@@ -429,8 +437,8 @@ class TestNewtonStep:
         g = Grid(1, 1.0, 65)
         U = signed_field(g, 79, n=3)
         U[1] = 0.0
-        state = _FieldState(WITNESS_3.entries, U, 4.0)
-        D, r = state.nodal_block(), state.residual(g.h)
+        state = _FieldState(WITNESS_3.entries, U[None], 4.0)
+        D, r = state.nodal_block()[0], state.residual(g.h)[0]
         delta = _newton_step(D, r, g.h)
         assert np.all(delta[1] == 0.0) and np.all(np.isfinite(delta))
         assert np.max(np.abs(jacobian_product(D, delta, g.h) + r)) <= 1e-10 * np.max(np.abs(r))
@@ -457,13 +465,13 @@ class TestNewtonPolish:
         g = Grid(1, 1.0, 17)
         A = WITNESS.entries
         U = self.mixed_sign_field(g, 13)
-        D = _FieldState(A, U, p).nodal_block()
+        D = _FieldState(A, U[None], p).nodal_block()[0]
         # Dense Jacobian from the oracle's products with the unit vectors.
         eye = np.eye(U.size).reshape((U.size,) + U.shape)
         jac = np.stack([jacobian_product(D, e, g.h).ravel() for e in eye], axis=1)
         w = np.random.default_rng(17).standard_normal(U.size)
         fd = central_difference_gradient(
-            lambda x: float(w @ _FieldState(A, x.reshape(U.shape), p).residual(g.h).ravel()),
+            lambda x: float(w @ _FieldState(A, x.reshape((1,) + U.shape), p).residual(g.h).ravel()),
             U.ravel(), 1e-6,
         )
         assert np.max(np.abs(fd - jac.T @ w)) <= 1e-6 * np.max(np.abs(fd))
@@ -517,11 +525,13 @@ def bit_equal(a, b):
 
 
 def two_call_descent(A, U0, p, grid):
-    """The Armijo loop as it was before the fused evaluation: energy and residual called apart."""
+    """The Armijo loop of one seed as it was before the fused evaluation and the stack:
+    energy and residual called apart.  Returns the four outputs of the descent and
+    how the loop ended, (reason, trials)."""
     W, q = grid.weights(), _quadrature(grid)
     U = U0.copy()
-    E = _FieldState(A, U, p).energy(q)
-    grad = W * _FieldState(A, U, p).residual(grid.h)
+    E = _FieldState(A, U[None], p).energies(q)[0]
+    grad = W * _FieldState(A, U[None], p).residual(grid.h)[0]
     gnorm = float(np.sqrt(np.sum(grad**2)))
     best_U, best_g = U.copy(), gnorm
     step = 0.1 / max(1.0, gnorm)
@@ -530,26 +540,55 @@ def two_call_descent(A, U0, p, grid):
     energy_floor = -30.0 * (1.0 + abs(E))
     amp_ceiling = 8.0 * (1.0 + float(np.max(np.abs(U0))))
     escaped = False
-    for _ in range(neumann.MAX_DESCENT_STEPS):
+    end = "cap", neumann.MAX_DESCENT_STEPS
+    for trial in range(neumann.MAX_DESCENT_STEPS):
         if gnorm < floor:
+            end = "floor", trial
             break
         cand = U - step * grad
-        Ec = _FieldState(A, cand, p).energy(q)
+        Ec = _FieldState(A, cand[None], p).energies(q)[0]
         if Ec < E - 1e-4 * step * gnorm**2:
             U, E = cand, Ec
-            grad = W * _FieldState(A, U, p).residual(grid.h)
+            grad = W * _FieldState(A, U[None], p).residual(grid.h)[0]
             gnorm = float(np.sqrt(np.sum(grad**2)))
             if gnorm < best_g:
                 best_U, best_g = U.copy(), gnorm
             step *= 1.3
             if E < energy_floor or np.max(np.abs(U)) > amp_ceiling:
                 escaped = True
+                end = "escape", trial + 1
                 break
         else:
             step *= 0.5
             if step < 1e-14:
+                end = "underflow", trial + 1
                 break
-    return best_U, best_g, g0, escaped
+    return (best_U, best_g, g0, escaped), end
+
+
+def assert_stack_matches_serial_loop(A, U0, p, grid, descents=None):
+    """Each seed of the stack U0 descends to the bits of two_call_descent; returns how each loop ended."""
+    if descents is None:
+        descents = neumann._descend_energy(A, U0, p, grid)
+    assert len(descents) == len(U0)
+    ends = []
+    for U, stacked in zip(U0, descents):
+        reference, end = two_call_descent(A, U, p, grid)
+        assert bit_equal(stacked[0], reference[0])
+        assert stacked[1:] == reference[1:]
+        ends.append(end)
+    return ends
+
+
+def coupled_matrix(n, seed):
+    """Random coupling with unit diagonal and off-diagonal entries near -2: not copositive."""
+    noise = np.random.default_rng(seed).uniform(-0.3, 0.3, (n, n))
+    return SymMatrix(3.0 * np.eye(n) - 2.0 + noise + noise.T)
+
+
+def family(B, grid, p):
+    """The seed family along the all-ones direction, as one stack."""
+    return np.stack([seed.components for _, seed in theta_seeds(B, ConeVector(np.ones(B.n)), grid, p)])
 
 
 def per_component_energy_parts(A, U, p, grid):
@@ -574,23 +613,76 @@ class TestFusedEvaluation:
         g = Grid(dim, 1.0, 65 if dim == 1 else 17)
         B = SymMatrix([[1, -2, 0.5], [-2, 1, -1], [0.5, -1, 2]])
         # Summation order shows in the last bit on some fields only.
-        for seed in range(67, 75):
-            U = signed_field(g, seed, n=3)
-            parts = _FieldState(B.entries, U, p).parts(_quadrature(g))
-            assert parts == per_component_energy_parts(B.entries, U, p, g)
-        state = _FieldState(B.entries, U, p)
-        assert state.energy(_quadrature(g)) == energy(B, FieldTuple(U), p, g).energy
+        fields = [signed_field(g, seed, n=3) for seed in range(67, 75)]
+        parts = _FieldState(B.entries, np.stack(fields), p).parts(_quadrature(g))
+        assert parts == [per_component_energy_parts(B.entries, U, p, g) for U in fields]
+        U = fields[-1]
+        state = _FieldState(B.entries, U[None], p)
+        assert state.energies(_quadrature(g)) == [energy(B, FieldTuple(U), p, g).energy]
         oracle = mirror_residual(B.entries, U, p, g.h)
-        assert np.max(np.abs(state.residual(g.h) - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        assert np.max(np.abs(state.residual(g.h)[0] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     def test_descent_matches_two_call_loop(self):
         g = Grid(1, 1.0, 65)
         seeds = dict(theta_seeds(WITNESS, find_direction_d(WITNESS, 4.0), g))
         U0 = seeds["combined bumps x0.9"].components
-        fused = neumann._descend_energy(WITNESS.entries, U0, 4.0, g)
-        reference = two_call_descent(WITNESS.entries, U0, 4.0, g)
-        assert bit_equal(fused[0], reference[0])
-        assert fused[1:] == reference[1:]
+        assert_stack_matches_serial_loop(WITNESS.entries, U0[None], 4.0, g)
+
+    @pytest.mark.parametrize("B, p, nodes", [
+        (WITNESS, 4.0, 513), (WITNESS_3, 3.0, 129), (coupled_matrix(4, 41), 5.0, 65),
+        (coupled_matrix(5, 43), 3.0, 33), (coupled_matrix(5, 47), 4.0, 49),
+    ], ids=["2x2-p4-513", "3x3-p3-129", "4x4-p5-65", "5x5-p3-33", "5x5-p4-49"])
+    def test_stacked_family_matches_serial_loop_seed_by_seed(self, B, p, nodes):
+        g = Grid(1, 1.0, nodes)
+        assert_stack_matches_serial_loop(B.entries, family(B, g, p), p, g)
+
+    def test_seeds_leave_the_stack_at_their_own_trials(self):
+        # On [[1,-1],[-1,1]], whose constants (c, c) are exact critical points:
+        # the zero field is at the gradient floor, the ones field with noise of
+        # 1e-12 reaches it and with noise of 1e-11 runs the step down to
+        # underflow, a bump escapes and a negative field runs to the cap.
+        g = Grid(1, 1.0, 33)
+        noise = np.random.default_rng(53).standard_normal((2, 2, 33))
+        U0 = np.stack([np.zeros((2, 33)), 1.0 + 1e-12 * noise[1], 1.0 + 1e-11 * noise[0],
+                       family(BOUNDARY, g, 4.0)[0], -np.ones((2, 33))])
+        ends = assert_stack_matches_serial_loop(BOUNDARY.entries, U0, 4.0, g)
+        assert [reason for reason, _ in ends] == ["floor", "floor", "underflow", "escape", "cap"]
+        assert len({trials for _, trials in ends}) == len(ends)
+
+    def test_family_split_by_the_bound_matches_serial_loop(self, monkeypatch):
+        # 5 x 513 values per seed: the bound holds three seeds, so the family
+        # descends as stacks of three and two.
+        B, g = coupled_matrix(5, 59), Grid(1, 1.0, 513)
+        runs = []
+        descend = neumann._descend_energy
+
+        def recorded(A, U0, p, grid):
+            runs.append((U0.copy(), descend(A, U0, p, grid)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(neumann, "_descend_energy", recorded)
+        monkeypatch.setattr(neumann, "_newton_polish",
+                            lambda A, U, p, grid: (np.zeros_like(U), 0.0, True))
+        assert isinstance(mountain_pass_solve(B, 4.0, g), TrivialOnly)
+        assert [len(U0) for U0, _ in runs] == [3, 2]
+        for U0, descents in runs:
+            assert_stack_matches_serial_loop(B.entries, U0, 4.0, g, descents)
+
+    @pytest.mark.parametrize("B, nodes, sizes", [
+        (WITNESS, 513, [5]), (WITNESS_3, 513, [5]), (WITNESS_3, 2049, [1, 1, 1, 1, 1]),
+    ], ids=["2x2-513", "3x3-513", "3x3-2049"])
+    def test_stack_sizes(self, monkeypatch, B, nodes, sizes):
+        stacks = []
+
+        def descend(A, U, p, grid):
+            stacks.append(len(U))
+            return [(V, 0.0, 0.0, False) for V in U]
+
+        monkeypatch.setattr(neumann, "_descend_energy", descend)
+        monkeypatch.setattr(neumann, "_newton_polish",
+                            lambda A, U, p, grid: (np.zeros_like(U), 0.0, True))
+        assert isinstance(mountain_pass_solve(B, 4.0, Grid(1, 1.0, nodes)), TrivialOnly)
+        assert stacks == sizes
 
 
 @pytest.fixture
@@ -640,7 +732,7 @@ class TestNewtonExits:
             V[i] = profiles[i]
             scales.append(neumann._ridge_scale(WITNESS.entries, V, 4.0, g))
         mixture = homotopy_mixture(np.array([1.5 * max(scales), 0.0]), 0.5, profiles)
-        start, _, _, escaped = neumann._descend_energy(WITNESS.entries, mixture, 4.0, g)
+        [(start, _, _, escaped)] = neumann._descend_energy(WITNESS.entries, mixture[None], 4.0, g)
         assert not escaped
         _, rnorm, converged = neumann._newton_polish(WITNESS.entries, start, 4.0, g)
         assert not converged and rnorm > 1.0
