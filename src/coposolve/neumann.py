@@ -10,10 +10,13 @@ are located by Armijo gradient descent from a family of five seed fields
 stack at a time, see DESCENT_STACK_VALUES).  The descent of a stack reads the
 energies and, on acceptance, the gradients of its trial fields from one
 evaluation, while each seed keeps its own step and ends where it would end
-alone.  A damped Newton polish of each seed follows: each step solves the
-Jacobian system exactly by one banded LU, the unknowns laid out node-major
-so that the mirror Laplacian and the nodal coupling fill n sub- and
-super-diagonals.
+alone.  A damped Newton polish of the stack follows, in lockstep in the same
+way: each round evaluates one residual for the trial fields of all its
+seeds, each seed keeps its own line-search step and leaves when it exits,
+and each step solves a seed's Jacobian system exactly by one banded LU
+(LAPACK gbsv), the unknowns laid out node-major so that the mirror Laplacian
+and the nodal coupling fill n sub- and super-diagonals.  The polished seeds
+are then accepted or rejected one at a time in family order.
 
 A 2-d solve is the 1-d solve on the same nodes tiled along y: every seed is
 y-constant, and a y-constant field solves the 2-d system exactly when its
@@ -275,10 +278,11 @@ class _FieldState:
         r -= self.nonlinear()
         return r
 
-    def nodal_block(self) -> np.ndarray:
-        """Zeroth-order part of the Jacobian: D[s, i, j] is the nodal diagonal of block (i, j) of field s."""
-        U, p = self.U, self.p
-        lowered, coupled = self._factors()
+    def nodal_block(self, rows: list[int] | slice = slice(None)) -> np.ndarray:
+        """Zeroth-order part of the Jacobian of these rows of the stack: D[k, i, j] is the
+        nodal diagonal of block (i, j) of field rows[k]."""
+        U, p = self.U[rows], self.p
+        lowered, coupled = (factor[rows] for factor in self._factors())
         z = np.zeros_like(U)
         z[U > 0] = U[U > 0] ** (p / 2.0 - 2.0)
         D = -(p / 2.0) * self.A[:, :, None] * lowered[:, :, None] * lowered[:, None, :]
@@ -435,100 +439,190 @@ def theta_seeds(B: SymMatrix, d: ConeVector, grid: Grid,
         yield f"mixture ray=d t={t}", FieldTuple(homotopy_mixture(ray, t, profiles))
 
 
+@functools.lru_cache(maxsize=8)
+def _band_layout(n: int, m: int) -> np.ndarray:
+    """Where D[i, j, x] of n components on m nodes sits in the flattened transpose of the band (see _band)."""
+    i, j, x = np.indices((n, n, m))
+    flat = ((x * n + j) * (3 * n + 1) + 2 * n + i - j).ravel()
+    flat.flags.writeable = False
+    return flat
+
+
+def _band(D: np.ndarray, h: float) -> np.ndarray:
+    """-L + D in LAPACK's gbsv band layout, for D of shape (n, n, m).
+
+    Node-major, (node x, component i) is unknown x n + i, so -L + D has n
+    sub- and super-diagonals.  gbsv stores M[I, J] at row 2n + I - J, column
+    J of a (3n + 1, nm) band, the first n rows left for the LU's fill-in: a
+    nodal block (x' = x) fills rows 2n + i - j.  The band is the transpose of
+    a C-ordered array, so gbsv reads it in place.
+    """
+    n, m = D.shape[0], D.shape[2]
+    ab = np.zeros((n * m, 3 * n + 1))
+    ab.reshape(-1)[_band_layout(n, m)] = D.ravel()
+    ab[:, 2 * n] += 2.0 / h**2
+    # Neighbour nodes; the mirror doubles the inward one at each end.
+    ab[n:, n] = ab[:-n, 3 * n] = -1.0 / h**2
+    ab[n:2 * n, n] = ab[-2 * n:-n, 3 * n] = -2.0 / h**2
+    return ab.T
+
+
 def _newton_step(D: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:
     """The Newton step: (-L + D) delta = -r by one banded LU, for D of shape (n, n, m).
 
-    Node-major, (node x, component i) is unknown x n + i, so -L + D has n
-    sub- and super-diagonals.  A component whose rows of D and r vanish (one
-    identically zero, which stays zero for p > 2) has the block -L alone,
-    singular with a zero right side; it gets delta = 0 and the others are
-    solved without it.
+    LAPACK's gbsv solves the band (_band), or gtsv the tridiagonal system of
+    one component, as scipy.linalg.solve_banded would, without its checks
+    and copies.  A component whose rows of D and r vanish (one identically
+    zero, which stays zero for p > 2) has the block -L alone, singular with
+    a zero right side; it gets delta = 0 and the others are solved without it.
     """
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgbsv, dgtsv
 
     delta = np.zeros_like(r)
     live = np.flatnonzero(np.any(r != 0, axis=1) | np.any(D != 0, axis=(1, 2)))
     n, m = live.size, r.shape[1]
-    # Band row n + I - J holds M[I, J]: a nodal block (x' = x) fills rows n + i - j.
-    ab = np.zeros((2 * n + 1, n * m))
-    i, j = np.indices((n, n))
-    ab[(n + i - j)[:, :, None], np.arange(n)[:, None] + n * np.arange(m)] = D[np.ix_(live, live)]
-    ab[n] += 2.0 / h**2
-    # Neighbour nodes; the mirror doubles the inward one at each end.
-    ab[0, n:] = ab[2 * n, :-n] = -1.0 / h**2
-    ab[0, n:2 * n] = ab[2 * n, -2 * n:-n] = -2.0 / h**2
-    rhs = -r[live].T.ravel()
-    delta[live] = solve_banded((n, n), ab, rhs, check_finite=False).reshape(m, n).T
+    if n < len(r):
+        D, r = D[np.ix_(live, live)], r[live]
+    rhs = -r.T.ravel()
+    if n == 1:
+        du = np.full(m - 1, -1.0 / h**2)
+        dl = du.copy()
+        du[0] = dl[-1] = -2.0 / h**2
+        _, _, _, x, info = dgtsv(dl, D[0, 0] + 2.0 / h**2, du, rhs)
+    else:
+        _, _, x, info = dgbsv(n, n, _band(D, h), rhs, overwrite_ab=True, overwrite_b=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    delta[live] = x.reshape(m, n).T
     return delta
 
 
 def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float,
-                   grid: Grid) -> tuple[np.ndarray, float, bool]:
-    """Damped Newton on the discrete Euler-Lagrange system of a 1-d grid.
+                   grid: Grid) -> list[tuple[np.ndarray, float, bool]]:
+    """Damped Newton on the discrete Euler-Lagrange system of a 1-d grid, from each field of a stack U0 (shape (S, n, m)).
 
-    Runs at most MAX_NEWTON_STEPS steps, each an exact banded solve
+    Each seed runs at most MAX_NEWTON_STEPS steps, each an exact banded solve
     (_newton_step) and a residual line search, and stops early at the
     improvement floor, on a collapse to zero or on a stall (see
-    COLLAPSE_RATIO and STALL_RATIO), or unimproved on a singular Jacobian.
-    Returns (field, residual_inf, converged).
+    COLLAPSE_RATIO and STALL_RATIO), or unimproved on a singular Jacobian, a
+    non-finite step or an amplitude above 1e8.  The seeds run in lockstep:
+    each round evaluates one residual for the trial fields of every seed in
+    the stack and, when some seed takes a step, one nodal Jacobian block for
+    those seeds.  Each seed keeps its own Newton state, line-search step and
+    exit tests as Python floats and leaves the stack when it exits, so it
+    ends with the bits it gets in a stack of one.  Returns per seed, in stack
+    order, (field, residual_inf, converged).
     """
     h = grid.h
-    U = U0.copy()
-    state = _FieldState(A, U[None], p)
-    r = state.residual(h)[0]
-    rnorm = float(np.max(np.abs(r)))
-    residuals = [rnorm]
-    amplitudes = [float(np.max(np.abs(U)))]
-    for _ in range(MAX_NEWTON_STEPS):
-        if rnorm == 0.0 or not np.isfinite(rnorm):
-            break
-        try:
-            delta = _newton_step(state.nodal_block()[0], r, h)
-        except np.linalg.LinAlgError:
-            return U, rnorm, False
-        if not np.all(np.isfinite(delta)):
-            return U, rnorm, False
-        step = 1.0
-        improved = False
-        while step > 1e-6:
-            cand = U + step * delta
-            trial = _FieldState(A, cand[None], p)
-            rc = trial.residual(h)[0]
-            rcnorm = float(np.abs(rc).max())
-            if np.isfinite(rcnorm) and rcnorm < (1.0 - 0.25 * step) * rnorm:
-                U, r, rnorm, state = cand, rc, rcnorm, trial
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-        amp = float(np.abs(U).max())
-        if amp > 1e8:
-            return U, rnorm, False
-        residuals.append(rnorm)
-        amplitudes.append(amp)
-        # Newton contracts a cubic zero only by 2/3 per step.  Once the field
-        # is converged, no larger than NONTRIVIALITY_THRESHOLD (never above the
-        # per-seed threshold of mountain_pass_solve) and shrinking
-        # geometrically, it is classed as collapsed however far it goes on.
-        recent = amplitudes[-COLLAPSE_STEPS - 1:]
-        if (rnorm < RESIDUAL_TOL and amp <= NONTRIVIALITY_THRESHOLD
-                and len(recent) > COLLAPSE_STEPS
-                and all(b <= COLLAPSE_RATIO * a for a, b in zip(recent, recent[1:]))):
-            break
-        # A converging seed gains far more than 1 - STALL_RATIO over the
-        # window; short damped steps that do not are a stall.  Below
-        # RESIDUAL_TOL the round-off tail runs on to the improvement floor,
-        # so no converged field depends on this exit.
-        if (rnorm >= RESIDUAL_TOL and len(residuals) > STALL_WINDOW
-                and rnorm > STALL_RATIO * residuals[-STALL_WINDOW - 1]):
-            break
-    return U, rnorm, rnorm < RESIDUAL_TOL
+    U = U0
+    state = _FieldState(A, U, p)
+    r = state.residual(h)
+    # Per stack row: its seed's index, residual sup norm, residual and amplitude histories, line-search step.
+    seed = list(range(len(U0)))
+    rnorm = _sup_norms(r)
+    residuals = [[value] for value in rnorm]
+    amplitudes = [[value] for value in _sup_norms(U)]
+    step = [1.0] * len(U0)
+    per_row = (seed, rnorm, residuals, amplitudes, step)
+    delta = np.empty_like(U0)
+    results: list = [None] * len(U0)
+
+    def newton_steps(state: _FieldState, r: np.ndarray, rows: list[int], exits: dict[int, bool]) -> None:
+        """Solve the Newton systems of these rows of the stack, at their fields in state and residuals r,
+        or record their exits."""
+        solving = []
+        for row in rows:
+            # The step cap, a zero residual and a non-finite one end a seed as it stands.
+            if len(residuals[row]) > MAX_NEWTON_STEPS or rnorm[row] == 0.0 or not math.isfinite(rnorm[row]):
+                exits[row] = rnorm[row] < RESIDUAL_TOL
+            else:
+                solving.append(row)
+        if not solving:
+            return
+        D = state.nodal_block(solving if len(solving) < len(seed) else slice(None))
+        for block, row in zip(D, solving):
+            try:
+                d = _newton_step(block, r[row], h)
+            except np.linalg.LinAlgError:
+                exits[row] = False
+                continue
+            if not np.all(np.isfinite(d)):
+                exits[row] = False
+                continue
+            delta[row] = d
+            step[row] = 1.0
+
+    def finish(exits: dict[int, bool]) -> None:
+        """Record the seeds on these rows and drop them from the stack."""
+        nonlocal U, delta
+        for row, converged in exits.items():
+            results[seed[row]] = U[row].copy(), rnorm[row], converged
+        keep = [row for row in range(len(seed)) if row not in exits]
+        U, delta = U[keep], delta[keep]
+        for values in per_row:
+            values[:] = [values[row] for row in keep]
+
+    exits: dict[int, bool] = {}
+    newton_steps(state, r, seed[:], exits)
+    finish(exits)
+    while seed:
+        cand = np.multiply(np.array(step)[:, None, None], delta)
+        cand += U
+        state = _FieldState(A, cand, p)
+        r = state.residual(h)
+        rcnorm = _sup_norms(r)
+        accepted = [math.isfinite(value) and value < (1.0 - 0.25 * step[row]) * rnorm[row]
+                    for row, value in enumerate(rcnorm)]
+        if any(accepted):
+            amp = _sup_norms(cand)
+            U = cand if all(accepted) else np.where(np.array(accepted)[:, None, None], cand, U)
+        exits, stepping = {}, []
+        for row, ok in enumerate(accepted):
+            if not ok:
+                # The improvement floor: no step down to 1e-6 lowers the residual enough.
+                step[row] *= 0.5
+                if step[row] <= 1e-6:
+                    exits[row] = rnorm[row] < RESIDUAL_TOL
+                continue
+            rnorm[row] = rcnorm[row]
+            if amp[row] > 1e8:
+                exits[row] = False
+                continue
+            residuals[row].append(rnorm[row])
+            amplitudes[row].append(amp[row])
+            # Newton contracts a cubic zero only by 2/3 per step.  Once the
+            # field is converged, no larger than NONTRIVIALITY_THRESHOLD (never
+            # above the per-seed threshold of mountain_pass_solve) and
+            # shrinking geometrically, it is classed as collapsed however far
+            # it goes on.
+            recent = amplitudes[row][-COLLAPSE_STEPS - 1:]
+            collapsed = (rnorm[row] < RESIDUAL_TOL and amp[row] <= NONTRIVIALITY_THRESHOLD
+                         and len(recent) > COLLAPSE_STEPS
+                         and all(b <= COLLAPSE_RATIO * a for a, b in zip(recent, recent[1:])))
+            # A converging seed gains far more than 1 - STALL_RATIO over the
+            # window; short damped steps that do not are a stall.  Below
+            # RESIDUAL_TOL the round-off tail runs on to the improvement
+            # floor, so no converged field depends on this exit.
+            stalled = (rnorm[row] >= RESIDUAL_TOL and len(residuals[row]) > STALL_WINDOW
+                       and rnorm[row] > STALL_RATIO * residuals[row][-STALL_WINDOW - 1])
+            if collapsed or stalled:
+                exits[row] = rnorm[row] < RESIDUAL_TOL
+            else:
+                stepping.append(row)
+        newton_steps(state, r, stepping, exits)
+        if exits:
+            finish(exits)
+    return results
 
 
 def _norms(grad: np.ndarray) -> list[float]:
     """Euclidean norm of each field of a stack."""
     return [math.sqrt(s) for s in np.square(grad).reshape(len(grad), -1).sum(axis=1).tolist()]
+
+
+def _sup_norms(U: np.ndarray) -> list[float]:
+    """Largest absolute value in each field of a stack."""
+    return np.abs(U).reshape(len(U), -1).max(axis=1).tolist()
 
 
 def _descend_energy(A: np.ndarray, U0: np.ndarray, p: float,
@@ -555,7 +649,7 @@ def _descend_energy(A: np.ndarray, U0: np.ndarray, p: float,
     grad = state.residual(q.h)
     grad *= q.W
     gnorm = _norms(grad)
-    amp0 = np.abs(U0).reshape(len(U0), -1).max(axis=1).tolist()
+    amp0 = _sup_norms(U0)
     # Per stack row: its seed's index and Armijo state.
     seed = list(range(len(U0)))
     step = [0.1 / max(1.0, g) for g in gnorm]
@@ -591,7 +685,7 @@ def _descend_energy(A: np.ndarray, U0: np.ndarray, p: float,
             cand_grad = trial.residual(q.h)
             cand_grad *= q.W
             cand_g = _norms(cand_grad)
-            amp = np.abs(cand).reshape(len(seed), -1).max(axis=1).tolist()
+            amp = _sup_norms(cand)
         improved, done = [], []
         for row, ok in enumerate(accepted):
             if ok:
@@ -652,9 +746,10 @@ def mountain_pass_solve(B: SymMatrix, p: float,
 
     Pipeline: constant shortcut from one face pass; otherwise descend from
     each field of the theta_seeds family, drawn one stack at a time (as many
-    seeds as DESCENT_STACK_VALUES holds, at least one), and Newton-polish the
-    iterate where each seed's gradient was smallest, one seed at a time in
-    family order (five seeds for n >= 2, none for n = 1).  A field is
+    seeds as DESCENT_STACK_VALUES holds, at least one), Newton-polish the
+    iterates where the seeds' gradients were smallest, the stack in lockstep
+    (_newton_polish), then accept or reject the polished fields one at a time
+    in family order (five seeds for n >= 2, none for n = 1).  A field is
     accepted when its residual, negativity and nontriviality pass
     RESIDUAL_TOL, NEGATIVITY_TOL and NONTRIVIALITY_THRESHOLD; the accepted
     field with the least energy wins (ties by residual, then lexicographic
@@ -695,9 +790,9 @@ def mountain_pass_solve(B: SymMatrix, p: float,
     size = max(1, DESCENT_STACK_VALUES // (B.n * grid.points_per_side))
     while stack := list(itertools.islice(seeds, size)):
         descents = _descend_energy(A, np.stack([seed.components for _, seed in stack]), p, grid)
-        for (provenance, seed), (start, _, _, escaped) in zip(stack, descents):
+        polished = _newton_polish(A, np.stack([start for start, _, _, _ in descents]), p, grid)
+        for (provenance, seed), (_, _, _, escaped), (U, rnorm, converged) in zip(stack, descents, polished):
             threshold = NONTRIVIALITY_THRESHOLD * max(1.0, seed.amplitude)
-            U, rnorm, converged = _newton_polish(A, start, p, grid)
             if converged:
                 verdict = _accept(B, U, rnorm, threshold, p, grid, provenance)
             elif escaped:
@@ -728,7 +823,7 @@ def refine_solution(B: SymMatrix, solution: NeumannSolution, p: float,
     _require_line(grid_from, grid_to)
     x_from, x_to = grid_from.axis(), grid_to.axis()
     fine = np.stack([np.interp(x_to, x_from, u) for u in solution.field.components])
-    polished, rnorm, converged = _newton_polish(B.entries, fine, p, grid_to)
+    [(polished, rnorm, converged)] = _newton_polish(B.entries, fine[None], p, grid_to)
     if not converged:
         raise ParameterError(f"refinement failed to converge, residual {rnorm:.2e}")
     threshold = NONTRIVIALITY_THRESHOLD * max(1.0, float(np.max(np.abs(fine))))
@@ -758,7 +853,12 @@ def reflect_tile(u: FieldTuple, grid: Grid, copies: int) -> tuple[FieldTuple, Gr
 
 def write_solution_csv(solution: NeumannSolution, grid: Grid, path: str | Path) -> Path:
     """Node-ordered CSV dump `x[,y],u1,...,un` plus a JSON sidecar holding the
-    energy report's fields, the classification and the seed provenance."""
+    energy report's fields, the classification and the seed provenance.
+
+    Each cell is the repr of its float, taken once per distinct bit pattern
+    (so -0.0 keeps its sign): a 2-d solution is its profile tiled along y, so
+    its (2 + n) m^2 cells hold at most (1 + n) m distinct values.
+    """
     path = Path(path)
     U = solution.field.components
     n = U.shape[0]
@@ -766,8 +866,11 @@ def write_solution_csv(solution: NeumannSolution, grid: Grid, path: str | Path) 
         f"u{i + 1}" for i in range(n)
     )
     nodes = np.meshgrid(*[grid.axis()] * grid.dim, indexing="ij")
-    rows = np.column_stack([*(x.ravel() for x in nodes), *U.reshape(n, -1)]).tolist()
-    path.write_text("\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n")
+    table = np.column_stack([*(x.ravel() for x in nodes), *U.reshape(n, -1)])
+    bits, index = np.unique(table.view(np.uint64), return_inverse=True)
+    texts = np.array([repr(value) for value in bits.view(np.float64).tolist()], dtype=object)
+    rows = texts[index.reshape(table.shape)].tolist()
+    path.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
     sidecar = path.with_suffix(path.suffix + ".json")
     doc = {
         **asdict(solution.report),

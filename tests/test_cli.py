@@ -211,6 +211,21 @@ class TestSolve:
         sidecar = json.loads((tmp_path / "sol.csv.json").read_text())
         assert sidecar["classification"] == "Constant"
 
+    def test_2d_csv_is_the_1d_csv_tiled(self, tmp_path, capsys):
+        # Row (x, y) of the 2-d dump carries the x and u strings of row x of
+        # the 1-d dump, and y the x string of row y.
+        path = write_matrix(tmp_path, "witness.json", 2, [[1, -2], [-2, 1]])
+        rows = {}
+        for dim in (1, 2):
+            out_csv = tmp_path / f"{dim}d.csv"
+            code, _, _ = run(capsys, ["solve", str(path), "--dim", str(dim), "--nodes", "33", "--out", str(out_csv)])
+            assert code == 0
+            rows[dim] = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+        assert len(rows[1]) == 33 and len(rows[2]) == 33 * 33
+        for k, (x, y, *u) in enumerate(rows[2]):
+            line, column = rows[1][k // 33], rows[1][k % 33]
+            assert [x, *u] == line and y == column[0]
+
     def test_unwritable_out_is_an_io_error(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "boundary.json", 2, [[1, -1], [-1, 1]])
         out_csv = tmp_path / "missing" / "sol.csv"
@@ -240,7 +255,7 @@ class TestSolve:
         # accepted and some not collapsed.  The seeds that run all escape in
         # the descent at 17 nodes; pin the descent so each reaches the polish.
         monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: [(V, 0.0, 0.0, False) for V in U])
-        monkeypatch.setattr(neumann, "_newton_polish", lambda A, U, p, grid: (U, 0.5, False))
+        monkeypatch.setattr(neumann, "_newton_polish", lambda A, U, p, grid: [(V, 0.5, False) for V in U])
         path = write_matrix(tmp_path, "m.json", 2, [[1, -2], [-2, 1]])
         out_csv = tmp_path / "s.csv"
         code, out, _ = run(

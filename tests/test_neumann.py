@@ -10,11 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from coposolve import (
     CapacityError,
     ConeVector,
     DimensionError,
+    EnergyReport,
     FieldTuple,
     Grid,
     NeumannSolution,
@@ -252,7 +254,7 @@ class TestMountainPass:
         # The seeds that run all escape in the descent at 17 nodes; pin the
         # descent so each reaches the stalled Newton polish.
         monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: [(V, 0.0, 0.0, False) for V in U])
-        monkeypatch.setattr(neumann, "_newton_polish", lambda A, U, p, grid: (U, 0.5, False))
+        monkeypatch.setattr(neumann, "_newton_polish", lambda A, U, p, grid: [(V, 0.5, False) for V in U])
         out = mountain_pass_solve(WITNESS, 4.0, Grid(1, 1.0, 17))
         assert isinstance(out, SolveInconclusive)
         assert out.best_residual == 0.5
@@ -263,11 +265,14 @@ class TestMountainPass:
         # seed itself, which is no solution, so its clamped residual fails.
         polished = []
 
-        def polish(A, U, p, grid):
+        def polish_one(U):
             polished.append(None)
             if len(polished) % 2:
                 return U - 1e-3, 0.25, True
             return U, 1e-12, True
+
+        def polish(A, U, p, grid):
+            return [polish_one(V) for V in U]
 
         monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: [(V, 0.0, 0.0, False) for V in U])
         monkeypatch.setattr(neumann, "_newton_polish", polish)
@@ -282,11 +287,14 @@ class TestMountainPass:
         # at 0.5; only the stalled ones leave the outcome undecided.
         polished = []
 
-        def polish(A, U, p, grid):
+        def polish_one(U):
             polished.append(None)
             if len(polished) % 2:
                 return np.zeros_like(U), 1e-33, True
             return U, 0.5, False
+
+        def polish(A, U, p, grid):
+            return [polish_one(V) for V in U]
 
         monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: [(V, 0.0, 0.0, False) for V in U])
         monkeypatch.setattr(neumann, "_newton_polish", polish)
@@ -326,7 +334,7 @@ class TestSeedSkip:
     def test_trivial_report_names_every_seed(self, monkeypatch):
         # Every seed that runs collapses, so the report is TrivialOnly.
         monkeypatch.setattr(neumann, "_newton_polish",
-                            lambda A, U, p, grid: (np.zeros_like(U), 0.0, True))
+                            lambda A, U, p, grid: [(np.zeros_like(V), 0.0, True) for V in U])
         g = Grid(1, 1.0, 65)
         out = mountain_pass_solve(WITNESS, 4.0, g)
         assert isinstance(out, TrivialOnly)
@@ -357,7 +365,7 @@ class TestSeedSkip:
         monkeypatch.setattr(neumann, "homotopy_mixture", counted)
         monkeypatch.setattr(neumann, "_descend_energy", descend)
         monkeypatch.setattr(neumann, "_newton_polish",
-                            lambda A, U, p, grid: (np.zeros_like(U), 0.0, True))
+                            lambda A, U, p, grid: [(np.zeros_like(V), 0.0, True) for V in U])
         bound = neumann.DESCENT_STACK_VALUES
         for seeds_per_stack, drawn in ((None, [(5, 3)]), (2, [(2, 0), (2, 2), (1, 3)]),
                                        (1, [(1, 0), (1, 0), (1, 1), (1, 2), (1, 3)])):
@@ -375,7 +383,7 @@ class TestSeedSkip:
         # many enough that the fields, not the face pass, set the peak.
         monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: [(V, 0.0, 0.0, False) for V in U])
         monkeypatch.setattr(neumann, "_newton_polish",
-                            lambda A, U, p, grid: (np.zeros_like(U), 0.0, True))
+                            lambda A, U, p, grid: [(np.zeros_like(V), 0.0, True) for V in U])
         n, g = 12, Grid(1, 1.0, 4097)
         B = SymMatrix(3.0 * np.eye(n) - 2.0 * np.ones((n, n)))
         family_bytes = (4 * n + 8) * n * 4097 * 8
@@ -442,6 +450,32 @@ class TestNewtonStep:
         delta = _newton_step(D, r, g.h)
         assert np.all(delta[1] == 0.0) and np.all(np.isfinite(delta))
         assert np.max(np.abs(jacobian_product(D, delta, g.h) + r)) <= 1e-10 * np.max(np.abs(r))
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("m", [17, 513])
+    def test_band_is_the_solve_banded_assembly(self, n, m):
+        # Below gbsv's n fill-in rows, the band built from the cached layout
+        # holds the bytes of the solve_banded assembly, signed zeros included.
+        rng = np.random.default_rng(20 * n + m)
+        D = rng.standard_normal((n, n, m))
+        D[rng.uniform(size=D.shape) < 0.2] = 0.0
+        D[rng.uniform(size=D.shape) < 0.2] = -0.0
+        band = neumann._band(D, 1.0 / (m - 1))
+        assert band.shape == (3 * n + 1, n * m) and not band[:n].any()
+        assert bit_equal(np.ascontiguousarray(band[n:]), legacy_band(D, 1.0 / (m - 1)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("m", [17, 513])
+    def test_same_bits_as_solve_banded(self, n, m):
+        # One live component is solved by gtsv, as solve_banded does; more by gbsv.
+        rng = np.random.default_rng(30 * n + m)
+        h = 1.0 / (m - 1)
+        D = rng.standard_normal((n, n, m)) * 10.0 ** rng.uniform(-3.0, 6.0)
+        r = rng.standard_normal((n, m))
+        assert bit_equal(_newton_step(D, r, h), legacy_newton_step(D, r, h))
+        if n > 1:
+            D[0] = D[:, 0] = r[0] = 0.0
+            assert bit_equal(_newton_step(D, r, h), legacy_newton_step(D, r, h))
 
     def test_same_bits_at_one_and_two_blas_threads(self):
         steps = [subprocess.run([sys.executable, "-c", STEP_PROBE], capture_output=True, text=True, check=True,
@@ -580,6 +614,90 @@ def assert_stack_matches_serial_loop(A, U0, p, grid, descents=None):
     return ends
 
 
+def legacy_band(D, h):
+    """The (2n + 1, nm) solve_banded band of -L + D, assembled as _newton_step assembled it before it called gbsv."""
+    n, m = D.shape[0], D.shape[2]
+    ab = np.zeros((2 * n + 1, n * m))
+    i, j = np.indices((n, n))
+    ab[(n + i - j)[:, :, None], np.arange(n)[:, None] + n * np.arange(m)] = D
+    ab[n] += 2.0 / h**2
+    ab[0, n:] = ab[2 * n, :-n] = -1.0 / h**2
+    ab[0, n:2 * n] = ab[2 * n, -2 * n:-n] = -2.0 / h**2
+    return ab
+
+
+def legacy_newton_step(D, r, h):
+    """The Newton step through scipy.linalg.solve_banded, live components only."""
+    delta = np.zeros_like(r)
+    live = np.flatnonzero(np.any(r != 0, axis=1) | np.any(D != 0, axis=(1, 2)))
+    n, m = live.size, r.shape[1]
+    ab = legacy_band(D[np.ix_(live, live)], h)
+    delta[live] = solve_banded((n, n), ab, -r[live].T.ravel(), check_finite=False).reshape(m, n).T
+    return delta
+
+
+def serial_polish(A, U0, p, grid):
+    """The Newton polish of one seed as it ran before the lockstep.  Returns the
+    polish's (field, residual_inf, converged) and the exit it took."""
+    h = grid.h
+    U = U0.copy()
+    state = _FieldState(A, U[None], p)
+    r = state.residual(h)[0]
+    rnorm = float(np.max(np.abs(r)))
+    residuals, amplitudes = [rnorm], [float(np.max(np.abs(U)))]
+    for _ in range(neumann.MAX_NEWTON_STEPS):
+        if rnorm == 0.0:
+            return (U, rnorm, True), "zero residual"
+        if not np.isfinite(rnorm):
+            return (U, rnorm, False), "non-finite residual"
+        try:
+            delta = legacy_newton_step(state.nodal_block()[0], r, h)
+        except np.linalg.LinAlgError:
+            return (U, rnorm, False), "singular"
+        if not np.all(np.isfinite(delta)):
+            return (U, rnorm, False), "non-finite step"
+        step = 1.0
+        while step > 1e-6:
+            cand = U + step * delta
+            trial = _FieldState(A, cand[None], p)
+            rc = trial.residual(h)[0]
+            rcnorm = float(np.abs(rc).max())
+            if np.isfinite(rcnorm) and rcnorm < (1.0 - 0.25 * step) * rnorm:
+                U, r, rnorm, state = cand, rc, rcnorm, trial
+                break
+            step *= 0.5
+        else:
+            return (U, rnorm, rnorm < neumann.RESIDUAL_TOL), "floor"
+        amp = float(np.abs(U).max())
+        if amp > 1e8:
+            return (U, rnorm, False), "amplitude"
+        residuals.append(rnorm)
+        amplitudes.append(amp)
+        recent = amplitudes[-neumann.COLLAPSE_STEPS - 1:]
+        if (rnorm < neumann.RESIDUAL_TOL and amp <= neumann.NONTRIVIALITY_THRESHOLD
+                and len(recent) > neumann.COLLAPSE_STEPS
+                and all(b <= neumann.COLLAPSE_RATIO * a for a, b in zip(recent, recent[1:]))):
+            return (U, rnorm, True), "collapse"
+        if (rnorm >= neumann.RESIDUAL_TOL and len(residuals) > neumann.STALL_WINDOW
+                and rnorm > neumann.STALL_RATIO * residuals[-neumann.STALL_WINDOW - 1]):
+            return (U, rnorm, False), "stall"
+    return (U, rnorm, rnorm < neumann.RESIDUAL_TOL), "cap"
+
+
+def assert_polish_matches_serial(A, U0, p, grid, polished=None):
+    """Each seed of the stack U0 polishes to the bits of serial_polish; returns the exit each took."""
+    if polished is None:
+        polished = neumann._newton_polish(A, U0, p, grid)
+    assert len(polished) == len(U0)
+    exits = []
+    for U, stacked in zip(U0, polished):
+        (field, rnorm, converged), exit = serial_polish(A, U, p, grid)
+        assert bit_equal(stacked[0], field) and stacked[2] == converged
+        assert stacked[1] == rnorm or np.isnan(rnorm) and np.isnan(stacked[1])
+        exits.append(exit)
+    return exits
+
+
 def coupled_matrix(n, seed):
     """Random coupling with unit diagonal and off-diagonal entries near -2: not copositive."""
     noise = np.random.default_rng(seed).uniform(-0.3, 0.3, (n, n))
@@ -662,7 +780,7 @@ class TestFusedEvaluation:
 
         monkeypatch.setattr(neumann, "_descend_energy", recorded)
         monkeypatch.setattr(neumann, "_newton_polish",
-                            lambda A, U, p, grid: (np.zeros_like(U), 0.0, True))
+                            lambda A, U, p, grid: [(np.zeros_like(V), 0.0, True) for V in U])
         assert isinstance(mountain_pass_solve(B, 4.0, g), TrivialOnly)
         assert [len(U0) for U0, _ in runs] == [3, 2]
         for U0, descents in runs:
@@ -680,7 +798,7 @@ class TestFusedEvaluation:
 
         monkeypatch.setattr(neumann, "_descend_energy", descend)
         monkeypatch.setattr(neumann, "_newton_polish",
-                            lambda A, U, p, grid: (np.zeros_like(U), 0.0, True))
+                            lambda A, U, p, grid: [(np.zeros_like(V), 0.0, True) for V in U])
         assert isinstance(mountain_pass_solve(B, 4.0, Grid(1, 1.0, nodes)), TrivialOnly)
         assert stacks == sizes
 
@@ -710,7 +828,7 @@ class TestNewtonExits:
         g = Grid(1, 1.0, 33)
         d = find_direction_d(WITNESS, 4.0).components
         seed = 0.5 * d[:, None] * np.ones(g.shape)
-        U, rnorm, converged = neumann._newton_polish(WITNESS.entries, seed, 4.0, g)
+        [(U, rnorm, converged)] = neumann._newton_polish(WITNESS.entries, seed[None], 4.0, g)
         steps = len(newton_calls)
         assert converged and rnorm < neumann.RESIDUAL_TOL
         assert np.max(np.abs(U)) <= neumann.NONTRIVIALITY_THRESHOLD
@@ -718,7 +836,7 @@ class TestNewtonExits:
         # Without the exit the cubic zero is approached at 2/3 per step to the cap.
         without_exits(monkeypatch)
         newton_calls.clear()
-        _, _, converged = neumann._newton_polish(WITNESS.entries, seed, 4.0, g)
+        [(_, _, converged)] = neumann._newton_polish(WITNESS.entries, seed[None], 4.0, g)
         assert converged and len(newton_calls) == neumann.MAX_NEWTON_STEPS
 
     def test_stalled_seed_exits_early(self, newton_calls, monkeypatch):
@@ -734,12 +852,12 @@ class TestNewtonExits:
         mixture = homotopy_mixture(np.array([1.5 * max(scales), 0.0]), 0.5, profiles)
         [(start, _, _, escaped)] = neumann._descend_energy(WITNESS.entries, mixture[None], 4.0, g)
         assert not escaped
-        _, rnorm, converged = neumann._newton_polish(WITNESS.entries, start, 4.0, g)
+        [(_, rnorm, converged)] = neumann._newton_polish(WITNESS.entries, start[None], 4.0, g)
         assert not converged and rnorm > 1.0
         assert len(newton_calls) <= 3 * neumann.STALL_WINDOW
         without_exits(monkeypatch)
         newton_calls.clear()
-        _, rnorm, converged = neumann._newton_polish(WITNESS.entries, start, 4.0, g)
+        [(_, rnorm, converged)] = neumann._newton_polish(WITNESS.entries, start[None], 4.0, g)
         assert not converged and rnorm > 1.0
         assert len(newton_calls) == neumann.MAX_NEWTON_STEPS
 
@@ -755,6 +873,86 @@ class TestNewtonExits:
         assert len(newton_calls) == steps
         assert np.array_equal(refined.field.components, reference.field.components)
         assert refined.report == reference.report
+
+
+def exit_stacks():
+    """(matrix, p, nodes, [(exit, seed field)]): stacks whose seeds leave the polish by every exit.
+
+    All exits but the cap are taken by inputs as they stand, at their own
+    rounds.  'one component live' zeroes a component of a seed, so its
+    Newton systems are solved without it: by gtsv for a 2 x 2, by gbsv on
+    the pair left of a 3 x 3.
+    """
+    g33, g49 = Grid(1, 1.0, 33), Grid(1, 1.0, 49)
+    ones = np.ones((2, 33))
+    tilted = np.stack([np.ones(33), np.full(33, 1.0 + 1e-3)])
+    d = find_direction_d(WITNESS, 4.0).components
+    witness = family(WITNESS, g33, 4.0)
+    boundary = family(BOUNDARY, g33, 4.0)
+    witness_3 = family(WITNESS_3, g49, 5.0)
+
+    def zeroed(U, i):
+        U = U.copy()
+        U[i] = 0.0
+        return U
+
+    return {
+        "2x2-p4-33": (WITNESS, 4.0, g33, [
+            ("zero residual", np.zeros((2, 33))), ("collapse", 0.5 * d[:, None] * ones),
+            ("amplitude", 1e9 * ones), ("non-finite residual", 1e200 * ones), ("floor", witness[1]),
+            ("singular", signed_field(g33, 103)), ("stall", zeroed(witness[2], 1)),
+        ]),
+        "boundary-p4-33": (BOUNDARY, 4.0, g33, [
+            ("non-finite step", 1e103 * tilted), ("zero residual", ones), ("collapse", tilted),
+            ("floor", boundary[0]), ("stall", boundary[4]),
+        ]),
+        "3x3-p5-49": (WITNESS_3, 5.0, g49, [
+            ("floor", witness_3[0]), ("floor", zeroed(witness_3[1], 1)),
+            ("stall", witness_3[2]), ("stall", zeroed(witness_3[3], 0)),
+        ]),
+    }
+
+
+class TestLockstepPolish:
+    """_newton_polish on a stack against serial_polish, the loop it replaced, seed by seed and bit for bit."""
+
+    @pytest.mark.parametrize("case", ["2x2-p4-33", "boundary-p4-33", "3x3-p5-49"])
+    def test_every_exit_matches_serial_polish(self, case):
+        B, p, g, seeds = exit_stacks()[case]
+        with np.errstate(over="ignore", invalid="ignore"):
+            exits = assert_polish_matches_serial(B.entries, np.stack([U for _, U in seeds]), p, g)
+        assert exits == [exit for exit, _ in seeds]
+
+    def test_step_cap_matches_serial_polish(self, monkeypatch):
+        # Without the early exits a collapsing seed runs to MAX_NEWTON_STEPS
+        # while others of the stack reach the improvement floor first.
+        without_exits(monkeypatch)
+        B, p, g, seeds = exit_stacks()["2x2-p4-33"]
+        U0 = np.stack([U for exit, U in seeds if exit in ("collapse", "floor", "singular", "stall")]
+                      + [signed_field(g, 100)])
+        exits = assert_polish_matches_serial(B.entries, U0, p, g)
+        assert exits == ["cap", "floor", "singular", "floor", "cap"]
+
+    def test_solve_polishes_every_stack_as_serial(self, monkeypatch):
+        # Stacks of one past DESCENT_STACK_VALUES at 2049 nodes, and a family
+        # the bound splits into stacks of three and two.
+        runs = []
+        polish = neumann._newton_polish
+
+        def recorded(A, U0, p, grid):
+            runs.append((U0.copy(), polish(A, U0, p, grid)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(neumann, "_newton_polish", recorded)
+        for nodes, values, sizes in ((2049, neumann.DESCENT_STACK_VALUES, [1] * 5),
+                                     (129, 3 * WITNESS_3.n * 129, [3, 2])):
+            monkeypatch.setattr(neumann, "DESCENT_STACK_VALUES", values)
+            runs.clear()
+            g = Grid(1, 1.0, nodes)
+            assert isinstance(mountain_pass_solve(WITNESS_3, 4.0, g), NeumannSolution)
+            assert [len(U0) for U0, _ in runs] == sizes
+            for U0, polished in runs:
+                assert_polish_matches_serial(WITNESS_3.entries, U0, 4.0, g, polished)
 
 
 class TestRefine:
@@ -775,7 +973,7 @@ class TestRefine:
     def test_rejected_polish_is_a_parameter_error(self, monkeypatch, polished, check):
         coarse, fine = Grid(1, 1.0, 33), Grid(1, 1.0, 65)
         solution = mountain_pass_solve(WITNESS, 4.0, coarse)
-        monkeypatch.setattr(neumann, "_newton_polish", lambda A, U, p, grid: (polished(U), 0.0, True))
+        monkeypatch.setattr(neumann, "_newton_polish", lambda A, U, p, grid: [(polished(V), 0.0, True) for V in U])
         with pytest.raises(ParameterError, match=f"refinement rejected: .*: {check}"):
             refine_solution(WITNESS, solution, 4.0, coarse, fine)
 
@@ -837,3 +1035,33 @@ class TestSolutionDump:
         doc = json.loads(sidecar.read_text())
         assert doc["classification"] == "Constant"
         assert doc["residual_inf"] == 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_csv_is_one_repr_per_cell(self, tmp_path, dim, n):
+        # Every special value sits in the first cells and again at random
+        # ones: signed zeros, the least subnormals, a large integral float,
+        # 0.1 + 0.2 beside 0.3.  In 2-d one component is a tiled profile, as
+        # a solve writes it.
+        g = Grid(dim, 1.0, 17)
+        rng = np.random.default_rng(10 * dim + n)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e22, 0.1 + 0.2, 0.3, 1.0])
+        U = rng.uniform(-2.0, 2.0, (n,) + g.shape)
+        scattered = rng.uniform(size=U.shape) < 0.3
+        U[scattered] = rng.choice(special, size=int(scattered.sum()))
+        if dim == 2:
+            U[-1] = U[-1, :, :1]
+        U.reshape(-1)[:special.size] = special
+        solution = NeumannSolution(FieldTuple(U), EnergyReport(0.0, 0.0, 0.0, 0.0, ()), "Nonconstant", "test")
+        path = tmp_path / "u.csv"
+        write_solution_csv(solution, g, path)
+        assert path.read_bytes() == legacy_csv(U, g).encode()
+
+
+def legacy_csv(U, grid):
+    """The CSV text as write_solution_csv wrote it with one repr per cell."""
+    n = U.shape[0]
+    header = ("x," if grid.dim == 1 else "x,y,") + ",".join(f"u{i + 1}" for i in range(n))
+    nodes = np.meshgrid(*[grid.axis()] * grid.dim, indexing="ij")
+    rows = np.column_stack([*(x.ravel() for x in nodes), *U.reshape(n, -1)]).tolist()
+    return "\n".join([header] + [",".join(map(repr, row)) for row in rows]) + "\n"
