@@ -101,21 +101,25 @@ def fsum_terms(terms) -> float:
     return math.fsum(np.asarray(terms, dtype=float).ravel().tolist())
 
 
-def cone_power(values, exponent: float) -> np.ndarray:
+def cone_power(values, exponent: float, out: np.ndarray | None = None) -> np.ndarray:
     """values**exponent on the closed cone: exact 0 at 0, exp/log elsewhere.
 
     Requires exponent > 0.  Integer and half-integer exponents take exact
     power/sqrt paths so that e.g. squares of lattice points stay exact.
+    The result goes to out when given (same shape as values, not values itself).
     """
     if exponent <= 0:
         raise ParameterError("cone_power requires a positive exponent")
     v = np.asarray(values, dtype=float)
     if float(exponent).is_integer():
-        return np.power(v, int(exponent))
+        return np.power(v, int(exponent), out=out)
     if float(2 * exponent).is_integer():
         k = int(2 * exponent) // 2
-        return np.power(v, k) * np.sqrt(v)
-    out = np.zeros_like(v)
+        return np.multiply(np.power(v, k, out=out), np.sqrt(v), out=out)
+    if out is None:
+        out = np.zeros_like(v)
+    else:
+        out.fill(0.0)
     mask = v > 0
     out[mask] = np.exp(exponent * np.log(v[mask]))
     return out

@@ -4,7 +4,8 @@ Second-order uniform grid with mirror (ghost-node) closure of the Laplacian.
 The discrete energy uses cell-midpoint differences for the gradient term and
 trapezoid weights for the mass terms, which makes the assembled Euler-Lagrange
 residual exactly the weighted gradient of the discrete energy; one class,
-_FieldState, evaluates both, for a stack of fields at once.  Critical points
+_FieldState, evaluates both, for a stack of fields at once, into buffers
+that the descent and the polish reuse from trial to trial.  Critical points
 are located by Armijo gradient descent from a family of five seed fields
 (separated bumps and homotopy mixtures along a negative direction, drawn one
 stack at a time, see DESCENT_STACK_VALUES).  The descent of a stack reads the
@@ -161,44 +162,62 @@ COLLAPSE_STEPS = 3
 STALL_RATIO = 0.95
 STALL_WINDOW = 5
 # Values (seeds x components x nodes) in one stack of the Armijo descent;
-# a stack always holds at least one seed.  8192 doubles are 64 KiB per
+# a stack always holds at least one seed.  16384 doubles are 128 KiB per
 # stacked array.  On small fields numpy's per-call cost, not arithmetic, sets
-# the time of a trial, and a stack pays it once for all its seeds: the
-# five-seed family at 3 x 513 and 3 x 257 nodes took 0.63x and 0.62x the
-# time of five stacks of one.  Past about 10,000 values the temporaries of a
-# trial cross glibc's trim and mmap thresholds and their pages fault in
-# again: at 3 x 1025 nodes a stack of 5 (15,375 values) took 21,509 minor
-# faults and a stack of 2 none; at 3 x 2049 a stack of 5 took 74,480 faults,
-# 0.16 s of system time and 1.39x the time of stacks of one.  Medians of 4
-# alternated runs on a 2-vCPU x86-64 host, numpy 2.4.
-DESCENT_STACK_VALUES = 8192
+# the time of a trial, and a stack pays it once for all its seeds.  A trial
+# allocates no stack-sized array (see _FieldState), so a large stack no
+# longer faults its pages in again; the gain fades as the stack's buffers
+# outgrow the cache.
+# Descent of k seeds of the theta_seeds family as one stack, against k stacks
+# of one: 0.54x at 3 x 513 nodes (7,695 values), 0.62x at 2 x 1025 (10,250),
+# 0.76x at 3 x 1025 (15,375), 0.94x for k = 2 at 3 x 2049 (12,294), 0.84x at
+# 2 x 2049 (20,490), 0.88x at 3 x 1537 (23,055) and 0.98x at 3 x 2049
+# (30,735).  Medians of 4 alternated runs on a 2-vCPU x86-64 host, numpy 2.4.
+DESCENT_STACK_VALUES = 16384
 
 
-def _laplacian(U: np.ndarray, h: float) -> np.ndarray:
-    """Ghost-node Neumann Laplacian of each component of a stack U (shape (S, n, *grid))."""
-    flat = U.reshape(-1)
+def _laplacian(U: np.ndarray, h: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Ghost-node Neumann Laplacian of each component of a stack U (shape (S, n, *grid)), written to out.
+
+    scratch is a C-ordered array of U's shape that holds each neighbour in
+    turn.  A node reads -0.0 only where u = +0.0 and every neighbour is -0.0;
+    there u^- is +0.0, so the residual u^- - L u is +0.0 whatever the sign
+    of L u's zero, and no +0.0 is added to clear it.
+    """
+    flat, shifted = U.reshape(-1), scratch.reshape(-1)
     stride = flat.size // (U.shape[0] * U.shape[1])
-    out = None
     for axis in range(2, U.ndim):
-        # u[k-1] - 2 u[k] + u[k+1], mirrored across each face.  The neighbours
-        # are U shifted by one node's stride in memory, with the faces redone.
+        # (-2 u[k] + u[k-1]) + u[k+1], mirrored across each face.  The
+        # neighbours are U shifted by one node's stride in memory, with the
+        # faces redone.
         stride //= U.shape[axis]
         head = (slice(None),) * axis
-        left, right = np.empty(U.shape), np.empty(U.shape)
-        left.reshape(-1)[stride:] = flat[:-stride]
-        left[head + (0,)] = U[head + (1,)]
-        right.reshape(-1)[:-stride] = flat[stride:]
-        right[head + (-1,)] = U[head + (-2,)]
-        second = -2.0 * U
-        second += left
-        second += right
-        if out is None:
-            second += 0.0  # -0.0 reads as +0.0
-            out = second
-        else:
+        second = out if axis == 2 else np.empty_like(out)
+        np.multiply(U, -2.0, out=second)
+        shifted[stride:] = flat[:-stride]
+        scratch[head + (0,)] = U[head + (1,)]
+        second += scratch
+        shifted[:-stride] = flat[stride:]
+        scratch[head + (-1,)] = U[head + (-2,)]
+        second += scratch
+        if axis > 2:
             out += second
     out /= h**2
     return out
+
+
+def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised C-ordered float array whose data starts on a 64-byte boundary.
+
+    numpy's elementwise loops write such an array about 1.7x as fast as one
+    at the 32-byte offset numpy's own allocations of a stack get (1.8 against
+    3.1 us for a product of 5,130 doubles, 2-vCPU x86-64 host, numpy 2.4).
+    The results, sums and matrix products included, do not depend on it.
+    """
+    size = math.prod(shape)
+    raw = np.empty(size + 8)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + size].reshape(shape)
 
 
 class _Quadrature(NamedTuple):
@@ -222,61 +241,102 @@ class _FieldState:
     The package's only implementation of the discrete energy: cell-midpoint
     differences for the Dirichlet integrand, trapezoid weights W for the mass
     terms, so that W times the residual is exactly the energy's gradient.
-    U^+, U^- and (U^+)^(p/2) are computed once; the residual and the nodal
-    Jacobian block share (U^+)^(p/2-1) and sum_j beta_ij (u_j^+)^(p/2).
+    U^+, U^- and (U^+)^(p/2) are computed once per load; the residual and the
+    nodal Jacobian block share (U^+)^(p/2-1) and sum_j beta_ij (u_j^+)^(p/2).
     Every sum runs within one field and every product is per field, so a
     field of a stack gets the bits it gets in a stack of one.
+
+    The pieces live in buffers of the shape of the first stack, allocated
+    once: load() evaluates a new stack of fields into them, and resize(S)
+    keeps the first S rows of each, so a solver that drops fields from its
+    stack evaluates every trial in place.  W is a full-shape copy of the
+    nodal weights, so no product broadcasts them.
     """
 
-    def __init__(self, A: np.ndarray, U: np.ndarray, p: float) -> None:
-        self.A, self.U, self.p = A, U, p
-        self.plus = np.maximum(U, 0.0)
-        self.neg = np.minimum(U, 0.0)
-        self.powered = cone_power(self.plus, p / 2.0)
-        self._lowered = self._coupled = None
+    _BUFFERS = ("plus", "neg", "powered", "lowered", "coupled", "nonlinear", "work", "W")
 
-    def parts(self, q: _Quadrature) -> list[tuple[float, float]]:
+    def __init__(self, A: np.ndarray, U: np.ndarray, p: float, q: _Quadrature) -> None:
+        self.A, self.p, self.q = A, p, q
+        # The buffers take U's memory layout, which sets the order of the
+        # reductions and matrix products.  coupled is C-ordered, as a fresh
+        # matmul result is, and so is nonlinear, the Laplacian's scratch.
+        def laid_out() -> np.ndarray:
+            return _aligned_empty(U.shape) if U.flags.c_contiguous else np.empty_like(U)
+
+        self.plus, self.neg, self.powered, self.work, self.W = (laid_out() for _ in range(5))
+        self.coupled, self.nonlinear = _aligned_empty(U.shape), _aligned_empty(U.shape)
+        # (U^+)^1 is U^+ itself.
+        self.lowered = self.plus if p == 4.0 else laid_out()
+        self.W[...] = q.W
+        self.load(U)
+
+    def resize(self, S: int) -> None:
+        """Keep the first S rows of every buffer (contiguous views)."""
+        for name in self._BUFFERS:
+            setattr(self, name, getattr(self, name)[:S])
+
+    def load(self, U: np.ndarray) -> None:
+        """Evaluate U^+, U^- and (U^+)^(p/2) of a stack U of the buffers' shape; U is read, not copied."""
+        self.U = U
+        np.maximum(U, 0.0, out=self.plus)
+        np.minimum(U, 0.0, out=self.neg)
+        cone_power(self.plus, self.p / 2.0, out=self.powered)
+        self._factored = False
+
+    def parts(self) -> list[tuple[float, float]]:
         """Per field, (Dirichlet term, Phi): the integrals of |grad u|^2 + |u^-|^2 and of b(u^+)/p."""
-        U = self.U
+        U, q, work = self.U, self.q, self.work
         S, n = U.shape[:2]
-        if U.ndim == 3:
-            gradient = (np.square(U[:, :, 1:] - U[:, :, :-1]).sum(axis=2) / q.h).tolist()
+        if U.ndim == 3 and U.flags.c_contiguous and work.flags.c_contiguous:
+            # Differences of the flat stack, summed through an (S, n, m - 1)
+            # view: the difference across two rows is summed by no field.
+            flat, diffs = U.reshape(-1), work.reshape(-1)[:-1]
+            np.subtract(flat[1:], flat[:-1], out=diffs)
+            np.square(diffs, out=diffs)
+            rows = work[:, :, :-1].sum(axis=2)
         else:
+            # Other layouts (a 2-d grid, a Fortran-ordered field from
+            # reflect_tile) sum in the order their layout gives.
             rows = np.square(U[:, :, 1:] - U[:, :, :-1]).sum(axis=2)
+        if U.ndim == 3:
+            gradient = (rows / q.h).tolist()
+        else:
             cols = np.square(U[:, :, :, 1:] - U[:, :, :, :-1]).sum(axis=3)
             gradient = [[float(rows[s, i] @ q.w + q.w @ cols[s, i]) / q.h for i in range(n)]
                         for s in range(S)]
-        mass = (q.W * self.neg**2).reshape(S, -1).sum(axis=1).tolist()
+        np.square(self.neg, out=work)
+        mass = np.multiply(work, self.W, out=work).reshape(S, -1).sum(axis=1).tolist()
+        np.multiply(self.powered, self.W, out=work)
         flat = self.powered.reshape(S, n, -1)
-        overlap = (flat * q.W.ravel()) @ flat.transpose(0, 2, 1)
+        overlap = work.reshape(S, n, -1) @ flat.transpose(0, 2, 1)
         terms = (self.A * overlap).reshape(S, -1).tolist()
         # Each field sums its components' Dirichlet terms in order and takes its own exact fsum for Phi.
         return [(sum(g) + m, math.fsum(t) / self.p) for g, m, t in zip(gradient, mass, terms)]
 
-    def energies(self, q: _Quadrature) -> list[float]:
-        return [dirichlet / 2.0 - phi for dirichlet, phi in self.parts(q)]
+    def energies(self) -> list[float]:
+        return [dirichlet / 2.0 - phi for dirichlet, phi in self.parts()]
 
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """((U^+)^(p/2-1), sum_j beta_ij (u_j^+)^(p/2)), computed on first use."""
+        """((U^+)^(p/2-1), sum_j beta_ij (u_j^+)^(p/2)), computed on first use after a load."""
         # Not forms.p_form_coefficients: the Jacobian reads both factors apart, on components x nodes.
-        if self._lowered is None:
-            U = self.U
-            # (U^+)^1 is U^+ itself.
-            self._lowered = self.plus if self.p == 4.0 else cone_power(self.plus, self.p / 2.0 - 1.0)
-            self._coupled = np.matmul(self.A, self.powered.reshape(U.shape[:2] + (-1,))).reshape(U.shape)
-        return self._lowered, self._coupled
+        if not self._factored:
+            if self.p != 4.0:
+                cone_power(self.plus, self.p / 2.0 - 1.0, out=self.lowered)
+            stacked = self.U.shape[:2] + (-1,)
+            np.matmul(self.A, self.powered.reshape(stacked), out=self.coupled.reshape(stacked))
+            self._factored = True
+        return self.lowered, self.coupled
 
-    def nonlinear(self) -> np.ndarray:
-        """Componentwise sum_j beta_ij (u_j^+)^(p/2) (u_i^+)^(p/2-1)."""
-        lowered, coupled = self._factors()
-        return lowered * coupled
+    def residual(self, out: np.ndarray) -> np.ndarray:
+        """Euler-Lagrange residual -L u + u^- - nonlinear term, as u^- - L u - nonlinear term, written to out.
 
-    def residual(self, h: float) -> np.ndarray:
-        """Euler-Lagrange residual -L u + u^- - nonlinear term, as u^- - L u - nonlinear term."""
-        r = _laplacian(self.U, h)
-        np.subtract(self.neg, r, out=r)
-        r -= self.nonlinear()
-        return r
+        Leaves the nonlinear term sum_j beta_ij (u_j^+)^(p/2) (u_i^+)^(p/2-1) in self.nonlinear.
+        """
+        _laplacian(self.U, self.q.h, out, self.nonlinear)
+        np.subtract(self.neg, out, out=out)
+        np.multiply(*self._factors(), out=self.nonlinear)
+        out -= self.nonlinear
+        return out
 
     def nodal_block(self, rows: list[int] | slice = slice(None)) -> np.ndarray:
         """Zeroth-order part of the Jacobian of these rows of the stack: D[k, i, j] is the
@@ -284,7 +344,8 @@ class _FieldState:
         U, p = self.U[rows], self.p
         lowered, coupled = (factor[rows] for factor in self._factors())
         z = np.zeros_like(U)
-        z[U > 0] = U[U > 0] ** (p / 2.0 - 2.0)
+        positive = U > 0
+        z[positive] = U[positive] ** (p / 2.0 - 2.0)
         D = -(p / 2.0) * self.A[:, :, None] * lowered[:, :, None] * lowered[:, None, :]
         diag = np.arange(U.shape[1])
         D[:, diag, diag] += (U < 0).astype(float) - (p / 2.0 - 1.0) * z * coupled
@@ -300,10 +361,10 @@ def energy(B: SymMatrix, u: FieldTuple, p: float, grid: Grid) -> EnergyReport:
             f"field shape {U.shape} does not match n={B.n}, grid {grid.shape}"
         )
     q = _quadrature(grid)
-    state = _FieldState(B.entries, U[None], p)
-    [(dirichlet, phi)] = state.parts(q)
-    nonlinear = state.nonlinear()[0]
-    residual = state.residual(q.h)[0]
+    state = _FieldState(B.entries, U[None], p, q)
+    [(dirichlet, phi)] = state.parts()
+    residual = state.residual(np.empty_like(U[None]))[0]
+    nonlinear = state.nonlinear[0]
     defects = tuple(
         float(np.sum(q.W * nonlinear[i])) for i in range(B.n)
     )
@@ -388,7 +449,7 @@ def homotopy_mixture(c: np.ndarray, t: float, profiles: np.ndarray) -> np.ndarra
 
 def _ridge_scale(A: np.ndarray, V: np.ndarray, p: float, grid: Grid) -> float:
     """Amplitude s maximizing E(sV) along the ray, or 1.0 when E has no ridge."""
-    [(quad, phi)] = _FieldState(A, V[None], p).parts(_quadrature(grid))
+    [(quad, phi)] = _FieldState(A, V[None], p, _quadrature(grid)).parts()
     if phi <= 0 or quad <= 0:
         return 1.0
     return float((quad / (p * phi)) ** (1.0 / (p - 2.0)))
@@ -510,26 +571,30 @@ def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float,
     the stack and, when some seed takes a step, one nodal Jacobian block for
     those seeds.  Each seed keeps its own Newton state, line-search step and
     exit tests as Python floats and leaves the stack when it exits, so it
-    ends with the bits it gets in a stack of one.  Returns per seed, in stack
-    order, (field, residual_inf, converged).
+    ends with the bits it gets in a stack of one.  The stack, its trial
+    fields, Newton steps and trial residuals live in buffers of U0's shape,
+    built once and cut to the first S rows as seeds leave; one _FieldState
+    evaluates every round in place.  U0 is read, not written.  Returns per
+    seed, in stack order, (field, residual_inf, converged), each field a
+    fresh array.
     """
     h = grid.h
-    U = U0
-    state = _FieldState(A, U, p)
-    r = state.residual(h)
+    U, cand, delta, r = (_aligned_empty(U0.shape) for _ in range(4))
+    U[...] = U0
+    state = _FieldState(A, U, p, _quadrature(grid))
+    state.residual(r)
     # Per stack row: its seed's index, residual sup norm, residual and amplitude histories, line-search step.
     seed = list(range(len(U0)))
-    rnorm = _sup_norms(r)
+    rnorm = _sup_norms(r, state.work)
     residuals = [[value] for value in rnorm]
-    amplitudes = [[value] for value in _sup_norms(U)]
+    amplitudes = [[value] for value in _sup_norms(U, state.work)]
     step = [1.0] * len(U0)
     per_row = (seed, rnorm, residuals, amplitudes, step)
-    delta = np.empty_like(U0)
     results: list = [None] * len(U0)
 
-    def newton_steps(state: _FieldState, r: np.ndarray, rows: list[int], exits: dict[int, bool]) -> None:
-        """Solve the Newton systems of these rows of the stack, at their fields in state and residuals r,
-        or record their exits."""
+    def newton_steps(rows: list[int], exits: dict[int, bool]) -> None:
+        """Solve the Newton systems of these rows of the stack, at the fields loaded in state and their
+        residuals r, or record their exits."""
         solving = []
         for row in rows:
             # The step cap, a zero residual and a non-finite one end a seed as it stands.
@@ -554,28 +619,34 @@ def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float,
 
     def finish(exits: dict[int, bool]) -> None:
         """Record the seeds on these rows and drop them from the stack."""
-        nonlocal U, delta
+        nonlocal U, cand, delta, r
         for row, converged in exits.items():
             results[seed[row]] = U[row].copy(), rnorm[row], converged
         keep = [row for row in range(len(seed)) if row not in exits]
-        U, delta = U[keep], delta[keep]
+        S = len(keep)
+        U[:S], delta[:S] = U[keep], delta[keep]
+        U, cand, delta, r = U[:S], cand[:S], delta[:S], r[:S]
+        state.resize(S)
         for values in per_row:
             values[:] = [values[row] for row in keep]
 
     exits: dict[int, bool] = {}
-    newton_steps(state, r, seed[:], exits)
+    newton_steps(seed[:], exits)
     finish(exits)
     while seed:
-        cand = np.multiply(np.array(step)[:, None, None], delta)
+        np.multiply(np.array(step)[:, None, None], delta, out=cand)
         cand += U
-        state = _FieldState(A, cand, p)
-        r = state.residual(h)
-        rcnorm = _sup_norms(r)
+        state.load(cand)
+        state.residual(r)
+        rcnorm = _sup_norms(r, state.work)
         accepted = [math.isfinite(value) and value < (1.0 - 0.25 * step[row]) * rnorm[row]
                     for row, value in enumerate(rcnorm)]
         if any(accepted):
-            amp = _sup_norms(cand)
-            U = cand if all(accepted) else np.where(np.array(accepted)[:, None, None], cand, U)
+            amp = _sup_norms(cand, state.work)
+            if all(accepted):
+                U, cand = cand, U
+            else:
+                np.copyto(U, cand, where=np.array(accepted)[:, None, None])
         exits, stepping = {}, []
         for row, ok in enumerate(accepted):
             if not ok:
@@ -609,20 +680,20 @@ def _newton_polish(A: np.ndarray, U0: np.ndarray, p: float,
                 exits[row] = rnorm[row] < RESIDUAL_TOL
             else:
                 stepping.append(row)
-        newton_steps(state, r, stepping, exits)
+        newton_steps(stepping, exits)
         if exits:
             finish(exits)
     return results
 
 
-def _norms(grad: np.ndarray) -> list[float]:
-    """Euclidean norm of each field of a stack."""
-    return [math.sqrt(s) for s in np.square(grad).reshape(len(grad), -1).sum(axis=1).tolist()]
+def _norms(grad: np.ndarray, work: np.ndarray) -> list[float]:
+    """Euclidean norm of each field of a stack, with work (of grad's shape) as scratch."""
+    return [math.sqrt(s) for s in np.square(grad, out=work).reshape(len(grad), -1).sum(axis=1).tolist()]
 
 
-def _sup_norms(U: np.ndarray) -> list[float]:
-    """Largest absolute value in each field of a stack."""
-    return np.abs(U).reshape(len(U), -1).max(axis=1).tolist()
+def _sup_norms(U: np.ndarray, work: np.ndarray) -> list[float]:
+    """Largest absolute value in each field of a stack, with work (of U's shape) as scratch."""
+    return np.abs(U, out=work).reshape(len(U), -1).max(axis=1).tolist()
 
 
 def _descend_energy(A: np.ndarray, U0: np.ndarray, p: float,
@@ -630,26 +701,28 @@ def _descend_energy(A: np.ndarray, U0: np.ndarray, p: float,
     """Armijo gradient descent on the energy from each seed of a stack U0 (shape (S, n, m)).
 
     Returns per seed, in stack order, (best iterate, its gradient norm,
-    initial gradient norm, escaped).  The best iterate is where the gradient
-    norm dipped lowest (the saddle-passage candidate).  The energy is
-    unbounded below, so a trajectory that falls past every seed scale is
-    flagged as escaped: it carries no critical point beyond the dip already
-    recorded.  Each trial stack is evaluated once: its energies, and when
-    some seed's step is accepted its gradients W r, come from the same
-    _FieldState.  The seeds share the evaluations and nothing else: each
-    keeps its own Armijo state (energy, gradient norm, step and floors as
-    Python floats, and its best iterate) and leaves the stack when it
-    finishes, at the trial cap, the gradient floor, a step underflow or an
-    escape.  So every seed gets the bits it gets in a stack of one.
+    initial gradient norm, escaped), each iterate a fresh array.  The best
+    iterate is where the gradient norm dipped lowest (the saddle-passage
+    candidate).  The energy is unbounded below, so a trajectory that falls
+    past every seed scale is flagged as escaped: it carries no critical point
+    beyond the dip already recorded.  Each trial stack is evaluated once, in
+    place: one _FieldState gives its energies and, when some seed's step is
+    accepted, its gradients W r.  The stack, its gradients and best iterates
+    and the trial fields and gradients live in buffers of U0's shape, built
+    once and cut to the first S rows as seeds leave; U0 is read, not written.
+    The seeds share the evaluations and nothing else: each keeps its own
+    Armijo state (energy, gradient norm, step and floors as Python floats,
+    and its best iterate) and leaves the stack when it finishes, at the trial
+    cap, the gradient floor, a step underflow or an escape.  So every seed
+    gets the bits it gets in a stack of one.
     """
-    q = _quadrature(grid)
-    U, best = U0, U0.copy()
-    state = _FieldState(A, U, p)
-    E = state.energies(q)
-    grad = state.residual(q.h)
-    grad *= q.W
-    gnorm = _norms(grad)
-    amp0 = _sup_norms(U0)
+    U, best, grad, cand, cand_grad = (_aligned_empty(U0.shape) for _ in range(5))
+    U[...] = best[...] = U0
+    state = _FieldState(A, U, p, _quadrature(grid))
+    E = state.energies()
+    np.multiply(state.residual(grad), state.W, out=grad)
+    gnorm = _norms(grad, state.work)
+    amp0 = _sup_norms(U0, state.work)
     # Per stack row: its seed's index and Armijo state.
     seed = list(range(len(U0)))
     step = [0.1 / max(1.0, g) for g in gnorm]
@@ -663,11 +736,14 @@ def _descend_energy(A: np.ndarray, U0: np.ndarray, p: float,
 
     def finish(rows: list[int]) -> None:
         """Record the seeds on these rows and drop them from the stack."""
-        nonlocal U, grad, best
+        nonlocal U, grad, best, cand, cand_grad
         for row in rows:
             results[seed[row]] = best[row].copy(), best_g[row], g0[row], escaped[row]
         keep = [row for row in range(len(seed)) if row not in rows]
-        U, grad, best = U[keep], grad[keep], best[keep]
+        S = len(keep)
+        U[:S], grad[:S], best[:S] = U[keep], grad[keep], best[keep]
+        U, grad, best, cand, cand_grad = U[:S], grad[:S], best[:S], cand[:S], cand_grad[:S]
+        state.resize(S)
         for values in per_row:
             values[:] = [values[row] for row in keep]
 
@@ -676,16 +752,15 @@ def _descend_energy(A: np.ndarray, U0: np.ndarray, p: float,
     for _ in range(MAX_DESCENT_STEPS):
         if not seed:
             break
-        cand = np.multiply(np.array(step)[:, None, None], grad)
+        np.multiply(np.array(step)[:, None, None], grad, out=cand)
         np.subtract(U, cand, out=cand)
-        trial = _FieldState(A, cand, p)
-        Ec = trial.energies(q)
+        state.load(cand)
+        Ec = state.energies()
         accepted = [Ec[row] < E[row] - 1e-4 * step[row] * gnorm[row]**2 for row in range(len(seed))]
         if any(accepted):
-            cand_grad = trial.residual(q.h)
-            cand_grad *= q.W
-            cand_g = _norms(cand_grad)
-            amp = _sup_norms(cand)
+            np.multiply(state.residual(cand_grad), state.W, out=cand_grad)
+            cand_g = _norms(cand_grad, state.work)
+            amp = _sup_norms(cand, state.work)
         improved, done = [], []
         for row, ok in enumerate(accepted):
             if ok:
@@ -703,15 +778,18 @@ def _descend_energy(A: np.ndarray, U0: np.ndarray, p: float,
                 step[row] *= 0.5
                 if step[row] < 1e-14:
                     done.append(row)
-        if all(accepted):
-            U, grad = cand, cand_grad
-        elif any(accepted):
-            mask = np.array(accepted)[:, None, None]
-            U, grad = np.where(mask, cand, U), np.where(mask, cand_grad, grad)
         if len(improved) == len(seed):
             np.copyto(best, cand)
         elif improved:
-            best[improved] = cand[improved]
+            mask = np.zeros(len(seed), dtype=bool)
+            mask[improved] = True
+            np.copyto(best, cand, where=mask[:, None, None])
+        if all(accepted):
+            U, cand, grad, cand_grad = cand, U, cand_grad, grad
+        elif any(accepted):
+            mask = np.array(accepted)[:, None, None]
+            np.copyto(U, cand, where=mask)
+            np.copyto(grad, cand_grad, where=mask)
         if done:
             finish(done)
     finish(list(range(len(seed))))

@@ -1,6 +1,7 @@
 """Neumann discretization and mountain-pass solver tests."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -122,7 +123,7 @@ class TestEnergy:
         U = rng.uniform(0.2, 1.2, (2, 17))
         U[1, 3:6] = -rng.uniform(0.2, 0.5, 3)
         W, q = g.weights(), _quadrature(g)
-        analytic = W * _FieldState(A, U[None], 4.0).residual(g.h)[0]
+        analytic = W * live_residual(_FieldState(A, U[None], 4.0, q))[0]
         fd = np.zeros_like(U)
         h = 1e-6
         for i in range(2):
@@ -132,7 +133,7 @@ class TestEnergy:
                 up[i, k] += h
                 um[i, k] -= h
                 fd[i, k] = (
-                    _FieldState(A, up[None], 4.0).energies(q)[0] - _FieldState(A, um[None], 4.0).energies(q)[0]
+                    _FieldState(A, up[None], 4.0, q).energies()[0] - _FieldState(A, um[None], 4.0, q).energies()[0]
                 ) / (2 * h)
         scale = float(np.max(np.abs(fd)))
         assert np.max(np.abs(analytic - fd)) / scale < 1e-8
@@ -402,7 +403,8 @@ class TestSeedSkip:
         # family at n = 1, rests on sum W L u = 0 (mirror closure).
         g = Grid(dim, 1.0, 65 if dim == 1 else 33)
         U = np.random.default_rng(31).uniform(-1.0, 1.0, (3,) + g.shape)
-        weighted = g.weights() * neumann._laplacian(U[None], g.h)[0]
+        weighted = g.weights() * neumann._laplacian(U[None], g.h, np.empty((1,) + U.shape),
+                                                    np.empty((1,) + U.shape))[0]
         total = weighted.reshape(3, -1).sum(axis=1)
         scale = np.abs(weighted).reshape(3, -1).sum(axis=1)
         assert np.all(np.abs(total) <= 1e-12 * scale)
@@ -445,8 +447,8 @@ class TestNewtonStep:
         g = Grid(1, 1.0, 65)
         U = signed_field(g, 79, n=3)
         U[1] = 0.0
-        state = _FieldState(WITNESS_3.entries, U[None], 4.0)
-        D, r = state.nodal_block()[0], state.residual(g.h)[0]
+        state = _FieldState(WITNESS_3.entries, U[None], 4.0, _quadrature(g))
+        D, r = state.nodal_block()[0], live_residual(state)[0]
         delta = _newton_step(D, r, g.h)
         assert np.all(delta[1] == 0.0) and np.all(np.isfinite(delta))
         assert np.max(np.abs(jacobian_product(D, delta, g.h) + r)) <= 1e-10 * np.max(np.abs(r))
@@ -499,13 +501,14 @@ class TestNewtonPolish:
         g = Grid(1, 1.0, 17)
         A = WITNESS.entries
         U = self.mixed_sign_field(g, 13)
-        D = _FieldState(A, U[None], p).nodal_block()[0]
+        q = _quadrature(g)
+        D = _FieldState(A, U[None], p, q).nodal_block()[0]
         # Dense Jacobian from the oracle's products with the unit vectors.
         eye = np.eye(U.size).reshape((U.size,) + U.shape)
         jac = np.stack([jacobian_product(D, e, g.h).ravel() for e in eye], axis=1)
         w = np.random.default_rng(17).standard_normal(U.size)
         fd = central_difference_gradient(
-            lambda x: float(w @ _FieldState(A, x.reshape((1,) + U.shape), p).residual(g.h).ravel()),
+            lambda x: float(w @ live_residual(_FieldState(A, x.reshape((1,) + U.shape), p, q)).ravel()),
             U.ravel(), 1e-6,
         )
         assert np.max(np.abs(fd - jac.T @ w)) <= 1e-6 * np.max(np.abs(fd))
@@ -558,14 +561,98 @@ def bit_equal(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+def live_residual(state):
+    """The residual of a live field state, in a fresh array."""
+    return state.residual(np.empty(state.U.shape))
+
+
+# The field state's arithmetic as it was before it evaluated in place: the
+# oracle of the descent and polish tests, so that a change of rounding in the
+# live code cannot move it.
+
+
+def legacy_laplacian(U, h):
+    """Ghost-node Neumann Laplacian of each component of a stack U (shape (S, n, *grid))."""
+    flat = U.reshape(-1)
+    stride = flat.size // (U.shape[0] * U.shape[1])
+    out = None
+    for axis in range(2, U.ndim):
+        stride //= U.shape[axis]
+        head = (slice(None),) * axis
+        left, right = np.empty(U.shape), np.empty(U.shape)
+        left.reshape(-1)[stride:] = flat[:-stride]
+        left[head + (0,)] = U[head + (1,)]
+        right.reshape(-1)[:-stride] = flat[stride:]
+        right[head + (-1,)] = U[head + (-2,)]
+        second = -2.0 * U
+        second += left
+        second += right
+        if out is None:
+            second += 0.0
+            out = second
+        else:
+            out += second
+    out /= h**2
+    return out
+
+
+def legacy_factors(A, U, p):
+    """((U^+)^(p/2-1), sum_j beta_ij (u_j^+)^(p/2)) of a stack U."""
+    plus = np.maximum(U, 0.0)
+    lowered = plus if p == 4.0 else cone_power(plus, p / 2.0 - 1.0)
+    coupled = np.matmul(A, cone_power(plus, p / 2.0).reshape(U.shape[:2] + (-1,))).reshape(U.shape)
+    return lowered, coupled
+
+
+def legacy_parts(A, U, p, q):
+    """Per field of a stack U, (Dirichlet term, Phi)."""
+    S, n = U.shape[:2]
+    if U.ndim == 3:
+        gradient = (np.square(U[:, :, 1:] - U[:, :, :-1]).sum(axis=2) / q.h).tolist()
+    else:
+        rows = np.square(U[:, :, 1:] - U[:, :, :-1]).sum(axis=2)
+        cols = np.square(U[:, :, :, 1:] - U[:, :, :, :-1]).sum(axis=3)
+        gradient = [[float(rows[s, i] @ q.w + q.w @ cols[s, i]) / q.h for i in range(n)]
+                    for s in range(S)]
+    mass = (q.W * np.minimum(U, 0.0)**2).reshape(S, -1).sum(axis=1).tolist()
+    flat = cone_power(np.maximum(U, 0.0), p / 2.0).reshape(S, n, -1)
+    overlap = (flat * q.W.ravel()) @ flat.transpose(0, 2, 1)
+    terms = (A * overlap).reshape(S, -1).tolist()
+    return [(sum(g) + m, math.fsum(t) / p) for g, m, t in zip(gradient, mass, terms)]
+
+
+def legacy_energies(A, U, p, q):
+    return [dirichlet / 2.0 - phi for dirichlet, phi in legacy_parts(A, U, p, q)]
+
+
+def legacy_residual(A, U, p, h):
+    """Euler-Lagrange residual of each field of a stack U, as u^- - L u - nonlinear term."""
+    r = legacy_laplacian(U, h)
+    np.subtract(np.minimum(U, 0.0), r, out=r)
+    lowered, coupled = legacy_factors(A, U, p)
+    r -= lowered * coupled
+    return r
+
+
+def legacy_nodal_block(A, U, p):
+    """Zeroth-order part of the Jacobian of each field of a stack U."""
+    lowered, coupled = legacy_factors(A, U, p)
+    z = np.zeros_like(U)
+    z[U > 0] = U[U > 0] ** (p / 2.0 - 2.0)
+    D = -(p / 2.0) * A[:, :, None] * lowered[:, :, None] * lowered[:, None, :]
+    diag = np.arange(U.shape[1])
+    D[:, diag, diag] += (U < 0).astype(float) - (p / 2.0 - 1.0) * z * coupled
+    return D
+
+
 def two_call_descent(A, U0, p, grid):
     """The Armijo loop of one seed as it was before the fused evaluation and the stack:
-    energy and residual called apart.  Returns the four outputs of the descent and
-    how the loop ended, (reason, trials)."""
+    energy and residual called apart, in the legacy arithmetic.  Returns the four
+    outputs of the descent and how the loop ended, (reason, trials)."""
     W, q = grid.weights(), _quadrature(grid)
     U = U0.copy()
-    E = _FieldState(A, U[None], p).energies(q)[0]
-    grad = W * _FieldState(A, U[None], p).residual(grid.h)[0]
+    E = legacy_energies(A, U[None], p, q)[0]
+    grad = W * legacy_residual(A, U[None], p, grid.h)[0]
     gnorm = float(np.sqrt(np.sum(grad**2)))
     best_U, best_g = U.copy(), gnorm
     step = 0.1 / max(1.0, gnorm)
@@ -580,10 +667,10 @@ def two_call_descent(A, U0, p, grid):
             end = "floor", trial
             break
         cand = U - step * grad
-        Ec = _FieldState(A, cand[None], p).energies(q)[0]
+        Ec = legacy_energies(A, cand[None], p, q)[0]
         if Ec < E - 1e-4 * step * gnorm**2:
             U, E = cand, Ec
-            grad = W * _FieldState(A, U[None], p).residual(grid.h)[0]
+            grad = W * legacy_residual(A, U[None], p, grid.h)[0]
             gnorm = float(np.sqrt(np.sum(grad**2)))
             if gnorm < best_g:
                 best_U, best_g = U.copy(), gnorm
@@ -637,12 +724,11 @@ def legacy_newton_step(D, r, h):
 
 
 def serial_polish(A, U0, p, grid):
-    """The Newton polish of one seed as it ran before the lockstep.  Returns the
-    polish's (field, residual_inf, converged) and the exit it took."""
+    """The Newton polish of one seed as it ran before the lockstep, in the legacy
+    arithmetic.  Returns the polish's (field, residual_inf, converged) and the exit it took."""
     h = grid.h
     U = U0.copy()
-    state = _FieldState(A, U[None], p)
-    r = state.residual(h)[0]
+    r = legacy_residual(A, U[None], p, h)[0]
     rnorm = float(np.max(np.abs(r)))
     residuals, amplitudes = [rnorm], [float(np.max(np.abs(U)))]
     for _ in range(neumann.MAX_NEWTON_STEPS):
@@ -651,7 +737,7 @@ def serial_polish(A, U0, p, grid):
         if not np.isfinite(rnorm):
             return (U, rnorm, False), "non-finite residual"
         try:
-            delta = legacy_newton_step(state.nodal_block()[0], r, h)
+            delta = legacy_newton_step(legacy_nodal_block(A, U[None], p)[0], r, h)
         except np.linalg.LinAlgError:
             return (U, rnorm, False), "singular"
         if not np.all(np.isfinite(delta)):
@@ -659,11 +745,10 @@ def serial_polish(A, U0, p, grid):
         step = 1.0
         while step > 1e-6:
             cand = U + step * delta
-            trial = _FieldState(A, cand[None], p)
-            rc = trial.residual(h)[0]
+            rc = legacy_residual(A, cand[None], p, h)[0]
             rcnorm = float(np.abs(rc).max())
             if np.isfinite(rcnorm) and rcnorm < (1.0 - 0.25 * step) * rnorm:
-                U, r, rnorm, state = cand, rc, rcnorm, trial
+                U, r, rnorm = cand, rc, rcnorm
                 break
             step *= 0.5
         else:
@@ -732,13 +817,58 @@ class TestFusedEvaluation:
         B = SymMatrix([[1, -2, 0.5], [-2, 1, -1], [0.5, -1, 2]])
         # Summation order shows in the last bit on some fields only.
         fields = [signed_field(g, seed, n=3) for seed in range(67, 75)]
-        parts = _FieldState(B.entries, np.stack(fields), p).parts(_quadrature(g))
+        q, stack = _quadrature(g), np.stack(fields)
+        state = _FieldState(B.entries, stack, p, q)
+        parts = state.parts()
         assert parts == [per_component_energy_parts(B.entries, U, p, g) for U in fields]
+        # The live arithmetic keeps the legacy bits, also after a load into the buffers of another stack.
+        for _ in range(2):
+            assert state.parts() == legacy_parts(B.entries, stack, p, q)
+            assert bit_equal(live_residual(state), legacy_residual(B.entries, stack, p, g.h))
+            if dim == 1:  # The Jacobian is built on 1-d grids only.
+                assert bit_equal(state.nodal_block(), legacy_nodal_block(B.entries, stack, p))
+                assert bit_equal(state.nodal_block([1, 4]), legacy_nodal_block(B.entries, stack[[1, 4]], p))
+            stack = -stack[::-1].copy()
+            state.load(stack)
         U = fields[-1]
-        state = _FieldState(B.entries, U[None], p)
-        assert state.energies(_quadrature(g)) == [energy(B, FieldTuple(U), p, g).energy]
+        state = _FieldState(B.entries, U[None], p, q)
+        assert state.energies() == [energy(B, FieldTuple(U), p, g).energy]
         oracle = mirror_residual(B.entries, U, p, g.h)
-        assert np.max(np.abs(state.residual(g.h)[0] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+        assert np.max(np.abs(live_residual(state)[0] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_signed_zeros_keep_the_legacy_bits(self, dim):
+        # Nodes and neighbours drawn from +-0.0 and +-1e-3: the live
+        # Laplacian adds no +0.0, so it reads -0.0 at some nodes where the
+        # legacy one read +0.0, and the residual must not show it.
+        g, B = Grid(dim, 1.0, 17), SymMatrix([[1, -2, 0.5], [-2, 1, -1], [0.5, -1, 2]])
+        values = np.array([0.0, -0.0, 1e-3, -1e-3])
+        stack = values[np.random.default_rng(97).integers(0, 4, (8, 3) + g.shape)]
+        state = _FieldState(B.entries, stack, 4.0, _quadrature(g))
+        lap = neumann._laplacian(stack, g.h, np.empty(stack.shape), np.empty(stack.shape))
+        assert np.any((lap == 0.0) & np.signbit(lap))
+        assert bit_equal(live_residual(state), legacy_residual(B.entries, stack, 4.0, g.h))
+        assert state.parts() == legacy_parts(B.entries, stack, 4.0, _quadrature(g))
+        if dim == 1:
+            assert bit_equal(state.nodal_block(), legacy_nodal_block(B.entries, stack, 4.0))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("p", [3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_energy_report_keeps_the_legacy_bits(self, dim, p, order):
+        # The memory layout of a field sets the order of the legacy sums and
+        # matrix products (reflect_tile returns a Fortran-ordered field).
+        g = Grid(dim, 1.0, 65 if dim == 1 else 17)
+        B, q = SymMatrix([[1, -2, 0.5], [-2, 1, -1], [0.5, -1, 2]]), _quadrature(g)
+        U = np.asarray(signed_field(g, 89, n=3), order=order)
+        assert FieldTuple(U).components.flags[f"{order}_CONTIGUOUS"]
+        [(dirichlet, phi)] = legacy_parts(B.entries, U[None], p, q)
+        lowered, coupled = legacy_factors(B.entries, U[None], p)
+        nonlinear = (lowered * coupled)[0]
+        assert energy(B, FieldTuple(U), p, g) == EnergyReport(
+            energy=dirichlet / 2.0 - phi, dirichlet=dirichlet, phi=phi,
+            residual_inf=float(np.max(np.abs(legacy_residual(B.entries, U[None], p, g.h)))),
+            identity_defects=tuple(float(np.sum(q.W * nonlinear[i])) for i in range(B.n)))
 
     def test_descent_matches_two_call_loop(self):
         g = Grid(1, 1.0, 65)
@@ -754,23 +884,51 @@ class TestFusedEvaluation:
         g = Grid(1, 1.0, nodes)
         assert_stack_matches_serial_loop(B.entries, family(B, g, p), p, g)
 
-    def test_seeds_leave_the_stack_at_their_own_trials(self):
-        # On [[1,-1],[-1,1]], whose constants (c, c) are exact critical points:
-        # the zero field is at the gradient floor, the ones field with noise of
-        # 1e-12 reaches it and with noise of 1e-11 runs the step down to
-        # underflow, a bump escapes and a negative field runs to the cap.
+    @staticmethod
+    def leaving_stack():
+        """On [[1,-1],[-1,1]], whose constants (c, c) are exact critical points:
+        the zero field is at the gradient floor, the ones field with noise of
+        1e-12 reaches it and with noise of 1e-11 runs the step down to
+        underflow, a bump escapes and a negative field runs to the cap."""
         g = Grid(1, 1.0, 33)
         noise = np.random.default_rng(53).standard_normal((2, 2, 33))
-        U0 = np.stack([np.zeros((2, 33)), 1.0 + 1e-12 * noise[1], 1.0 + 1e-11 * noise[0],
-                       family(BOUNDARY, g, 4.0)[0], -np.ones((2, 33))])
+        return g, np.stack([np.zeros((2, 33)), 1.0 + 1e-12 * noise[1], 1.0 + 1e-11 * noise[0],
+                            family(BOUNDARY, g, 4.0)[0], -np.ones((2, 33))])
+
+    def test_seeds_leave_the_stack_at_their_own_trials(self):
+        g, U0 = self.leaving_stack()
         ends = assert_stack_matches_serial_loop(BOUNDARY.entries, U0, 4.0, g)
         assert [reason for reason, _ in ends] == ["floor", "floor", "underflow", "escape", "cap"]
         assert len({trials for _, trials in ends}) == len(ends)
 
+    def test_results_own_their_memory(self):
+        # The buffers of a stack are reused from trial to trial and cut as
+        # seeds leave; no returned field may be a view of them, of the input
+        # or of another call's results, and the input is not written.
+        g, U0 = self.leaving_stack()
+        before = U0.copy()
+        fields = []
+        for _ in range(2):
+            fields += [start for start, _, _, _ in neumann._descend_energy(BOUNDARY.entries, U0, 4.0, g)]
+            fields += [U for U, _, _ in neumann._newton_polish(BOUNDARY.entries, U0, 4.0, g)]
+        assert bit_equal(U0, before)
+        for k, field in enumerate(fields):
+            assert not np.shares_memory(field, U0)
+            assert not any(np.shares_memory(field, other) for other in fields[k + 1:])
+
+    @pytest.mark.parametrize("shape", [(1,), (5, 2, 513), (3, 3, 17, 17)])
+    def test_buffers_start_on_a_cache_line(self, shape):
+        buffers = [neumann._aligned_empty(shape) for _ in range(3)]
+        for k, buffer in enumerate(buffers):
+            assert buffer.shape == shape and buffer.dtype == float and buffer.flags.c_contiguous
+            assert buffer.ctypes.data % 64 == 0 and buffer[:1].ctypes.data % 64 == 0
+            assert not any(np.shares_memory(buffer, other) for other in buffers[k + 1:])
+
     def test_family_split_by_the_bound_matches_serial_loop(self, monkeypatch):
-        # 5 x 513 values per seed: the bound holds three seeds, so the family
+        # 5 x 513 values per seed and a bound of three seeds: the family
         # descends as stacks of three and two.
         B, g = coupled_matrix(5, 59), Grid(1, 1.0, 513)
+        monkeypatch.setattr(neumann, "DESCENT_STACK_VALUES", 3 * 5 * 513)
         runs = []
         descend = neumann._descend_energy
 
@@ -787,8 +945,9 @@ class TestFusedEvaluation:
             assert_stack_matches_serial_loop(B.entries, U0, 4.0, g, descents)
 
     @pytest.mark.parametrize("B, nodes, sizes", [
-        (WITNESS, 513, [5]), (WITNESS_3, 513, [5]), (WITNESS_3, 2049, [1, 1, 1, 1, 1]),
-    ], ids=["2x2-513", "3x3-513", "3x3-2049"])
+        (WITNESS, 513, [5]), (WITNESS_3, 513, [5]), (WITNESS_3, 2049, [2, 2, 1]),
+        (WITNESS_3, 4097, [1, 1, 1, 1, 1]),
+    ], ids=["2x2-513", "3x3-513", "3x3-2049", "3x3-4097"])
     def test_stack_sizes(self, monkeypatch, B, nodes, sizes):
         stacks = []
 
@@ -934,8 +1093,8 @@ class TestLockstepPolish:
         assert exits == ["cap", "floor", "singular", "floor", "cap"]
 
     def test_solve_polishes_every_stack_as_serial(self, monkeypatch):
-        # Stacks of one past DESCENT_STACK_VALUES at 2049 nodes, and a family
-        # the bound splits into stacks of three and two.
+        # Stacks of two, two and one under DESCENT_STACK_VALUES at 2049 nodes,
+        # and a family a bound of three seeds splits into stacks of three and two.
         runs = []
         polish = neumann._newton_polish
 
@@ -944,7 +1103,7 @@ class TestLockstepPolish:
             return runs[-1][1]
 
         monkeypatch.setattr(neumann, "_newton_polish", recorded)
-        for nodes, values, sizes in ((2049, neumann.DESCENT_STACK_VALUES, [1] * 5),
+        for nodes, values, sizes in ((2049, neumann.DESCENT_STACK_VALUES, [2, 2, 1]),
                                      (129, 3 * WITNESS_3.n * 129, [3, 2])):
             monkeypatch.setattr(neumann, "DESCENT_STACK_VALUES", values)
             runs.clear()
