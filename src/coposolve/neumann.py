@@ -7,8 +7,8 @@ residual exactly the weighted gradient of the discrete energy; one class,
 _FieldState, evaluates both, for a stack of fields at once, into buffers
 that the descent and the polish reuse from trial to trial.  Critical points
 are located by Armijo gradient descent from a family of five seed fields
-(separated bumps and homotopy mixtures along a negative direction, drawn one
-stack at a time, see DESCENT_STACK_VALUES).  The descent of a stack reads the
+(separated bumps and homotopy mixtures along a negative direction, descended
+in stacks, see DESCENT_STACK_VALUES).  The descent of a stack reads the
 energies and, on acceptance, the gradients of its trial fields from one
 evaluation, while each seed keeps its own step and ends where it would end
 alone.  A damped Newton polish of the stack follows, in lockstep in the same
@@ -27,10 +27,8 @@ profile solves the 1-d one (the mirror closure zeroes the y-difference).
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -40,7 +38,7 @@ import numpy as np
 from .copositivity import SimplexMinimum, scan_faces
 from .copositivity import simplex_min_quadratic  # noqa: F401  (bench/spans.py wraps this attribute)
 from .errors import CapacityError, DimensionError, NotApplicableError, ParameterError
-from .forms import ConeVector, SymMatrix, cone_power, quadratic_form
+from .forms import ConeVector, SymMatrix, _readonly, cone_power, quadratic_form
 from .forms import require_int, require_nonnegative_diagonal, require_p
 from .solvability import constant_solution  # noqa: F401  (bench/spans.py wraps this attribute)
 
@@ -96,15 +94,15 @@ class Grid:
 
 @dataclass(frozen=True)
 class FieldTuple:
-    """Tuple of scalar nodal fields, one per system component."""
+    """Tuple of scalar nodal fields, one per system component, held as a read-only C-ordered copy."""
 
     components: np.ndarray  # shape (n, *grid.shape)
 
     def __post_init__(self) -> None:
-        arr = np.array(self.components, dtype=float)
+        arr = np.array(self.components, dtype=float, order="C")
         if arr.ndim < 2:
             raise ParameterError("field tuple needs shape (n, nodes...)")
-        object.__setattr__(self, "components", arr)
+        object.__setattr__(self, "components", _readonly(arr))
 
     @property
     def amplitude(self) -> float:
@@ -173,6 +171,10 @@ STALL_WINDOW = 5
 # 0.76x at 3 x 1025 (15,375), 0.94x for k = 2 at 3 x 2049 (12,294), 0.84x at
 # 2 x 2049 (20,490), 0.88x at 3 x 1537 (23,055) and 0.98x at 3 x 2049
 # (30,735).  Medians of 4 alternated runs on a 2-vCPU x86-64 host, numpy 2.4.
+# The split stays: a whole solve with the five seeds as one stack, against
+# the split of this bound, took 0.99-1.06x the time at 3 x 2049 nodes,
+# 1.36-1.42x at 3 x 4097 and 0.98-1.28x at 2 x 4097 (medians of 5, 7 and 9
+# alternated runs, same host).
 DESCENT_STACK_VALUES = 16384
 
 
@@ -257,16 +259,10 @@ class _FieldState:
 
     def __init__(self, A: np.ndarray, U: np.ndarray, p: float, q: _Quadrature) -> None:
         self.A, self.p, self.q = A, p, q
-        # The buffers take U's memory layout, which sets the order of the
-        # reductions and matrix products.  coupled is C-ordered, as a fresh
-        # matmul result is, and so is nonlinear, the Laplacian's scratch.
-        def laid_out() -> np.ndarray:
-            return _aligned_empty(U.shape) if U.flags.c_contiguous else np.empty_like(U)
-
-        self.plus, self.neg, self.powered, self.work, self.W = (laid_out() for _ in range(5))
-        self.coupled, self.nonlinear = _aligned_empty(U.shape), _aligned_empty(U.shape)
+        self.plus, self.neg, self.powered, self.coupled, self.nonlinear, self.work, self.W = (
+            _aligned_empty(U.shape) for _ in range(7))
         # (U^+)^1 is U^+ itself.
-        self.lowered = self.plus if p == 4.0 else laid_out()
+        self.lowered = self.plus if p == 4.0 else _aligned_empty(U.shape)
         self.W[...] = q.W
         self.load(U)
 
@@ -287,20 +283,15 @@ class _FieldState:
         """Per field, (Dirichlet term, Phi): the integrals of |grad u|^2 + |u^-|^2 and of b(u^+)/p."""
         U, q, work = self.U, self.q, self.work
         S, n = U.shape[:2]
-        if U.ndim == 3 and U.flags.c_contiguous and work.flags.c_contiguous:
+        if U.ndim == 3:
             # Differences of the flat stack, summed through an (S, n, m - 1)
             # view: the difference across two rows is summed by no field.
             flat, diffs = U.reshape(-1), work.reshape(-1)[:-1]
             np.subtract(flat[1:], flat[:-1], out=diffs)
             np.square(diffs, out=diffs)
-            rows = work[:, :, :-1].sum(axis=2)
+            gradient = (work[:, :, :-1].sum(axis=2) / q.h).tolist()
         else:
-            # Other layouts (a 2-d grid, a Fortran-ordered field from
-            # reflect_tile) sum in the order their layout gives.
             rows = np.square(U[:, :, 1:] - U[:, :, :-1]).sum(axis=2)
-        if U.ndim == 3:
-            gradient = (rows / q.h).tolist()
-        else:
             cols = np.square(U[:, :, :, 1:] - U[:, :, :, :-1]).sum(axis=3)
             gradient = [[float(rows[s, i] @ q.w + q.w @ cols[s, i]) / q.h for i in range(n)]
                         for s in range(S)]
@@ -456,12 +447,10 @@ def _ridge_scale(A: np.ndarray, V: np.ndarray, p: float, grid: Grid) -> float:
 
 
 def theta_seeds(B: SymMatrix, d: ConeVector, grid: Grid,
-                p: float = 4.0) -> Iterator[tuple[str, FieldTuple]]:
-    """The seed fields of the mountain-pass search on a 1-d grid with provenance labels, built lazily.
+                p: float = 4.0) -> list[tuple[str, FieldTuple]]:
+    """The seed fields of the mountain-pass search on a 1-d grid with provenance labels.
 
-    mountain_pass_solve draws them one stack at a time (see
-    DESCENT_STACK_VALUES), so the fields of a stack are built when that stack
-    is drawn.  For n >= 2, five fields, each nonconstant with every component
+    For n >= 2, five fields, each nonconstant with every component
     nonzero: the combined separated bumps at 0.9 and 1.5 times their ridge
     amplitude, and the homotopy mixtures at t in {1/4, 1/2, 3/4} between the
     ray along d and the bump images.  A field with one nonzero component can only reach
@@ -481,7 +470,7 @@ def theta_seeds(B: SymMatrix, d: ConeVector, grid: Grid,
     if not d.strictly_positive:
         raise ParameterError("direction d must be interior to the cone")
     if n == 1:
-        return
+        return []
     A = B.entries
     profiles = bump_profiles(B, grid)
     scales = []
@@ -492,12 +481,11 @@ def theta_seeds(B: SymMatrix, d: ConeVector, grid: Grid,
     combined = np.stack([scales[i] * profiles[i] for i in range(n)])
     # Slightly below the ridge: descent from the exact ridge maximum is a
     # coin flip between collapse and escape.
-    yield "combined bumps x0.9", FieldTuple(0.9 * combined)
-    yield "combined bumps x1.5", FieldTuple(1.5 * combined)
-
+    seeds = [("combined bumps x0.9", FieldTuple(0.9 * combined)),
+             ("combined bumps x1.5", FieldTuple(1.5 * combined))]
     ray = d.components / d.components.max() * (1.5 * max(scales))
-    for t in (0.25, 0.5, 0.75):
-        yield f"mixture ray=d t={t}", FieldTuple(homotopy_mixture(ray, t, profiles))
+    return seeds + [(f"mixture ray=d t={t}", FieldTuple(homotopy_mixture(ray, t, profiles)))
+                    for t in (0.25, 0.5, 0.75)]
 
 
 @functools.lru_cache(maxsize=8)
@@ -532,10 +520,11 @@ def _newton_step(D: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:
     """The Newton step: (-L + D) delta = -r by one banded LU, for D of shape (n, n, m).
 
     LAPACK's gbsv solves the band (_band), or gtsv the tridiagonal system of
-    one component, as scipy.linalg.solve_banded would, without its checks
-    and copies.  A component whose rows of D and r vanish (one identically
-    zero, which stays zero for p > 2) has the block -L alone, singular with
-    a zero right side; it gets delta = 0 and the others are solved without it.
+    one component read from the same band, as scipy.linalg.solve_banded
+    would, without its checks and copies.  A component whose rows of D and r
+    vanish (one identically zero, which stays zero for p > 2) has the block
+    -L alone, singular with a zero right side; it gets delta = 0 and the
+    others are solved without it.
     """
     from scipy.linalg.lapack import dgbsv, dgtsv
 
@@ -544,14 +533,11 @@ def _newton_step(D: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:
     n, m = live.size, r.shape[1]
     if n < len(r):
         D, r = D[np.ix_(live, live)], r[live]
-    rhs = -r.T.ravel()
+    rhs, ab = -r.T.ravel(), _band(D, h)
     if n == 1:
-        du = np.full(m - 1, -1.0 / h**2)
-        dl = du.copy()
-        du[0] = dl[-1] = -2.0 / h**2
-        _, _, _, x, info = dgtsv(dl, D[0, 0] + 2.0 / h**2, du, rhs)
+        _, _, _, x, info = dgtsv(ab[3, :-1], ab[2], ab[1, 1:], rhs)
     else:
-        _, _, x, info = dgbsv(n, n, _band(D, h), rhs, overwrite_ab=True, overwrite_b=True)
+        _, _, x, info = dgbsv(n, n, ab, rhs, overwrite_ab=True, overwrite_b=True)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     delta[live] = x.reshape(m, n).T
@@ -823,8 +809,8 @@ def mountain_pass_solve(B: SymMatrix, p: float,
     """Locate a nontrivial nonnegative critical point of the discrete energy.
 
     Pipeline: constant shortcut from one face pass; otherwise descend from
-    each field of the theta_seeds family, drawn one stack at a time (as many
-    seeds as DESCENT_STACK_VALUES holds, at least one), Newton-polish the
+    each field of the theta_seeds family, in stacks of as many seeds as
+    DESCENT_STACK_VALUES holds (at least one), Newton-polish the
     iterates where the seeds' gradients were smallest, the stack in lockstep
     (_newton_polish), then accept or reject the polished fields one at a time
     in family order (five seeds for n >= 2, none for n = 1).  A field is
@@ -866,7 +852,8 @@ def mountain_pass_solve(B: SymMatrix, p: float,
     pending: list[float] = []
     seeds = theta_seeds(B, d, grid, p)
     size = max(1, DESCENT_STACK_VALUES // (B.n * grid.points_per_side))
-    while stack := list(itertools.islice(seeds, size)):
+    for first in range(0, len(seeds), size):
+        stack = seeds[first:first + size]
         descents = _descend_energy(A, np.stack([seed.components for _, seed in stack]), p, grid)
         polished = _newton_polish(A, np.stack([start for start, _, _, _ in descents]), p, grid)
         for (provenance, seed), (_, _, _, escaped), (U, rnorm, converged) in zip(stack, descents, polished):

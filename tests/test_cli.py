@@ -419,6 +419,15 @@ class TestErrors:
         assert err.startswith("error: schema:")
         assert len(err.strip().splitlines()) == 1
 
+    def test_nan_entry_is_a_matrix_error(self, tmp_path, capsys):
+        # JSON's NaN passes the schema as a float; SymMatrix rejects it.
+        path = write_matrix(tmp_path, "nan.json", 2, [[1.0, float("nan")], [float("nan"), 1.0]])
+        assert "NaN" in path.read_text()
+        code, out, err = run(capsys, ["classify", str(path)])
+        assert code == 1 and out == ""
+        assert err.startswith("error: matrix:")
+        assert len(err.strip().splitlines()) == 1
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(capsys, ["classify", str(tmp_path / "none.json")])
         assert code == 1

@@ -335,7 +335,7 @@ class TestFacePass:
 
     def test_one_sweep_per_decision(self, monkeypatch):
         calls = count_sweeps(monkeypatch)
-        monkeypatch.setattr(neumann, "theta_seeds", lambda *args: iter(()))
+        monkeypatch.setattr(neumann, "theta_seeds", lambda *args: [])
         runs = {
             "Thm1.1": lambda: classify_solvability(self.WITNESS, ProblemParams(dim=3)),
             "Prop1.7": lambda: classify_solvability(SymMatrix(np.eye(3)), ProblemParams(dim=3)),

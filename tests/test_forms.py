@@ -14,7 +14,7 @@ from coposolve import (
     p_form,
     quadratic_form,
 )
-from coposolve.forms import p_form_batch
+from coposolve.forms import cone_power, p_form_batch
 
 
 def mat(rows):
@@ -61,6 +61,15 @@ class TestSymMatrix:
         with pytest.raises(DimensionError):
             SymMatrix([[1.0, 2.0, 3.0]])
 
+    def test_rejects_no_rows(self):
+        with pytest.raises(DimensionError):
+            SymMatrix(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ParameterError):
+            SymMatrix([[1.0, bad], [bad, 1.0]])
+
     def test_entries_are_frozen(self):
         B = mat([[1, 0], [0, 1]])
         with pytest.raises(ValueError):
@@ -72,6 +81,22 @@ class TestConeVector:
         with pytest.raises(ParameterError):
             ConeVector([1.0, -0.5])
 
+    @pytest.mark.parametrize("shape", [(), (0,), (2, 2)])
+    def test_rejects_other_than_one_axis_of_components(self, shape):
+        with pytest.raises(DimensionError):
+            ConeVector(np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_components(self, bad):
+        with pytest.raises(ParameterError):
+            ConeVector([1.0, bad])
+
+
+class TestConePower:
+    @pytest.mark.parametrize("exponent", [0.0, -1.0, -0.5])
+    def test_rejects_nonpositive_exponent(self, exponent):
+        with pytest.raises(ParameterError):
+            cone_power(np.ones(3), exponent)
 
 
 class TestQuadraticForm:
@@ -163,6 +188,12 @@ class TestPForm:
             for k in [*range(0, 50, 7), 1, 3, 6]:
                 scalar = p_form(B, ConeVector(pts[k]), mu, p)
                 assert batch[k] == pytest.approx(scalar, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 2), (2, 3, 3)])
+    def test_batch_rejects_points_of_the_wrong_shape(self, shape):
+        B = mat([[1, -0.9, -0.9], [-0.9, 1, 1], [-0.9, 1, 1]])
+        with pytest.raises(DimensionError):
+            p_form_batch(B, np.ones(shape), ConeVector([1.0, 1.0, 1.0]), 4.0)
 
 
 class TestNegativePartRowSums:

@@ -15,6 +15,7 @@ from coposolve import (
     CapacityError,
     ConeVector,
     Copositivity,
+    DimensionError,
     MuCertificate,
     MuSearchFailure,
     MuSearchInconclusive,
@@ -128,6 +129,11 @@ class TestVerifyMu:
         for bad in (np.nan, np.inf):
             with pytest.raises(ParameterError):
                 verify_mu(SymMatrix(np.eye(2)), [bad, 1.0], 4.0)
+
+    @pytest.mark.parametrize("mu", [[1.0, 1.0], [1.0, 1.0, 1.0, 1.0]])
+    def test_rejects_weight_of_the_wrong_length(self, mu):
+        with pytest.raises(DimensionError):
+            verify_mu(PROP_MATRIX, mu, 4.0)
 
     def test_certificate_mu_normalized(self):
         out = verify_mu(PROP_MATRIX, ConeVector([0.5, 0.25, 0.5]), 4.0)
@@ -584,6 +590,10 @@ class TestBEpsilonFamily:
     def test_appendix_form_needs_three_components(self):
         with pytest.raises(ParameterError):
             appendix_limit_form(ConeVector([1, 1]))
+
+    def test_appendix_form_needs_a_cone_point(self):
+        with pytest.raises(ParameterError):
+            appendix_limit_form([1.0, -0.5, 1.0])
 
     def test_appendix_form_equals_limit_p_form(self):
         rng = np.random.default_rng(43)

@@ -144,6 +144,28 @@ class TestEnergy:
         assert rep.energy == pytest.approx(0.0, abs=1e-15)
         assert rep.residual_inf == 0.0
 
+    @pytest.mark.parametrize("shape", [(3, 33), (2, 17), (2, 33, 33)])
+    def test_shape_must_match_n_and_grid(self, shape):
+        with pytest.raises(ParameterError):
+            energy(WITNESS, FieldTuple(np.ones(shape)), 4.0, Grid(1, 1.0, 33))
+
+
+class TestFieldTuple:
+    def test_components_are_a_read_only_copy(self):
+        U = np.ones((2, 17))
+        field = FieldTuple(U)
+        assert not field.components.flags.writeable and field.components.flags.c_contiguous
+        assert not np.shares_memory(field.components, U)
+        with pytest.raises(ValueError):
+            field.components[0, 0] = 2.0
+        U[0, 0] = 2.0
+        assert field.components[0, 0] == 1.0
+
+    @pytest.mark.parametrize("shape", [(), (17,)])
+    def test_needs_a_component_axis_and_a_node_axis(self, shape):
+        with pytest.raises(ParameterError):
+            FieldTuple(np.ones(shape))
+
 
 class TestFindDirection:
     def test_negative_direction_for_witness_matrix(self):
@@ -199,14 +221,18 @@ class TestThetaSeeds:
 
     def test_direction_length_must_match(self):
         with pytest.raises(DimensionError):
-            next(theta_seeds(WITNESS, ConeVector([1, 1, 1]), Grid(1, 1.0, 33)))
+            theta_seeds(WITNESS, ConeVector([1, 1, 1]), Grid(1, 1.0, 33))
 
     def test_2d_grid_is_a_parameter_error(self):
         g = Grid(2, 1.0, 33)
         with pytest.raises(ParameterError):
-            next(theta_seeds(WITNESS, ConeVector([1.0, 1.0]), g))
+            theta_seeds(WITNESS, ConeVector([1.0, 1.0]), g)
         with pytest.raises(ParameterError):
             bump_profiles(WITNESS, g)
+
+    def test_direction_on_the_cone_boundary_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="interior"):
+            theta_seeds(WITNESS, ConeVector([1.0, 0.0]), Grid(1, 1.0, 33))
 
 
 class TestMountainPass:
@@ -347,11 +373,11 @@ class TestSeedSkip:
         assert descent_starts == []
         assert out.seed_outcomes == ()
 
-    def test_each_mixture_is_built_when_the_search_reaches_it(self, monkeypatch):
-        # (stack size, mixtures built) at each descent: a stack's mixtures are
-        # built when that stack is drawn, and no later stack's.  The two bump
-        # seeds come first, then the three mixtures; at 65 nodes the bound
-        # holds the whole family.
+    def test_every_mixture_is_built_before_the_first_descent(self, monkeypatch):
+        # (stack size, mixtures built) at each descent: the whole family is
+        # built before any stack descends, and the bound only splits it.  The
+        # two bump seeds come first, then the three mixtures; at 65 nodes the
+        # bound holds the whole family.
         built, at_descent = [], []
         mixture = neumann.homotopy_mixture
 
@@ -368,20 +394,21 @@ class TestSeedSkip:
         monkeypatch.setattr(neumann, "_newton_polish",
                             lambda A, U, p, grid: [(np.zeros_like(V), 0.0, True) for V in U])
         bound = neumann.DESCENT_STACK_VALUES
-        for seeds_per_stack, drawn in ((None, [(5, 3)]), (2, [(2, 0), (2, 2), (1, 3)]),
-                                       (1, [(1, 0), (1, 0), (1, 1), (1, 2), (1, 3)])):
+        for seeds_per_stack, expected in ((None, [(5, 3)]), (2, [(2, 3), (2, 3), (1, 3)]),
+                                          (1, [(1, 3)] * 5)):
             values = bound if seeds_per_stack is None else seeds_per_stack * WITNESS.n * 65
             monkeypatch.setattr(neumann, "DESCENT_STACK_VALUES", values)
             built.clear()
             at_descent.clear()
             out = mountain_pass_solve(WITNESS, 4.0, Grid(1, 1.0, 65))
             assert isinstance(out, TrivialOnly)
-            assert at_descent == drawn
+            assert at_descent == expected
 
     def test_seed_family_is_drawn_one_field_at_a_time(self, monkeypatch):
-        # With descent and polish patched out, the search holds a few fields
-        # at a time, well under a quarter of 4n + 8 fields.  The nodes are
-        # many enough that the fields, not the face pass, set the peak.
+        # With descent and polish patched out, the search holds the five
+        # seeds and a few working fields, well under a quarter of the 4n + 8
+        # fields of the family it once built.  The nodes are many enough that
+        # the fields, not the face pass, set the peak.
         monkeypatch.setattr(neumann, "_descend_energy", lambda A, U, p, grid: [(V, 0.0, 0.0, False) for V in U])
         monkeypatch.setattr(neumann, "_newton_polish",
                             lambda A, U, p, grid: [(np.zeros_like(V), 0.0, True) for V in U])
@@ -539,7 +566,7 @@ class TestNewtonPolish:
 
         def solve_from(*names):
             monkeypatch.setattr(neumann, "theta_seeds",
-                                lambda *args: iter([(name, seeds[name]) for name in names]))
+                                lambda *args: [(name, seeds[name]) for name in names])
             return mountain_pass_solve(B, 4.0, g)
 
         alone = {name: solve_from(name) for name in (low, high)}
@@ -810,8 +837,9 @@ def per_component_energy_parts(A, U, p, grid):
 
 
 class TestFusedEvaluation:
+    # p = 3.5 takes cone_power's exp/log path; 3 and 5 its half-integer one.
     @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("p", [3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("p", [3.0, 4.0, 5.0, 3.5])
     def test_energy_and_residual(self, dim, p):
         g = Grid(dim, 1.0, 65 if dim == 1 else 17)
         B = SymMatrix([[1, -2, 0.5], [-2, 1, -1], [0.5, -1, 2]])
@@ -853,19 +881,20 @@ class TestFusedEvaluation:
             assert bit_equal(state.nodal_block(), legacy_nodal_block(B.entries, stack, 4.0))
 
     @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("p", [3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("p", [3.0, 4.0, 5.0, 3.5])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_energy_report_keeps_the_legacy_bits(self, dim, p, order):
-        # The memory layout of a field sets the order of the legacy sums and
-        # matrix products (reflect_tile returns a Fortran-ordered field).
+        # A field tuple holds a C-ordered copy, so a Fortran-ordered input
+        # reports the legacy bits of the C-ordered field.
         g = Grid(dim, 1.0, 65 if dim == 1 else 17)
         B, q = SymMatrix([[1, -2, 0.5], [-2, 1, -1], [0.5, -1, 2]]), _quadrature(g)
-        U = np.asarray(signed_field(g, 89, n=3), order=order)
-        assert FieldTuple(U).components.flags[f"{order}_CONTIGUOUS"]
+        U = signed_field(g, 89, n=3)
+        field = FieldTuple(np.asarray(U, order=order))
+        assert field.components.flags.c_contiguous
         [(dirichlet, phi)] = legacy_parts(B.entries, U[None], p, q)
         lowered, coupled = legacy_factors(B.entries, U[None], p)
         nonlinear = (lowered * coupled)[0]
-        assert energy(B, FieldTuple(U), p, g) == EnergyReport(
+        assert energy(B, field, p, g) == EnergyReport(
             energy=dirichlet / 2.0 - phi, dirichlet=dirichlet, phi=phi,
             residual_inf=float(np.max(np.abs(legacy_residual(B.entries, U[None], p, g.h)))),
             identity_defects=tuple(float(np.sum(q.W * nonlinear[i])) for i in range(B.n)))
@@ -878,8 +907,8 @@ class TestFusedEvaluation:
 
     @pytest.mark.parametrize("B, p, nodes", [
         (WITNESS, 4.0, 513), (WITNESS_3, 3.0, 129), (coupled_matrix(4, 41), 5.0, 65),
-        (coupled_matrix(5, 43), 3.0, 33), (coupled_matrix(5, 47), 4.0, 49),
-    ], ids=["2x2-p4-513", "3x3-p3-129", "4x4-p5-65", "5x5-p3-33", "5x5-p4-49"])
+        (coupled_matrix(5, 43), 3.0, 33), (coupled_matrix(5, 47), 4.0, 49), (WITNESS_3, 3.5, 129),
+    ], ids=["2x2-p4-513", "3x3-p3-129", "4x4-p5-65", "5x5-p3-33", "5x5-p4-49", "3x3-p3.5-129"])
     def test_stacked_family_matches_serial_loop_seed_by_seed(self, B, p, nodes):
         g = Grid(1, 1.0, nodes)
         assert_stack_matches_serial_loop(B.entries, family(B, g, p), p, g)
@@ -1136,6 +1165,13 @@ class TestRefine:
         with pytest.raises(ParameterError, match=f"refinement rejected: .*: {check}"):
             refine_solution(WITNESS, solution, 4.0, coarse, fine)
 
+    def test_unconverged_polish_is_a_parameter_error(self, monkeypatch):
+        coarse, fine = Grid(1, 1.0, 33), Grid(1, 1.0, 65)
+        solution = mountain_pass_solve(WITNESS, 4.0, coarse)
+        monkeypatch.setattr(neumann, "_newton_polish", lambda A, U, p, grid: [(V, 0.25, False) for V in U])
+        with pytest.raises(ParameterError, match="refinement failed to converge, residual 2.50e-01"):
+            refine_solution(WITNESS, solution, 4.0, coarse, fine)
+
 
 class TestReflectTile:
     def test_constant_field_unchanged(self):
@@ -1171,6 +1207,14 @@ class TestReflectTile:
         ext, eg = reflect_tile(field, g, 1)
         extended = energy(WITNESS, ext, 4.0, eg)
         assert abs(extended.residual_inf - base.residual_inf) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_reflected_field_is_c_ordered_and_read_only(self, dim):
+        g = Grid(dim, 1.0, 17)
+        ext, eg = reflect_tile(FieldTuple(signed_field(g, 13)), g, 2)
+        U = ext.components
+        assert U.flags.c_contiguous and not U.flags.writeable
+        assert energy(WITNESS, ext, 4.0, eg) == energy(WITNESS, FieldTuple(np.asfortranarray(U)), 4.0, eg)
 
     def test_copies_validation(self):
         g = Grid(1, 1.0, 17)
