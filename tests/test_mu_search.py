@@ -6,6 +6,7 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from oracles import (
     eval_p_form,
     exact_cubic_form,
     exact_cubic_weight_positive,
+    exact_weight_obstruction,
     simplex_lattice,
 )
 
@@ -416,6 +418,90 @@ class TestFindMu:
         with pytest.raises(PreconditionError):
             find_mu(SymMatrix([[-1, 0], [0, 1]]), 4.0)
 
+    def test_outcomes_hold_exactly(self):
+        # Unit diagonal, couplings drawn from [-1.2, 0.6]: this seed gives
+        # both certificates and failures at n = 3 and at n = 4.
+        rng = np.random.default_rng(2)
+        kinds = set()
+        for n in (3, 4):
+            for _ in range(8):
+                raw = rng.uniform(-1.2, 0.6, (n, n))
+                raw = (raw + raw.T) / 2.0
+                np.fill_diagonal(raw, 1.0)
+                B = SymMatrix(raw)
+                out = find_mu(B, 4.0)
+                kinds.add((n, type(out)))
+                if isinstance(out, MuCertificate):
+                    assert exact_cubic_weight_positive(B.entries, out.mu.components)[1] is None
+                elif isinstance(out, MuSearchFailure):
+                    points = [c.components for c in out.adversarial_set]
+                    assert exact_weight_obstruction(B.entries, points) is not None
+        assert kinds == {(n, kind) for n in (3, 4) for kind in (MuCertificate, MuSearchFailure)}
+
+
+def first_weight_lp(monkeypatch, B, p):
+    """find_mu's first LP on B: the cut points handed to _weight_lp and linprog's A_ub.
+
+    verify_mu is stubbed to leave every weight undecided, so find_mu stops
+    after one round.
+    """
+    points, a_ubs = [], []
+    package_weight_lp, package_linprog = mu_search._weight_lp, mu_search.linprog
+
+    def recording_weight_lp(B, cuts, p):
+        points.append([c.copy() for c in cuts])
+        return package_weight_lp(B, cuts, p)
+
+    def recording_linprog(c, A_ub, b_ub):
+        a_ubs.append(A_ub)
+        return package_linprog(c, A_ub=A_ub, b_ub=b_ub)
+
+    monkeypatch.setattr(mu_search, "_weight_lp", recording_weight_lp)
+    monkeypatch.setattr(mu_search, "linprog", recording_linprog)
+    monkeypatch.setattr(mu_search, "verify_mu", lambda *args: None)
+    out = find_mu(B, p)
+    assert len(points) == len(a_ubs) == 1
+    return out, points[0], a_ubs[0]
+
+
+class TestFirstCutSet:
+    """find_mu's first LP cuts at the vertices, the barycenter and the edge midpoints."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_points_and_order(self, monkeypatch, n):
+        _, points, _ = first_weight_lp(monkeypatch, SymMatrix(np.eye(n)), 4.0)
+        pairs = list(combinations(range(n), 2))
+        assert len(points) == n + 1 + len(pairs)
+        for i in range(n):
+            assert points[i].tolist() == np.eye(n)[i].tolist()
+        assert points[n].tolist() == [1.0 / n] * n
+        for (i, j), point in zip(pairs, points[n + 1:]):
+            expected = [0.0] * n
+            expected[i] = expected[j] = 0.5
+            assert point.tolist() == expected
+
+    @pytest.mark.parametrize("matrix", ["identity", "pd_not_row_dominant", "not_copositive"])
+    def test_first_lp_at_n16(self, monkeypatch, matrix):
+        # The largest first LP: 137 cut rows and 16 box rows.
+        n = 16
+        if matrix == "identity":
+            a = np.eye(n)
+        elif matrix == "pd_not_row_dominant":
+            g = np.random.default_rng(16).standard_normal((n, 2 * n))
+            a = g @ g.T
+            a = a / np.sqrt(np.outer(np.diag(a), np.diag(a)))
+        else:
+            a = np.full((n, n), -0.5)
+        np.fill_diagonal(a, 1.0)
+        B = SymMatrix(a)
+        if matrix == "pd_not_row_dominant":
+            assert np.linalg.eigvalsh(a).min() > 0 and sufficient_condition(B) is None
+        out, points, a_ub = first_weight_lp(monkeypatch, B, 4.0)
+        assert len(points) == n + 1 + n * (n - 1) // 2 == 137
+        assert a_ub.shape == (137 + n, n + 1)
+        expected = MuSearchFailure if matrix == "not_copositive" else MuSearchInconclusive
+        assert isinstance(out, expected)
+
 
 def highs_weight_lp_margin(coef):
     """max t s.t. coef @ mu >= t, MU_LOWER_BOUND <= mu <= 1 by HiGHS: the least row value at its mu."""
@@ -445,7 +531,13 @@ def package_weight_lp_margin(B, points, p):
 
 
 def b_epsilon_cut_sets():
-    """Every cut set find_mu hands the weight LP on b_epsilon, eps = 0.1 ... 0.004, p = 4."""
+    """Every cut set find_mu hands the weight LP on b_epsilon, eps = 0.1 ... 0.004, p = 4 and 6.
+
+    Since find_mu's first LP cuts at the edge midpoints too, the p = 4 runs
+    alone make only 33 LP calls; the p = 6 runs (29 more, all certified)
+    keep the sample above 50.  p = 3 would cost seconds: at eps = 0.02 its
+    search runs verify_mu to the cell cap.
+    """
     sets, package_weight_lp = [], mu_search._weight_lp
 
     def recording(B, points, p):
@@ -454,8 +546,9 @@ def b_epsilon_cut_sets():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mu_search, "_weight_lp", recording)
-        for eps in (0.1, 0.05, 0.02, 0.01, 0.008, 0.007, 0.006, 0.005, 0.004):
-            find_mu(b_epsilon(eps), 4.0)
+        for p in (4.0, 6.0):
+            for eps in (0.1, 0.05, 0.02, 0.01, 0.008, 0.007, 0.006, 0.005, 0.004):
+                find_mu(b_epsilon(eps), p)
     return sets
 
 
