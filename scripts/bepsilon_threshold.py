@@ -3,7 +3,9 @@
 
 For each eps the script reports the best-weight margin from a dense-lattice
 linear program (all grid points as constraints), the outcome of the
-cutting-plane search, and the plain minimum at the uniform weight.  The
+cutting-plane search, and verify_mu's value of the form at the uniform
+weight: the simplex minimum when it is positive, else the value at a
+violation, proven at least 2/3 as deep as the minimum.  The
 threshold lies in the bracket (0.007, 0.008), proven in exact arithmetic by
 tests/oracles.py: at eps >= 0.008 a verifying weight exists, at eps <= 0.007
 finitely many cone points block every weight.  The lattice margin here is a
@@ -46,7 +48,7 @@ def main() -> int:
     args = parser.parse_args()
 
     print(f"{'eps':>7} | {'LP margin':>12} | {'LP mu (mu1=1)':>22} | "
-          f"{'search':>14} | {'min at mu=1':>12}")
+          f"{'search':>14} | {'form at mu=1':>12}")
     print("-" * 84)
     for eps in args.eps:
         B = b_epsilon(eps)
@@ -56,14 +58,14 @@ def main() -> int:
         label = type(outcome).__name__.replace("MuSearch", "").replace("Mu", "")
         uniform = verify_mu(B, np.ones(3), 4.0)
         if isinstance(uniform, MuCertificate):
-            uniform_min = f"{uniform.min_on_simplex:>+12.4e}"
+            uniform_value = f"{uniform.min_on_simplex:>+12.4e}"
         elif isinstance(uniform, MuViolation):
-            uniform_min = f"{uniform.value:>+12.4e}"
+            uniform_value = f"{uniform.value:>+12.4e}"
         else:
-            uniform_min = f"{'undecided':>12}"
+            uniform_value = f"{'undecided':>12}"
         print(
             f"{eps:>7} | {margin:>+12.4e} | ({mu_n[0]:.3f}, {mu_n[1]:.3f}, {mu_n[2]:.3f})"
-            f" | {label:>14} | {uniform_min}"
+            f" | {label:>14} | {uniform_value}"
         )
     return 0
 

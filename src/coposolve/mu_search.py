@@ -55,10 +55,13 @@ LP_MARGIN_TOL = 1e-7
 PIVOT_TOL = 1e-12
 BLAND_AFTER = 50
 MAX_PIVOTS = 1000
-# verify_mu: relative accuracy of the reported minimum, cells split per step,
-# bytes the cell store may grow to (which caps the count of cells at any n),
-# and the largest n^(p-1) Bernstein tensor (p = 4 up to n = 16).
+# verify_mu: relative accuracy of the reported minimum, and of a violation
+# (proven at least 1 / (1 + VIOLATION_GAP) = 2/3 as deep as the minimum),
+# cells split per step, bytes the cell store may grow to (which caps the
+# count of cells at any n), and the largest n^(p-1) Bernstein tensor (p = 4
+# up to n = 16).
 GAP = 1e-9
+VIOLATION_GAP = 0.5
 BATCH = 256
 MAX_CELL_BYTES = 1 << 26
 BERNSTEIN_MAX_TERMS = 4096
@@ -106,7 +109,13 @@ class MuCertificate:
 
 @dataclass(frozen=True)
 class MuViolation:
-    """A cone point at which the weighted form is nonpositive."""
+    """A cone point at which the weighted form is nonpositive.
+
+    When p/2 is an integer, value is at most 2/3 of the simplex minimum plus
+    verify_mu's rounding margin (unless the cell cap or a rounding midpoint
+    ended the search first); with the corner bound it is the first
+    nonpositive vertex found.
+    """
 
     point: ConeVector
     value: float
@@ -191,9 +200,12 @@ def verify_mu(B: SymMatrix, mu, p: float) -> MuCertificate | MuViolation | None:
     search).  U is the least form value at a cell vertex.  If p/2 is an
     integer and n^(p-1) <= BERNSTEIN_MAX_TERMS, a cell's bound is its least
     Bernstein coefficient and the search runs until every bound is within
-    GAP * |U| of U; otherwise the monotone-corner bound, first order, only
-    settles the sign.  Bounds are net of an a priori rounding bound.  Returns
-    a MuViolation at the worst vertex if U <= 0, a MuCertificate if every
+    GAP * |U| of U, or, once U <= 0, within VIOLATION_GAP * |U|: a violation
+    is only find_mu's next cut, so it is proven at least 2/3 as deep as the
+    simplex minimum, not the minimum itself.  Otherwise the monotone-corner
+    bound, first order, only settles the sign.  Bounds are net of an a
+    priori rounding bound, so the depth holds up to that bound.  Returns a
+    MuViolation at the worst vertex if U <= 0, a MuCertificate if every
     bound is positive, None if the cell cap is reached first.  mu is
     normalized to max component 1.
     """
@@ -233,9 +245,10 @@ def verify_mu(B: SymMatrix, mu, p: float) -> MuCertificate | MuViolation | None:
     values = p_form_values(A, np.eye(n), mv, p)
     U, worst = float(values.min()), np.eye(n)[int(np.argmin(values))]
     pairs = np.triu_indices(n, 1)
-    # A nonpositive vertex settles the sign; only Bernstein bounds go on to the minimum.
+    # A nonpositive vertex settles the sign; only Bernstein bounds go on, to
+    # the minimum or to a violation proven deep enough.
     while n > 1 and (bernstein or U > 0):
-        floor = U - GAP * abs(U) - margin if bernstein else -np.inf
+        floor = U - (GAP if U > 0 else VIOLATION_GAP) * abs(U) - margin if bernstein else -np.inf
         # Split a cell below the floor, or any nonpositive one while U > 0: one
         # of the two sets holds the other, as the floor is positive or not.
         rows = (low[:count] <= 0 if U > 0 >= floor else low[:count] < floor).nonzero()[0]
@@ -369,9 +382,9 @@ def find_mu(B: SymMatrix, p: float, max_iterations: int = MAX_ITERATIONS
     midpoints (e_i + e_j)/2, in combinations order.  On a two-component face
     a negative coupling beta_ij acts alone, as in the paper's n = 2 case, so
     cutting there first spares verify_mu the refutations of weights blind to
-    those faces: on the liouville-mix benchmark (seeds 1-10, 100 weight
-    searches) its calls fell from 307 to 178.  The midpoints are dyadic, so
-    exact.
+    those faces.  The midpoints are dyadic, so exact.  Each later cut is
+    verify_mu's violation, proven at least 2/3 as deep as the form's simplex
+    minimum at the refuted weight when p/2 is an integer.
 
     A Failure is declared only when the linear relaxation over the recorded
     adversarial set is itself blocked (margin at or below LP_MARGIN_TOL);

@@ -50,8 +50,8 @@ from oracles import (
 
 B_EPS_LIMIT = SymMatrix([[1, -1, -1], [-1, 1, 1], [-1, 1, 1]])
 PROP_MATRIX = SymMatrix([[1, -0.4, -0.4], [-0.4, 1, 0.5], [-0.4, 0.5, 1]])
-# The 4x4 weight-search item of the liouville-mix benchmark at seed 1: each
-# of its verifications opens more cells than the store starts with.
+# The 4x4 weight-search item of the liouville-mix benchmark at seed 1: the
+# verification of its certificate opens more cells than the store starts with.
 SEARCH_4 = SymMatrix([
     [1.0000000000000002, -0.23330434099726474, -0.5343271811264716, -0.35747215394518556],
     [-0.23330434099726474, 0.9999999999999998, -0.014531470737530767, 0.12439800398621506],
@@ -104,6 +104,13 @@ class TestVerifyMu:
             ConeVector([1, 1, 1]), 4.0,
         )
         assert witness_value == pytest.approx(-1.0 / 343.0, rel=1e-12)
+
+    def test_limit_matrix_refutation_stops_early(self):
+        # The violation is a cut, not the minimum: the search stops once it
+        # is proven deep enough, after a few dozen cells (301 to close GAP).
+        out = verify_mu(B_EPS_LIMIT, ConeVector([1, 1, 1]), 4.0)
+        assert isinstance(out, MuViolation)
+        assert out.verification.cells <= 48
 
     def test_row_dominance_bound_holds(self):
         out = verify_mu(PROP_MATRIX, ConeVector([1, 1, 1]), 4.0)
@@ -298,6 +305,112 @@ class TestCellStore:
         assert (out.kappa.hex(), out.min_on_simplex.hex()) == (kappa, minimum)
 
 
+# The seed-1 weight-search-n3-2 item of the liouville-mix benchmark: its
+# weight search meets two violations before it certifies.
+SEARCH_3 = SymMatrix([
+    [1.0, -0.575172355947763, 0.11955959747917771],
+    [-0.575172355947763, 1.0000000000000002, -0.4810119873118726],
+    [0.11955959747917771, -0.4810119873118726, 0.9999999999999998],
+])
+
+
+def refutations(B, p):
+    """Every (normalized weight, MuViolation) that find_mu(B, p) meets on its way."""
+    seen, package_verify = [], mu_search.verify_mu
+
+    def recording(B, mu, p):
+        out = package_verify(B, mu, p)
+        if isinstance(out, MuViolation):
+            seen.append((np.asarray(mu, dtype=float) / np.max(mu), out))
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mu_search, "verify_mu", recording)
+        find_mu(B, p)
+    return seen
+
+
+# Weight searches that meet violations: (matrix, p).  At p = 6 the Bernstein
+# bound has degree 5.
+REFUTED_SEARCHES = {
+    "b-epsilon-0.004-p4": (b_epsilon(0.004), 4.0),
+    "search-3-p4": (SEARCH_3, 4.0),
+    "search-4-p4": (SEARCH_4, 4.0),
+    "b-epsilon-0.002-p6": (b_epsilon(0.002), 6.0),
+}
+
+
+class TestViolationDepth:
+    """With Bernstein bounds a violation is proven at least 2/3 as deep as the
+    simplex minimum, up to the rounding margin.  The lattice minimum is no
+    deeper than the simplex minimum, so it checks that independently."""
+
+    @staticmethod
+    def assert_two_thirds_deep(B, mu, p, out):
+        assert isinstance(out, MuViolation)
+        lattice_min, _ = dense_min_p_form(B.entries, mu, p, 128 if B.n == 3 else 48)
+        assert out.value <= 0
+        assert out.value <= 2.0 / 3.0 * lattice_min + 1e-12
+
+    def test_limit_matrix_at_unit_weight(self):
+        self.assert_two_thirds_deep(B_EPS_LIMIT, np.ones(3), 4.0, verify_mu(B_EPS_LIMIT, np.ones(3), 4.0))
+
+    @pytest.mark.parametrize("case", list(REFUTED_SEARCHES))
+    def test_every_violation_find_mu_meets(self, case):
+        B, p = REFUTED_SEARCHES[case]
+        seen = refutations(B, p)
+        assert seen
+        for mu, out in seen:
+            self.assert_two_thirds_deep(B, mu, p, out)
+
+
+# verify_mu certificates recorded before violations stopped at two thirds of
+# the minimum's depth: the eight strict-n2 items of the liouville-mix
+# benchmark at seed 1 with their diagonal weight (the Cor1.3 route) and
+# PROP_MATRIX at unit weight.  A search that never meets a nonpositive vertex
+# runs as before, bit for bit.
+CERTIFICATE_PINS = {
+    "strict-n2-0": (
+        [[2.214710274716283, 0.5622244768092632], [0.5622244768092632, 0.44821819794843104]],
+        '{"kappa": 0.28442688979709, "min_on_simplex": 0.2844268899214241, "mu": [0.6707229104807174, 1.0], "type": "certificate", "verification": {"cells": 16, "max_depth": 15}, "worst_point": [0.311859130859375, 0.688140869140625]}'),
+    "strict-n2-1": (
+        [[3.0412118673126933, -1.1340119566900169], [-1.1340119566900169, 0.8723082127057316]],
+        '{"kappa": 0.10157698638013865, "min_on_simplex": 0.10157698645380853, "mu": [0.7318226068324455, 1.0], "type": "certificate", "verification": {"cells": 18, "max_depth": 17}, "worst_point": [0.41326904296875, 0.58673095703125]}'),
+    "strict-n2-2": (
+        [[1.5845329749150934, 0.847100149679537], [0.847100149679537, 0.9238790349814994]],
+        '{"kappa": 0.47387421369528576, "min_on_simplex": 0.47387421405574587, "mu": [0.8738330321356738, 1.0], "type": "certificate", "verification": {"cells": 16, "max_depth": 15}, "worst_point": [0.42926025390625, 0.57073974609375]}'),
+    "strict-n2-3": (
+        [[0.5492920528680199, 0.35201025352136406], [0.35201025352136406, 0.3627053786377683]],
+        '{"kappa": 0.18781710922128336, "min_on_simplex": 0.18781710930662324, "mu": [0.9014417533691078, 1.0], "type": "certificate", "verification": {"cells": 16, "max_depth": 15}, "worst_point": [0.442779541015625, 0.557220458984375]}'),
+    "strict-n2-4": (
+        [[1.424641973802983, 0.212572584284903], [0.212572584284903, 2.697326703087648]],
+        '{"kappa": 0.49408568950848447, "min_on_simplex": 0.49408568962026417, "mu": [1.0, 0.8524973662983814], "type": "certificate", "verification": {"cells": 17, "max_depth": 16}, "worst_point": [0.5625152587890625, 0.4374847412109375]}'),
+    "strict-n2-5": (
+        [[1.1623680461753756, 0.5904449720028174], [0.5904449720028174, 0.31371720395910396]],
+        '{"kappa": 0.22995707058375375, "min_on_simplex": 0.2299570706178483, "mu": [0.7207732631709437, 1.0], "type": "certificate", "verification": {"cells": 17, "max_depth": 16}, "worst_point": [0.3051300048828125, 0.6948699951171875]}'),
+    "strict-n2-6": (
+        [[1.4772791473800124, 0.49092321950524254], [0.49092321950524254, 0.32165067117633267]],
+        '{"kappa": 0.217752845488369, "min_on_simplex": 0.217752845545823, "mu": [0.683094004565196, 1.0], "type": "certificate", "verification": {"cells": 17, "max_depth": 16}, "worst_point": [0.3058624267578125, 0.6941375732421875]}'),
+    "strict-n2-7": (
+        [[0.36815268788742145, 0.478851954442662], [0.478851954442662, 1.7466355039946309]],
+        '{"kappa": 0.2358209912245537, "min_on_simplex": 0.23582099122848815, "mu": [1.0, 0.6775735165499804], "type": "certificate", "verification": {"cells": 16, "max_depth": 15}, "worst_point": [0.686737060546875, 0.313262939453125]}'),
+}
+PROP_MATRIX_PIN = '{"kappa": 0.07770085520374556, "min_on_simplex": 0.07770085527739283, "mu": [1.0, 1.0, 1.0], "type": "certificate", "verification": {"cells": 168, "max_depth": 32}, "worst_point": [0.406829833984375, 0.2965850830078125, 0.2965850830078125]}'
+
+
+class TestCertificatesUnchanged:
+    @pytest.mark.parametrize("case", list(CERTIFICATE_PINS))
+    def test_strict_n2_diagonal_weight(self, case):
+        matrix, doc = CERTIFICATE_PINS[case]
+        B = SymMatrix(matrix)
+        out = verify_mu(B, mu_search.diagonal_weight(B, 4.0), 4.0)
+        assert json.dumps(to_doc(out), sort_keys=True) == doc
+
+    def test_prop_matrix_unit_weight(self):
+        out = verify_mu(PROP_MATRIX, ConeVector([1, 1, 1]), 4.0)
+        assert json.dumps(to_doc(out), sort_keys=True) == PROP_MATRIX_PIN
+
+
 class TestFindMu:
     def test_identity_three(self):
         out = find_mu(SymMatrix(np.eye(3)), 4.0)
@@ -350,6 +463,23 @@ class TestFindMu:
         values = [p_form(b_epsilon(eps), c, out.final_mu, 4.0) for c in out.adversarial_set]
         assert min(values) == pytest.approx(out.best_margin, rel=1e-9)
         assert out.best_margin < -1e-6
+
+    @pytest.mark.parametrize("eps", [0.1, 0.05, 0.02, 0.01, 0.008, 0.007, 0.006, 0.005, 0.004,
+                                     0.003, 0.002, 0.001])
+    def test_b_epsilon_at_p6(self, eps):
+        # p = 6 takes the Bernstein bound at degree 5.  A certificate's weight
+        # is positive on the lattice; a failure's cut set blocks the weight
+        # LP, which HiGHS confirms on rows built by the oracle's formula.
+        B, p = b_epsilon(eps), 6.0
+        out = find_mu(B, p)
+        if eps >= 0.003:
+            assert isinstance(out, MuCertificate)
+            assert dense_min_p_form(B.entries, out.mu.components, p, 128)[0] > 0
+        else:
+            assert isinstance(out, MuSearchFailure)
+            points = np.array([c.components for c in out.adversarial_set])
+            coef = points ** (p / 2.0 - 1.0) * (points ** (p / 2.0) @ B.entries)
+            assert highs_weight_lp_margin(coef) <= mu_search.LP_MARGIN_TOL
 
     def test_certificate_implies_strict_copositivity(self):
         rng = np.random.default_rng(31)
