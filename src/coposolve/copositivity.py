@@ -36,6 +36,10 @@ from .simplex import barycentric_grid  # noqa: F401  (bench/spans.py wraps this 
 MAX_ENUMERATION_N = 16
 # Dead-band around zero of the copositivity trichotomy and the PSD check.
 DEAD_BAND = 1e-9
+# Bound on a constant solution's compensated componentwise residual.  The
+# band of values outside which scan_faces skips a batch's constant scan is
+# derived from it (see _constant_band), so a rescaled or relative tolerance
+# (ROADMAP items 10 and 16) must rescale that band with it.
 CONSTANT_RESIDUAL_TOL = 1e-10
 # Supports per stacked solve.  The batch's temporaries (about 0.43 MB at 128
 # for n = 16, mostly the gathered systems and their flat indices) and the
@@ -349,9 +353,8 @@ def _sweep_batch(K: np.ndarray, rows: np.ndarray, rhs: np.ndarray):
     return rows[interior, :k], c[interior], kkt[interior, :k, :k]
 
 
-def _batch_constant(A: np.ndarray, idx: np.ndarray, points: np.ndarray,
-                    blocks: np.ndarray, p: float) -> ConstantSolutionCertificate | None:
-    """First exact constant solution among one batch of swept faces."""
+def _constant_candidates(points: np.ndarray, blocks: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The points of one batch scaled to max 1 and snapped, and the rows whose batched residual passes."""
     c = points / points.max(axis=1, keepdims=True)
     # Snap to short decimals when that does not hurt the kernel residual.
     snapped = np.round(c, 12)
@@ -360,7 +363,32 @@ def _batch_constant(A: np.ndarray, idx: np.ndarray, points: np.ndarray,
     snap = np.all(snapped > 0, axis=1) & (snapped_kernel <= kernel)
     c[snap] = snapped[snap]
     residual = cone_power(c, 1.0 - 2.0 / p) * (blocks @ c[..., None])[..., 0]
-    candidates = np.max(np.abs(residual), axis=1) < CONSTANT_RESIDUAL_TOL
+    return c, np.max(np.abs(residual), axis=1) < CONSTANT_RESIDUAL_TOL
+
+
+def _constant_band(k: int, scale: float) -> float:
+    """Bound on |b| at the swept point of every candidate of _constant_candidates on a size-k face.
+
+    scale is max |A|, u = 2^-53 and tol = CONSTANT_RESIDUAL_TOL.  A candidate
+    c has max c = 1 and batched residuals r_i = c_i^(1-2/p) (A_S c)_i below
+    tol, and c_i^(2/p) <= 1 for p > 2, so |c'A_S c| = |sum_i c_i^(2/p) r_i|
+    is at most k tol (1 + 3u), plus the rounding of the k products A_S c,
+    at most k^3 u scale <= 2^-49 k^2 scale for k <= 16.  The 12-decimal snap
+    moves each c_i by at most 5e-13, which moves the value by at most
+    1e-12 k^2 scale.  The swept point x is the unsnapped c times max x, with
+    max x <= sum x = 1 to rounding, so its value is at most that of c in
+    size, and the einsum that forms it adds at most 2k u scale.  A
+    candidate's value thus lies within k tol + 1.1e-12 k^2 scale, and the
+    band, 2 k tol + 2^-36 k^2 scale (2^-36 is about 1.46e-11), holds it with
+    twice the first term and over ten times the second.  It is a function of
+    CONSTANT_RESIDUAL_TOL, not a setting of its own."""
+    return 2.0 * k * CONSTANT_RESIDUAL_TOL + math.ldexp(k * k * scale, -36)
+
+
+def _batch_constant(A: np.ndarray, idx: np.ndarray, points: np.ndarray,
+                    blocks: np.ndarray, p: float) -> ConstantSolutionCertificate | None:
+    """First exact constant solution among one batch of swept faces."""
+    c, candidates = _constant_candidates(points, blocks, p)
     for s, c_s in zip(idx[candidates], c[candidates]):
         if len(s) == 1 and A[s[0], s[0]] != 0.0:
             continue
@@ -392,12 +420,17 @@ def scan_faces(B: SymMatrix, p: float | None = None, max_size: int | None = None
     Each point is scaled to max 1 and snapped to 12 decimals when that does
     not hurt the kernel residual; a batched residual picks the candidates and
     a compensated residual decides.  The first certificate ends the pass.
+    A candidate's value of b is 0 to within a band (see _constant_band), so
+    a batch whose values are all finite and outside it is not scanned.
 
     Otherwise every batch is folded into the least value of b over the faces
     of at most max_size components (default n), ties going to the smaller
     witness tuple, a total order, so the winner does not depend on the
-    batches.  The reported minimum is recomputed through the compensated
-    scalar path, so it reproduces exactly from the witness.  From n =
+    batches.  A batch whose least value lies above the running minimum is
+    not folded, and one whose least value occurs once folds that row's
+    witness alone; only ties and NaN sort the batch's witnesses.  The
+    reported minimum is recomputed through the compensated scalar path, so
+    it reproduces exactly from the witness.  From n =
     PRUNED_SWEEP_MIN_N on, this pass solves only the faces that can hold the
     minimum (see _face_sweep); below it, it solves every face, which is
     faster there.  The pass with p solves every face, since the face of a
@@ -409,21 +442,38 @@ def scan_faces(B: SymMatrix, p: float | None = None, max_size: int | None = None
     if n > MAX_ENUMERATION_N:
         raise CapacityError(f"face enumeration supports n <= {MAX_ENUMERATION_N}, got {n}")
     A = B.entries
+    scale = float(np.abs(A).max()) if p is not None else 0.0
     best = (np.inf, ())
     for idx, points, blocks in _face_sweep(A, minimum_only=p is None and n >= PRUNED_SWEEP_MIN_N):
         if max_size is not None and idx.shape[1] > max_size:
             break
-        if p is not None and (cert := _batch_constant(A, idx, points, blocks, p)):
-            return FaceScan(cert, None)
-        if len(idx):
-            values = np.einsum("mi,mij,mj->m", points, blocks, points)
-            # A batch that cannot win or tie skips the fold; NaN does not skip.
-            if values.min() > best[0]:
-                continue
+        if not len(idx):
+            continue
+        values = np.einsum("mi,mij,mj->m", points, blocks, points)
+        if p is not None:
+            # Every candidate's value lies within the band, so a batch whose
+            # values are all finite and outside it holds no constant solution.
+            size = np.abs(values)
+            if not (size.min() > _constant_band(idx.shape[1], scale) and size.max() < np.inf):
+                if cert := _batch_constant(A, idx, points, blocks, p):
+                    return FaceScan(cert, None)
+        least = values.min()
+        # A batch that cannot win or tie skips the fold; NaN does not skip.
+        if least > best[0]:
+            continue
+        ties = values == least
+        if np.count_nonzero(ties) == 1:
+            # The lexsort's first row is the unique least one.  A NaN value
+            # makes least NaN, which no row equals, so it takes the lexsort.
+            first = int(ties.argmax())
+            witness = np.zeros(n)
+            witness[idx[first]] = points[first]
+        else:
             witnesses = np.zeros((len(idx), n))
             np.put_along_axis(witnesses, idx, points, axis=1)
             first = np.lexsort((*witnesses.T[::-1], values))[0]
-            best = min(best, (float(values[first]), tuple(witnesses[first])))
+            witness = witnesses[first]
+        best = min(best, (float(values[first]), tuple(witness)))
 
     witness = np.maximum(best[1], 0.0)
     arg = ConeVector(witness / witness.sum())

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import sys
 import warnings
 from fractions import Fraction
@@ -33,6 +34,7 @@ from coposolve import (
 from coposolve import copositivity, neumann
 from coposolve.forms import ConeVector
 from coposolve.mu_search import b_epsilon
+from coposolve.reports import to_doc
 
 from oracles import (
     dense_min_quadratic,
@@ -411,10 +413,13 @@ class TestSupportRows:
                 assert table.tolist() == [[*s, n] for s in itertools.combinations(range(n), k)]
 
 
-def full_fold_minimum(B: SymMatrix) -> copositivity.SimplexMinimum:
-    """The minimum of scan_faces with every batch folded, none skipped."""
+def full_fold_scan(B: SymMatrix, p: float | None = None) -> copositivity.FaceScan:
+    """scan_faces with every batch searched for a constant solution (given p)
+    and folded by the lexsort, none skipped."""
     best = (np.inf, ())
     for idx, points, blocks in copositivity._face_sweep(B.entries):
+        if p is not None and (cert := copositivity._batch_constant(B.entries, idx, points, blocks, p)):
+            return copositivity.FaceScan(cert, None)
         if len(idx):
             values = np.einsum("mi,mij,mj->m", points, blocks, points)
             witnesses = np.zeros((len(idx), B.n))
@@ -423,18 +428,130 @@ def full_fold_minimum(B: SymMatrix) -> copositivity.SimplexMinimum:
             best = min(best, (float(values[first]), tuple(witnesses[first])))
     witness = np.maximum(best[1], 0.0)
     arg = ConeVector(witness / witness.sum())
-    return copositivity.SimplexMinimum(quadratic_form(B, arg), arg, False)
+    return copositivity.FaceScan(None, copositivity.SimplexMinimum(quadratic_form(B, arg), arg, False))
+
+
+def full_fold_minimum(B: SymMatrix) -> copositivity.SimplexMinimum:
+    """The minimum of scan_faces with every batch folded, none skipped."""
+    return full_fold_scan(B).minimum
+
+
+def exact_tie_cases() -> list[np.ndarray]:
+    """Matrices whose faces tie exactly, n = 3-10: zero, identity and all-ones
+    matrices, and integer ones with duplicated rows and columns."""
+    rng = np.random.default_rng(43)
+    cases = []
+    for n in range(3, 11):
+        cases += [np.zeros((n, n)), np.eye(n), np.ones((n, n))]
+        a = rng.integers(-2, 3, size=(n, n)).astype(float)
+        a = a + a.T
+        np.fill_diagonal(a, np.abs(np.diag(a)))
+        for twin in range(1, n // 2 + 1):
+            a[twin], a[:, twin] = a[0], a[:, 0]
+        cases.append(a)
+    return cases
 
 
 class TestFoldSkip:
     @pytest.mark.parametrize("batch", [1, 7, 128])
     def test_matches_the_full_fold(self, monkeypatch, batch):
         monkeypatch.setattr(copositivity, "SWEEP_BATCH", batch)
-        for a in sweep_cases():
+        for a in sweep_cases() + exact_tie_cases():
             B = SymMatrix(a)
             m, expected = simplex_min_quadratic(B), full_fold_minimum(B)
             assert np.float64(m.min_value).tobytes() == np.float64(expected.min_value).tobytes()
             assert m.argmin.components.tobytes() == expected.argmin.components.tobytes()
+
+    def test_lexsort_only_on_ties(self, monkeypatch):
+        # Every tie case sorts a batch, and a batch is sorted only when its
+        # least value occurs more than once.
+        least_counts, lexsort = [], np.lexsort
+
+        def recorded(keys):
+            least_counts.append(np.count_nonzero(keys[-1] == keys[-1].min()))
+            return lexsort(keys)
+
+        monkeypatch.setattr(np, "lexsort", recorded)
+        for a in exact_tie_cases():
+            least_counts.clear()
+            simplex_min_quadratic(SymMatrix(a))
+            assert least_counts and min(least_counts) > 1
+
+
+@functools.cache
+def planted_kernel_cases(e: int) -> tuple:
+    """Positive kernels planted on random supports of matrices at n = 2-8, at 2^e.
+
+    A singleton support gets a zero diagonal entry, a larger one the block
+    G'G with G = R (I - w w'/w'w), whose kernel is the positive w.  Every
+    third block, on a support of size 2 or 3 with one dominant entry of w,
+    also gets t J added, with t = 0.95 CONSTANT_RESIDUAL_TOL max(x) and not
+    scaled, so that x = w / sum(w) is a stationary point of value t whose
+    batched residuals lie just below the tolerance."""
+    rng = np.random.default_rng(53)
+    cases = []
+    for i in range(24):
+        n = int(rng.integers(2, 9))
+        a = rng.uniform(-1.0, 2.0, (n, n))
+        a = (a + a.T) / 2
+        np.fill_diagonal(a, rng.uniform(0.5, 2.0, n))
+        near = i % 3 == 0
+        k = int(rng.integers(2, 4)) if near else int(rng.integers(1, n + 1))
+        support = np.sort(rng.choice(n, k, replace=False))
+        shift = np.zeros((n, n))
+        if k == 1:
+            a[support[0], support[0]] = 0.0
+        else:
+            w = rng.uniform(0.01, 0.05, k) if near else rng.uniform(0.2, 1.0, k)
+            w[rng.integers(k)] = 1.0
+            g = rng.normal(size=(k, k)) @ (np.eye(k) - np.outer(w, w) / (w @ w))
+            a[np.ix_(support, support)] = g.T @ g
+            if near:
+                shift[np.ix_(support, support)] = 0.95 * copositivity.CONSTANT_RESIDUAL_TOL * w.max() / w.sum()
+        cases.append(np.ldexp(a, e) + shift)
+    return tuple(cases)
+
+
+def constant_band_cases(e: int) -> list[np.ndarray]:
+    return list(planted_kernel_cases(e)) + [np.ldexp(a, e) for a in [A for A, _ in singular_face_fuzz()] + sweep_cases()]
+
+
+class TestConstantBand:
+    """scan_faces with p scans a batch for constant solutions only if a value lies within _constant_band."""
+
+    @pytest.mark.parametrize("e", [-30, 0, 30])
+    def test_every_candidate_lies_within_the_band(self, e):
+        nearest = 0.0
+        for a in constant_band_cases(e):
+            scale = np.abs(a).max()
+            for idx, points, blocks in copositivity._face_sweep(a):
+                values = np.abs(np.einsum("mi,mij,mj->m", points, blocks, points))
+                band = copositivity._constant_band(idx.shape[1], scale)
+                for p in (3.0, 4.0, 6.0):
+                    _, candidates = copositivity._constant_candidates(points, blocks, p)
+                    assert np.all(values[candidates] <= band)
+                    nearest = max(nearest, values[candidates].max(initial=0.0) / band)
+        # Below 2^30 candidates that are not kernel vectors come within a
+        # factor of 8 of the band; at 2^30 the residual's rounding admits
+        # only kernel vectors, whose values are rounding.
+        assert nearest > 1 / 8 if e <= 0 else nearest < 1e-3
+
+    @pytest.mark.parametrize("e", [-30, 0, 30])
+    def test_scan_is_the_full_scan(self, monkeypatch, e):
+        calls, batch_constant = [], copositivity._batch_constant
+        monkeypatch.setattr(copositivity, "_batch_constant", lambda *args: calls.append(args) or batch_constant(*args))
+        scanned = full = 0
+        for a in constant_band_cases(e):
+            B = SymMatrix(a)
+            for p in (3.0, 4.0):
+                calls.clear()
+                scan = copositivity.scan_faces(B, p)
+                scanned += len(calls)
+                calls.clear()
+                expected = full_fold_scan(B, p)
+                full += len(calls)
+                assert json.dumps(to_doc(scan)) == json.dumps(to_doc(expected))
+        assert scanned < full
 
 
 def minimum_pass_supports(monkeypatch, A: np.ndarray) -> tuple[list, list]:
