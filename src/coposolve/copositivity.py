@@ -293,12 +293,24 @@ def _exit_masks(excess: np.ndarray, margin: float) -> np.ndarray:
     return (excess > margin) @ np.left_shift(np.uint32(1), np.arange(excess.shape[1], dtype=np.uint32))
 
 
+def _cholesky_ok(blocks: np.ndarray) -> np.ndarray:
+    """Flags the symmetric blocks of a stack whose Cholesky factorization completes.
+
+    One stacked LAPACK factorization through numpy's private gufunc, which
+    fills the factor of a block that is not positive definite with NaN
+    instead of raising for the whole stack.
+    """
+    with np.errstate(all="ignore"):
+        factors = _umath_linalg.cholesky_lo(blocks, signature="d->d")
+    return ~np.isnan(factors[:, 0, 0])
+
+
 def _conditionally_psd(reduced: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Flags the support rows of one size whose Z'A_S Z + SADDLE_SHIFT I factors.
 
     The blocks are taken from reduced (see _face_sweep) at each support's
     last index, SWEEP_BATCH supports at a time, and factored by one stacked
-    Cholesky factorization each, which writes NaN where it fails.
+    Cholesky factorization each (_cholesky_ok).
     """
     n, k = len(reduced), table.shape[1] - 1
     psd = np.zeros(len(table), dtype=bool)
@@ -307,10 +319,7 @@ def _conditionally_psd(reduced: np.ndarray, table: np.ndarray) -> np.ndarray:
         head = rows[:, :k - 1]
         # Flat indices into reduced: the last index, then each pair of the others.
         lead = rows[:, k - 1, None] * (n * n) + head * n
-        blocks = reduced.take(lead[:, :, None] + head[:, None, :])
-        with np.errstate(all="ignore"):
-            factors = _umath_linalg.cholesky_lo(blocks, signature="d->d")
-        psd[start:start + SWEEP_BATCH] = ~np.isnan(factors[:, 0, 0])
+        psd[start:start + SWEEP_BATCH] = _cholesky_ok(reduced.take(lead[:, :, None] + head[:, None, :]))
     return psd
 
 

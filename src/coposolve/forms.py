@@ -169,16 +169,17 @@ def p_form(B: SymMatrix, c, mu, p: float) -> float:
 def p_form_coefficients(A: np.ndarray, points: np.ndarray, p: float) -> np.ndarray:
     """Rows a(c) = c^(p/2-1) * (A c^(p/2)) over rows c of ``points``, so that
     the weighted form at c is a(c) . mu; the batched form, without input
-    validation."""
-    return cone_power(points, p / 2.0 - 1.0) * (cone_power(points, p / 2.0) @ A)
+    validation.  The product with A is an einsum, not a BLAS product, whose
+    matrix-vector path for a one-row batch rounds differently from its
+    matrix-matrix path: a row's bits do not depend on the rows batched with
+    it."""
+    return cone_power(points, p / 2.0 - 1.0) * np.einsum("mk,kj->mj", cone_power(points, p / 2.0), A)
 
 
 def p_form_values(A: np.ndarray, points: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
-    """Weighted form over rows of ``points``, without input validation.
-
-    A one-row batch goes through BLAS's matrix-vector path, which can round
-    differently from the same row inside a batch of two or more."""
-    return p_form_coefficients(A, points, p) @ mu
+    """Weighted form over rows of ``points``, without input validation; a
+    row's value does not depend on its batch (see p_form_coefficients)."""
+    return np.einsum("mk,k->m", p_form_coefficients(A, points, p), mu)
 
 
 def p_form_batch(B: SymMatrix, points: np.ndarray, mu, p: float) -> np.ndarray:

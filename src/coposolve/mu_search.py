@@ -21,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from .copositivity import strict_copositivity_closed_form
+from .copositivity import _cholesky_ok, strict_copositivity_closed_form
 from .errors import (
     CapacityError,
     DimensionError,
@@ -66,6 +66,9 @@ BATCH = 256
 MAX_CELL_BYTES = 1 << 26
 BERNSTEIN_MAX_TERMS = 4096
 UNIT_ROUNDOFF = 2.0 ** -53
+# Newton steps of the KKT polish before verify_mu's tangent finish; it stops
+# earlier once a step no longer moves the point.
+POLISH_STEPS = 32
 
 
 def _gamma(k: int) -> float:
@@ -96,8 +99,9 @@ class MuCertificate:
     already net of rounding error, so the form is at least kappa on the
     simplex and, as mu . c <= 1 there, kappa <= form / (mu . c)^(p-1).
     min_on_simplex is the form at worst_point, the least value seen at a cell
-    vertex; when p/2 is an integer it is within GAP of the simplex minimum,
-    unless the cell cap ended the search first.
+    vertex or, at p = 4, at the point the KKT polish reached (see verify_mu);
+    when p/2 is an integer it is within GAP of the simplex minimum, unless
+    the cell cap ended the search first.
     """
 
     mu: ConeVector
@@ -191,6 +195,76 @@ def _corner_bounds(A: np.ndarray, mu: np.ndarray, p: float, cells: np.ndarray) -
     return (lo + hi) @ mu
 
 
+def _kkt_polish(C: np.ndarray, x0: np.ndarray) -> np.ndarray | None:
+    """Newton's method on the KKT system of the cubic g(x) = C(x, x, x) on the
+    face of x0's support S: C(x, x, e_i) = lam for i in S and sum x = 1.
+
+    It starts at x0 with lam = g(x0), the multiplier that Euler's identity
+    gives at a KKT point.  Returns the point divided by its compensated sum,
+    zero off S, or None if a step fails or the point leaves the open face.
+    """
+    S = np.flatnonzero(x0 > 0)
+    k = S.size
+    Cs = C[np.ix_(S, S, S)]
+    x = x0[S]
+    lam = (Cs @ x) @ x @ x
+    J = np.zeros((k + 1, k + 1))
+    J[:k, k], J[k, :k] = -1.0, 1.0
+    F = np.empty(k + 1)
+    with np.errstate(all="ignore"):
+        for _ in range(POLISH_STEPS):
+            M = Cs @ x
+            F[:k], F[k] = M @ x - lam, x.sum() - 1.0
+            J[:k, :k] = 2.0 * M
+            try:
+                step = np.linalg.solve(J, F)
+            except np.linalg.LinAlgError:
+                return None
+            x, lam = x - step[:k], lam - step[k]
+            if not np.abs(step[:k]).max() > UNIT_ROUNDOFF:
+                break
+    # Positive with a sum near 1, which a NaN or a diverged step fails.
+    if not (np.all(x > 0) and x.sum() < 2.0):
+        return None
+    out = np.zeros_like(x0)
+    out[S] = x / fsum_terms(x)
+    return out
+
+
+def _tangent_finish(C: np.ndarray, x0: np.ndarray):
+    """Polish x0 and return (x, tangent), or None; the finish of verify_mu at p = 4.
+
+    tangent(cells) is 3 min_k C(x, x, v_k) - 2 g(x) - margin on each cell
+    whose vertices' Hessians pass the convexity test, else -inf; None if the
+    polish fails or H(x) does not pass it.  See verify_mu for the argument.
+    """
+    x = _kkt_polish(C, x0)
+    if x is None:
+        return None
+    n, d = len(x), C.ndim
+    scale = float(np.abs(C).max())
+    # Z'C_i Z for each slice C_i = C(e_i, ., .), Z = [I; -1'].
+    R = (C[:, :-1, :-1] - C[:, :-1, -1:] - C[:, -1:, :-1] + C[:, -1:, -1:]).reshape(n, -1)
+    shift = 8 * (n - 1) * _gamma(2 * n + 11) * scale * np.eye(n - 1)
+
+    def convex(points: np.ndarray) -> np.ndarray:
+        return _cholesky_ok((points @ R).reshape(-1, n - 1, n - 1) - shift)
+
+    w = (C @ x) @ x
+    value = w @ x
+    # A point that is not KKT on the simplex, whose gradient is lower off
+    # its face, is not the minimiser: its tangent plane would be loose there.
+    if not convex(x[None])[0] or (w[x == 0] < value - 2 * scale * _gamma(4 * n)).any():
+        return None
+    margin = (2 * d - 1) * _gamma(2 * (d * (n + 1) + comb(d, d // 2) + 2 + 10)) * scale
+
+    def tangent(cells: np.ndarray) -> np.ndarray:
+        ok = convex(cells.reshape(-1, n)).reshape(len(cells), n).all(axis=1)
+        return np.where(ok, d * (cells @ w).min(axis=1) - (d - 1) * value - margin, -np.inf)
+
+    return x, tangent
+
+
 def verify_mu(B: SymMatrix, mu, p: float) -> MuCertificate | MuViolation | None:
     """Prove the weighted form positive on the simplex, or find where it is not.
 
@@ -208,6 +282,47 @@ def verify_mu(B: SymMatrix, mu, p: float) -> MuCertificate | MuViolation | None:
     MuViolation at the worst vertex if U <= 0, a MuCertificate if every
     bound is positive, None if the cell cap is reached first.  mu is
     normalized to max component 1.
+
+    At p = 4 (d = 3) a certificate's gap is closed by a tangent finish,
+    since Bernstein bounds close it only to O(h^2), one bisection a round.
+    Once the sign is proven (U > 0 and every bound positive), Newton's
+    method on the KKT system polishes the least vertex on its face, once a
+    face (_kkt_polish); the point x is kept if it stays strictly positive
+    there, and becomes U's point if its value is lower.  With Z = [I; -1']
+    a basis of the sum-zero directions, the Hessian H(c) = 6 C(c, ., .) is
+    linear in c, so if Z'H Z is PSD at each vertex v_k of a cell and at x,
+    it is PSD on hull(cell + x), g is convex there on the plane sum c = 1,
+    and for y in the cell the tangent plane and Euler's identity
+    grad g(x) . x = 3 g(x) give
+
+        g(y) >= g(x) + grad g(x) . (y - x) = 3 C(x, x, y) - 2 g(x)
+             >= 3 min_k C(x, x, v_k) - 2 g(x),
+
+    as y is a convex combination of the v_k.  Such a cell takes the larger
+    of this and its Bernstein bound.  A cell or x that fails the test keeps
+    the Bernstein bound, and so does every cell when x is not a KKT point of
+    the whole simplex (the gradient is lower off its face), since its
+    tangent plane is loose at the minimiser.  The bound holds at any simplex
+    point x: the polish sets its tightness, never its soundness.
+
+    Rounding, with s = max |C| and gamma_k = k u / (1 - k u).  Convexity:
+    one stacked Cholesky of A = fl(Z'C(v, ., .)Z) - sigma I per point.  If
+    it runs to completion, A + E = R'R with |E| <= gamma_n |R'||R| (Higham,
+    Accuracy and Stability of Numerical Algorithms, Thm 10.3, order n - 1),
+    so lambda_min(A) >= -gamma_n / (1 - gamma_n) trace(A), at least
+    -4 (n - 1) gamma_n s (1 + O(u)) as the entries are at most 4 s.  The
+    entries are formed with at most n + comb(3, 1) + 7 roundings, the tensor
+    build included, so Z'C(v, ., .)Z is within 4 (n - 1) gamma_(n + 10) s
+    (1 + O(u)) of A + sigma I in the spectral norm, and its least eigenvalue
+    is at least sigma - 4 (n - 1) gamma_(2n + 10) s (1 + O(u)) > 0 for
+    sigma = 8 (n - 1) gamma_(2n + 11) s.  Tangent: C(x, x, v_k) and g(x) are
+    contracted like the Bernstein coefficients, each within gamma_K s,
+    K = 3 (n + 1) + comb(3, 1) + 2.  The sum of x is 1 + delta, |delta| <=
+    gamma_2 (x is divided by its correctly rounded sum), so the argument
+    runs at x / (1 + delta), exactly on the plane, whose polar values are
+    the computed ones over (1 + delta)^2 and (1 + delta)^3, within
+    5 gamma_6 s of them in the bound.  Four roundings form and net it.  The
+    margin charges 5 gamma_(2 (K + 10)) s, twice the sum.
     """
     require_p(p)
     mv = np.asarray(mu.components if isinstance(mu, ConeVector) else mu, dtype=float)
@@ -245,6 +360,7 @@ def verify_mu(B: SymMatrix, mu, p: float) -> MuCertificate | MuViolation | None:
     values = p_form_values(A, np.eye(n), mv, p)
     U, worst = float(values.min()), np.eye(n)[int(np.argmin(values))]
     pairs = np.triu_indices(n, 1)
+    finish, tangent, polished_faces = bernstein and C.ndim == 3, None, set()
     # A nonpositive vertex settles the sign; only Bernstein bounds go on, to
     # the minimum or to a violation proven deep enough.
     while n > 1 and (bernstein or U > 0):
@@ -288,11 +404,30 @@ def verify_mu(B: SymMatrix, mu, p: float) -> MuCertificate | MuViolation | None:
         kids[r, i] = mid
         kids[r + take, j] = mid
         bounds = bound(kids) - margin
+        if tangent is not None and (below := (bounds < floor).nonzero()[0]).size:
+            bounds[below] = np.maximum(bounds[below], tangent(kids[below]))
         slots = np.concatenate([rows, np.arange(count, count + take)])
         verts[slots], low[slots] = kids, bounds
         d = depth[rows] + 1
         depth[slots] = np.concatenate([d, d])
         count += take
+        if finish and U > 0 and low[:count].min() > 0 \
+                and (face := (worst > 0).tobytes()) not in polished_faces:
+            # The sign is proven: polish the least vertex on its face, once a
+            # face, then bound the open cells below the floor by the tangent
+            # plane too.
+            polished_faces.add(face)
+            polished = _tangent_finish(C, worst)
+            if polished is not None:
+                x, tangent = polished
+                value = float(p_form_values(A, x[None], mv, p)[0])
+                if value < U:
+                    U, worst = value, x
+                floor = U - GAP * U - margin
+                below = (low[:count] < floor).nonzero()[0]
+                for start in range(0, below.size, 2 * BATCH):
+                    r = below[start:start + 2 * BATCH]
+                    low[r] = np.maximum(low[r], tangent(verts[r]))
 
     info = VerificationInfo(count, int(depth[:count].max()))
     point = ConeVector(worst)

@@ -10,7 +10,8 @@ two or more.
 
 The exact checkers at the end work in fractions.Fraction arithmetic: one
 finds the simplex minimum of the quadratic form, one decides whether it is
-convex on a face, two settle the cubic (p = 4) weight question.  Every float input is converted exactly, so a proof holds for
+convex on a face, one gives the cubic (p = 4) form's Hessian, two settle the
+cubic weight question.  Every float input is converted exactly, so a proof holds for
 the very matrix, weight and points the package produced.
 """
 
@@ -275,6 +276,16 @@ def exact_cubic_form(A, mu, point) -> Fraction:
     """The cubic form sum_ij beta_ij mu_i c_i c_j^2 at one point, exactly."""
     coefficients = _cubic_coefficients(_exact_matrix(A), _exact(point))
     return sum(m * a for m, a in zip(_exact(mu), coefficients))
+
+
+def exact_cubic_hessian(A, mu, point) -> list[list[Fraction]]:
+    """Hessian of the cubic form sum_ij beta_ij mu_i c_i c_j^2 at one point, exactly:
+    2 mu_a beta_ab c_b + 2 mu_b beta_ab c_a, plus 2 sum_i mu_i beta_ia c_i on the diagonal."""
+    beta, weight, c = _exact_matrix(A), _exact(mu), _exact(point)
+    n = len(c)
+    diagonal = [2 * sum(weight[i] * beta[i][a] * c[i] for i in range(n)) for a in range(n)]
+    return [[2 * weight[a] * beta[a][b] * c[b] + 2 * weight[b] * beta[a][b] * c[a] + (diagonal[a] if a == b else 0)
+             for b in range(n)] for a in range(n)]
 
 
 def exact_cubic_weight_positive(A, mu

@@ -412,6 +412,14 @@ class TestSupportRows:
                 assert table.dtype == np.uint8 and not table.flags.writeable
                 assert table.tolist() == [[*s, n] for s in itertools.combinations(range(n), k)]
 
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_masks_are_the_bits_of_the_rows(self, n):
+        masks = copositivity._support_masks(n)
+        assert len(masks) == n - 1
+        for k, mask in enumerate(masks, start=2):
+            assert mask.dtype == np.uint16 and not mask.flags.writeable
+            assert mask.tolist() == [sum(1 << i for i in s) for s in itertools.combinations(range(n), k)]
+
 
 def full_fold_scan(B: SymMatrix, p: float | None = None) -> copositivity.FaceScan:
     """scan_faces with every batch searched for a constant solution (given p)

@@ -14,7 +14,7 @@ from coposolve import (
     p_form,
     quadratic_form,
 )
-from coposolve.forms import cone_power, p_form_batch
+from coposolve.forms import cone_power, p_form_batch, p_form_coefficients, p_form_values
 
 
 def mat(rows):
@@ -188,6 +188,25 @@ class TestPForm:
             for k in [*range(0, 50, 7), 1, 3, 6]:
                 scalar = p_form(B, ConeVector(pts[k]), mu, p)
                 assert batch[k] == pytest.approx(scalar, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_row_bits_do_not_depend_on_the_batch(self, n):
+        # A BLAS product rounds a one-row batch (matrix-vector) differently
+        # from the same row inside a larger batch (matrix-matrix).
+        rng = np.random.default_rng(31 + n)
+        raw = rng.standard_normal((n, n))
+        A = (raw + raw.T) / 2.0
+        points = rng.uniform(0.0, 1.0, (300, n))
+        points[::4, 0] = 0.0
+        mu = rng.uniform(0.1, 1.0, n)
+        for p in (3.0, 4.0, 6.0):
+            values, rows = p_form_values(A, points, mu, p), p_form_coefficients(A, points, p)
+            for k in range(0, 300, 11):
+                assert p_form_values(A, points[k:k + 1], mu, p).tobytes() == values[k:k + 1].tobytes()
+                assert p_form_coefficients(A, points[k:k + 1], p).tobytes() == rows[k:k + 1].tobytes()
+            for m in (2, 3, 17, 64, 129):
+                assert p_form_values(A, points[-m:], mu, p).tobytes() == values[-m:].tobytes()
+                assert p_form_coefficients(A, points[-m:], p).tobytes() == rows[-m:].tobytes()
 
     @pytest.mark.parametrize("shape", [(3,), (4, 2), (2, 3, 3)])
     def test_batch_rejects_points_of_the_wrong_shape(self, shape):

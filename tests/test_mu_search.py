@@ -42,7 +42,9 @@ from oracles import (
     brute_force_mu_lp,
     dense_min_p_form,
     eval_p_form,
+    exact_conditionally_psd,
     exact_cubic_form,
+    exact_cubic_hessian,
     exact_cubic_weight_positive,
     exact_weight_obstruction,
     simplex_lattice,
@@ -50,8 +52,7 @@ from oracles import (
 
 B_EPS_LIMIT = SymMatrix([[1, -1, -1], [-1, 1, 1], [-1, 1, 1]])
 PROP_MATRIX = SymMatrix([[1, -0.4, -0.4], [-0.4, 1, 0.5], [-0.4, 0.5, 1]])
-# The 4x4 weight-search item of the liouville-mix benchmark at seed 1: the
-# verification of its certificate opens more cells than the store starts with.
+# The 4x4 weight-search item of the liouville-mix benchmark at seed 1.
 SEARCH_4 = SymMatrix([
     [1.0000000000000002, -0.23330434099726474, -0.5343271811264716, -0.35747215394518556],
     [-0.23330434099726474, 0.9999999999999998, -0.014531470737530767, 0.12439800398621506],
@@ -73,15 +74,18 @@ def random_strictly_copositive_2x2(rng):
 class TestVerifyMu:
     def test_store_grows_under_a_trace_hook(self):
         # A tracer's snapshot of the frame's locals holds extra references
-        # to the cell store, which an in-place resize refuses.
-        cert = find_mu(SEARCH_4, 4.0)
+        # to the cell store, which an in-place resize refuses.  The
+        # certificate of the 6x6 identity opens 6,439 cells, more than the
+        # store starts with.
+        B = SymMatrix(np.eye(6))
+        cert = find_mu(B, 4.0)
         assert isinstance(cert, MuCertificate)
         assert cert.verification.cells > 4 * mu_search.BATCH
-        untraced = verify_mu(SEARCH_4, cert.mu, 4.0)
+        untraced = verify_mu(B, cert.mu, 4.0)
         previous = sys.gettrace()
         sys.settrace(lambda *args: None)
         try:
-            traced = verify_mu(SEARCH_4, cert.mu, 4.0)
+            traced = verify_mu(B, cert.mu, 4.0)
         finally:
             sys.settrace(previous)
         assert to_doc(traced) == to_doc(untraced) == to_doc(cert)
@@ -248,12 +252,16 @@ class TestBranchAndBound:
 # (matrix, weight, p, VerificationInfo fields, kappa, min_on_simplex).  They
 # pin that refactor, the same subdivision and the same floating-point bounds,
 # not a mathematical fact; a change to the splitting or the bounds may move
-# them.  The last two open more cells than the store starts with.
+# them.  The p = 4 pins were re-recorded with the tangent finish.  The last
+# two open more cells than the store starts with (4 * BATCH = 1,024):
+# identity-6 6,439 cells and the corner search 4,221; identity-5 opens 718.
 STORE_PINS = {
-    "b-epsilon-0.1-p4": (b_epsilon(0.1), np.ones(3), 4.0, (192, 32),
-                         "0x1.a281a37acc444p-7", "0x1.a281a38000000p-7"),
-    "identity-5-p4": (SymMatrix(np.eye(5)), np.ones(5), 4.0, (11985, 70),
-                      "0x1.47ae1478a3a80p-5", "0x1.47ae147bd70a0p-5"),
+    "b-epsilon-0.1-p4": (b_epsilon(0.1), np.ones(3), 4.0, (25, 8),
+                         "0x1.a281a37fd03bap-7", "0x1.a281a37fd4734p-7"),
+    "identity-5-p4": (SymMatrix(np.eye(5)), np.ones(5), 4.0, (718, 13),
+                      "0x1.47ae147adffdcp-5", "0x1.47ae147ae147cp-5"),
+    "identity-6-p4": (SymMatrix(np.eye(6)), np.ones(6), 4.0, (6439, 20),
+                      "0x1.c71c71c719a1cp-6", "0x1.c71c71c71c71dp-6"),
     "b-epsilon-0.1-p3-corner": (b_epsilon(0.1), np.ones(3), 3.0, (4221, 17),
                                 "0x1.a454f4cef5333p-17", "0x1.d2a7e9276e5f4p-7"),
 }
@@ -364,38 +372,39 @@ class TestViolationDepth:
             self.assert_two_thirds_deep(B, mu, p, out)
 
 
-# verify_mu certificates recorded before violations stopped at two thirds of
-# the minimum's depth: the eight strict-n2 items of the liouville-mix
-# benchmark at seed 1 with their diagonal weight (the Cor1.3 route) and
-# PROP_MATRIX at unit weight.  A search that never meets a nonpositive vertex
-# runs as before, bit for bit.
+# verify_mu certificates of the eight strict-n2 items of the liouville-mix
+# benchmark at seed 1 with their diagonal weight (the Cor1.3 route) and of
+# PROP_MATRIX at unit weight, recorded with the tangent finish: the least
+# vertex polished to the face minimiser, and the gap closed in 2-3 cells at
+# n = 2 (16-18 before) and 14 for PROP_MATRIX (168).  Like STORE_PINS they
+# pin the floating-point bounds, which a change to the bounds may move.
 CERTIFICATE_PINS = {
     "strict-n2-0": (
         [[2.214710274716283, 0.5622244768092632], [0.5622244768092632, 0.44821819794843104]],
-        '{"kappa": 0.28442688979709, "min_on_simplex": 0.2844268899214241, "mu": [0.6707229104807174, 1.0], "type": "certificate", "verification": {"cells": 16, "max_depth": 15}, "worst_point": [0.311859130859375, 0.688140869140625]}'),
+        '{"kappa": 0.28442688990223225, "min_on_simplex": 0.284426889902272, "mu": [0.6707229104807174, 1.0], "type": "certificate", "verification": {"cells": 2, "max_depth": 1}, "worst_point": [0.3118559968262224, 0.6881440031737777]}'),
     "strict-n2-1": (
         [[3.0412118673126933, -1.1340119566900169], [-1.1340119566900169, 0.8723082127057316]],
-        '{"kappa": 0.10157698638013865, "min_on_simplex": 0.10157698645380853, "mu": [0.7318226068324455, 1.0], "type": "certificate", "verification": {"cells": 18, "max_depth": 17}, "worst_point": [0.41326904296875, 0.58673095703125]}'),
+        '{"kappa": 0.10157698641339426, "min_on_simplex": 0.10157698641345358, "mu": [0.7318226068324455, 1.0], "type": "certificate", "verification": {"cells": 3, "max_depth": 2}, "worst_point": [0.41327182938827534, 0.5867281706117247]}'),
     "strict-n2-2": (
         [[1.5845329749150934, 0.847100149679537], [0.847100149679537, 0.9238790349814994]],
-        '{"kappa": 0.47387421369528576, "min_on_simplex": 0.47387421405574587, "mu": [0.8738330321356738, 1.0], "type": "certificate", "verification": {"cells": 16, "max_depth": 15}, "worst_point": [0.42926025390625, 0.57073974609375]}'),
+        '{"kappa": 0.4738742139346997, "min_on_simplex": 0.47387421393473667, "mu": [0.8738330321356738, 1.0], "type": "certificate", "verification": {"cells": 2, "max_depth": 1}, "worst_point": [0.42926708397436253, 0.5707329160256375]}'),
     "strict-n2-3": (
         [[0.5492920528680199, 0.35201025352136406], [0.35201025352136406, 0.3627053786377683]],
-        '{"kappa": 0.18781710922128336, "min_on_simplex": 0.18781710930662324, "mu": [0.9014417533691078, 1.0], "type": "certificate", "verification": {"cells": 16, "max_depth": 15}, "worst_point": [0.442779541015625, 0.557220458984375]}'),
+        '{"kappa": 0.18781710928779963, "min_on_simplex": 0.18781710928781287, "mu": [0.9014417533691078, 1.0], "type": "certificate", "verification": {"cells": 2, "max_depth": 1}, "worst_point": [0.44277505652248395, 0.5572249434775162]}'),
     "strict-n2-4": (
         [[1.424641973802983, 0.212572584284903], [0.212572584284903, 2.697326703087648]],
-        '{"kappa": 0.49408568950848447, "min_on_simplex": 0.49408568962026417, "mu": [1.0, 0.8524973662983814], "type": "certificate", "verification": {"cells": 17, "max_depth": 16}, "worst_point": [0.5625152587890625, 0.4374847412109375]}'),
+        '{"kappa": 0.4940856895971235, "min_on_simplex": 0.4940856895971848, "mu": [1.0, 0.8524973662983814], "type": "certificate", "verification": {"cells": 2, "max_depth": 1}, "worst_point": [0.5625173592533446, 0.4374826407466554]}'),
     "strict-n2-5": (
         [[1.1623680461753756, 0.5904449720028174], [0.5904449720028174, 0.31371720395910396]],
-        '{"kappa": 0.22995707058375375, "min_on_simplex": 0.2299570706178483, "mu": [0.7207732631709437, 1.0], "type": "certificate", "verification": {"cells": 17, "max_depth": 16}, "worst_point": [0.3051300048828125, 0.6948699951171875]}'),
+        '{"kappa": 0.2299570706066974, "min_on_simplex": 0.22995707060671974, "mu": [0.7207732631709437, 1.0], "type": "certificate", "verification": {"cells": 2, "max_depth": 1}, "worst_point": [0.30512668427577583, 0.6948733157242242]}'),
     "strict-n2-6": (
         [[1.4772791473800124, 0.49092321950524254], [0.49092321950524254, 0.32165067117633267]],
-        '{"kappa": 0.217752845488369, "min_on_simplex": 0.217752845545823, "mu": [0.683094004565196, 1.0], "type": "certificate", "verification": {"cells": 17, "max_depth": 16}, "worst_point": [0.3058624267578125, 0.6941375732421875]}'),
+        '{"kappa": 0.21775284552074523, "min_on_simplex": 0.21775284552077206, "mu": [0.683094004565196, 1.0], "type": "certificate", "verification": {"cells": 2, "max_depth": 1}, "worst_point": [0.30586686239483074, 0.6941331376051693]}'),
     "strict-n2-7": (
         [[0.36815268788742145, 0.478851954442662], [0.478851954442662, 1.7466355039946309]],
-        '{"kappa": 0.2358209912245537, "min_on_simplex": 0.23582099122848815, "mu": [1.0, 0.6775735165499804], "type": "certificate", "verification": {"cells": 16, "max_depth": 15}, "worst_point": [0.686737060546875, 0.313262939453125]}'),
+        '{"kappa": 0.23582099122843264, "min_on_simplex": 0.23582099122846417, "mu": [1.0, 0.6775735165499804], "type": "certificate", "verification": {"cells": 2, "max_depth": 1}, "worst_point": [0.6867369363403704, 0.31326306365962964]}'),
 }
-PROP_MATRIX_PIN = '{"kappa": 0.07770085520374556, "min_on_simplex": 0.07770085527739283, "mu": [1.0, 1.0, 1.0], "type": "certificate", "verification": {"cells": 168, "max_depth": 32}, "worst_point": [0.406829833984375, 0.2965850830078125, 0.2965850830078125]}'
+PROP_MATRIX_PIN = '{"kappa": 0.07770085527362186, "min_on_simplex": 0.07770085527365185, "mu": [1.0, 1.0, 1.0], "type": "certificate", "verification": {"cells": 14, "max_depth": 4}, "worst_point": [0.40682850930617553, 0.2965857453469123, 0.2965857453469123]}'
 
 
 class TestCertificatesUnchanged:
@@ -409,6 +418,120 @@ class TestCertificatesUnchanged:
     def test_prop_matrix_unit_weight(self):
         out = verify_mu(PROP_MATRIX, ConeVector([1, 1, 1]), 4.0)
         assert json.dumps(to_doc(out), sort_keys=True) == PROP_MATRIX_PIN
+
+
+def random_cell(rng, n):
+    """A cell of verify_mu's subdivision: a random chain of longest-edge bisections."""
+    cell = np.eye(n)
+    for _ in range(rng.integers(0, 4 * n)):
+        _, i, j = max((np.sum((cell[i] - cell[j]) ** 2), i, j) for i, j in combinations(range(n), 2))
+        cell = cell.copy()
+        cell[i if rng.random() < 0.5 else j] = (cell[i] + cell[j]) / 2.0
+    return cell
+
+
+def gap_margin(B, mu):
+    """verify_mu's rounding margin of a Bernstein bound at p = 4."""
+    C = mu_search._coefficient_tensor(B.entries, mu / mu.max(), 4.0)
+    return mu_search._gamma(2 * (3 * (B.n + 1) + 3 + 2)) * np.abs(C).max()
+
+
+def assert_certificate_exact(B, out):
+    """A p = 4 certificate is proven exactly, kappa is at most the form at
+    worst_point, and kappa closes the gap to it up to GAP and the margin."""
+    assert isinstance(out, MuCertificate)
+    mu = out.mu.components
+    assert exact_cubic_weight_positive(B.entries, mu)[1] is None
+    assert Fraction(out.kappa) <= exact_cubic_form(B.entries, mu, out.worst_point.components)
+    floor = out.min_on_simplex - mu_search.GAP * abs(out.min_on_simplex) - gap_margin(B, mu)
+    assert out.kappa >= floor - 1e-15 * abs(out.min_on_simplex)
+
+
+class TestTangentFinish:
+    """verify_mu's finish at p = 4: the polished minimiser's tangent plane
+    bounds the form below on every cell where the Hessian is proven PSD on
+    the sum-zero directions."""
+
+    def test_accepted_cells_are_convex_and_bounded(self):
+        # The polish starts at the least lattice point and at random ones, so
+        # that it also reaches KKT points on faces, where the tangent plane
+        # is not level on the simplex.
+        rng = np.random.default_rng(83)
+        accepted = rejected = 0
+        for n in (2, 3, 4):
+            lattice = simplex_lattice(n, 8)
+            for k in range(24):
+                B, mu = random_case(rng, n, False)
+                mv = mu / mu.max()
+                C = mu_search._coefficient_tensor(B.entries, mv, 4.0)
+                least = np.argmin(eval_p_form(B.entries, lattice, mv, 4.0))
+                x0 = lattice[least if k % 2 else rng.integers(len(lattice))]
+                finish = mu_search._tangent_finish(C, x0)
+                if finish is None:
+                    continue
+                x, tangent = finish
+                assert exact_conditionally_psd(exact_cubic_hessian(B.entries, mv, x), list(range(n)))
+                cells = np.array([random_cell(rng, n) for _ in range(12)])
+                weights = [[Fraction(t) for t in row] for row in simplex_lattice(n, 4)]
+                for cell, bound in zip(cells, tangent(cells)):
+                    if bound == -np.inf:
+                        rejected += 1
+                        continue
+                    accepted += 1
+                    for v in cell:
+                        assert exact_conditionally_psd(exact_cubic_hessian(B.entries, mv, v), list(range(n)))
+                    vertices = [[Fraction(c) for c in v] for v in cell]
+                    for t in weights:
+                        point = [sum(tk * v[i] for tk, v in zip(t, vertices)) for i in range(n)]
+                        assert Fraction(float(bound)) <= exact_cubic_form(B.entries, mv, point)
+        assert accepted >= 40 and rejected >= 10
+
+    @pytest.mark.parametrize("n, most_cells", [(3, 16), (4, 40), (5, 1000), (6, 8000)])
+    def test_identity_gap_closes_in_few_cells(self, n, most_cells):
+        # Without the finish: 128, 40, 11,985 and 82,838 cells.  At n = 4 the
+        # minimiser, the barycenter, is a dyadic vertex of the subdivision.
+        out = verify_mu(SymMatrix(np.eye(n)), np.ones(n), 4.0)
+        assert isinstance(out, MuCertificate)
+        assert out.verification.cells <= most_cells
+        assert Fraction(out.kappa) <= Fraction(1, n * n)
+        assert 1.0 / n ** 2 - out.kappa <= mu_search.GAP / n ** 2
+        assert out.min_on_simplex == pytest.approx(1.0 / n ** 2, rel=1e-15)
+
+    def test_boundary_minimiser_keeps_bisecting(self):
+        # The weight that find_mu certifies for b_epsilon(0.02) in the
+        # liouville-mix benchmark at seed 1.  The minimum lies on the edges
+        # c_2 = 0 and c_3 = 0, where the Hessian is indefinite on the
+        # sum-zero directions, so no cell takes the tangent bound.
+        B = b_epsilon(0.02)
+        out = verify_mu(B, [1.0, 0.7844472116381471, 0.7844472116381179], 4.0)
+        assert_certificate_exact(B, out)
+        assert 0.0 in out.worst_point.components
+        assert out.verification.cells > 100
+
+    @pytest.mark.parametrize("case", ["prop-matrix", "b-epsilon-0.1", "search-4", "search-3", *CERTIFICATE_PINS])
+    def test_certificates_hold_exactly(self, case):
+        if case in CERTIFICATE_PINS:
+            B = SymMatrix(CERTIFICATE_PINS[case][0])
+            out = verify_mu(B, mu_search.diagonal_weight(B, 4.0), 4.0)
+        elif case == "prop-matrix":
+            B = PROP_MATRIX
+            out = verify_mu(B, np.ones(3), 4.0)
+        else:
+            B = {"b-epsilon-0.1": b_epsilon(0.1), "search-4": SEARCH_4, "search-3": SEARCH_3}[case]
+            out = find_mu(B, 4.0)
+        assert_certificate_exact(B, out)
+
+    def test_polished_point_is_a_kkt_point(self):
+        # The certificate's worst point is the polished face minimiser, not a
+        # cell vertex (whose coordinates are dyadic at depth 4): the gradient
+        # is constant on its support.
+        out = verify_mu(PROP_MATRIX, np.ones(3), 4.0)
+        x = out.worst_point.components
+        C = mu_search._coefficient_tensor(PROP_MATRIX.entries, np.ones(3), 4.0)
+        gradient = 3.0 * (C @ x) @ x
+        assert np.ptp(gradient) <= 1e-14
+        assert gradient == pytest.approx(3.0 * out.min_on_simplex, rel=1e-13)
+        assert out.verification.max_depth <= 4 and any(v * 2.0 ** 40 % 1 for v in x)
 
 
 class TestFindMu:
